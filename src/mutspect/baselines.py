@@ -84,6 +84,20 @@ def rms_test(
     )
 
 
+def _test_on_subset(original, mutants, dataset, mode: str, select) -> VerdictTable:
+    """Every mutant tested on ``dataset.subset(select())``; selection is timed."""
+    phases: dict[str, float] = {}
+    with phase_timer(phases, "selection"):
+        sub = dataset.subset(select())
+    with phase_timer(phases, "testing"):
+        records = sorted(mutants.mutants, key=lambda m: m.mutant_id)
+        verdicts = _test_records(original, records, sub)
+    timing = TimingRecord(phases, tested_count=len(verdicts))
+    return VerdictTable(
+        verdicts, timing, mode, tuple(int(l) for l in sub.labels_present())
+    )
+
+
 def bss_select(
     original: FcnnClassifier, dataset: LabeledDataset, threshold: int = 10
 ) -> np.ndarray:
@@ -113,17 +127,8 @@ def bss_test(
     threshold: int = 10,
 ) -> VerdictTable:
     """All mutants tested, but only on the boundary subset of the dataset."""
-    phases: dict[str, float] = {}
-    with phase_timer(phases, "selection"):
-        subset = bss_select(original, dataset, threshold)
-        sub = dataset.subset(subset)
-    with phase_timer(phases, "testing"):
-        records = sorted(mutants.mutants, key=lambda m: m.mutant_id)
-        verdicts = _test_records(original, records, sub)
-    timing = TimingRecord(phases, tested_count=len(verdicts))
-    return VerdictTable(
-        verdicts, timing, "bss", tuple(int(l) for l in sub.labels_present())
-    )
+    return _test_on_subset(original, mutants, dataset, "bss",
+                           lambda: bss_select(original, dataset, threshold))
 
 
 def rss_test(
@@ -134,17 +139,8 @@ def rss_test(
     seed: int = 0,
 ) -> VerdictTable:
     """All mutants tested on a stratified sample of the dataset."""
-    phases: dict[str, float] = {}
-    with phase_timer(phases, "selection"):
-        sample = stratified_sample(dataset, per_class, seed)
-        sub = dataset.subset(sample.indices)
-    with phase_timer(phases, "testing"):
-        records = sorted(mutants.mutants, key=lambda m: m.mutant_id)
-        verdicts = _test_records(original, records, sub)
-    timing = TimingRecord(phases, tested_count=len(verdicts))
-    return VerdictTable(
-        verdicts, timing, "rss", tuple(int(l) for l in sub.labels_present())
-    )
+    return _test_on_subset(original, mutants, dataset, "rss",
+                           lambda: stratified_sample(dataset, per_class, seed).indices)
 
 
 def raw_cluster_test(

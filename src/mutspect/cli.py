@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -162,9 +163,7 @@ def cmd_generate(args) -> int:
             save_model(record.model, out_dir / f"mutant_{record.mutant_id:04d}.fcnn")
     for warning in mutant_set.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    by_kind: dict[str, int] = {}
-    for record in mutant_set.mutants:
-        by_kind[record.kind.value] = by_kind.get(record.kind.value, 0) + 1
+    by_kind = Counter(record.kind.value for record in mutant_set.mutants)
     summary = ", ".join(f"{k}={v}" for k, v in sorted(by_kind.items()))
     print(f"wrote {manifest_path} ({len(mutant_set)} mutants: {summary})")
     return EXIT_OK
@@ -176,7 +175,6 @@ def cmd_run(args) -> int:
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     echo = config_echo(config)
-    exit_code = EXIT_OK
     for repeat in range(config.repeats):
         result = _run_one(config, model, dataset, mutants, repeat)
         echo_r = dict(echo, repeat=repeat)
@@ -198,7 +196,7 @@ def cmd_run(args) -> int:
             f"tested={result.table.timing.tested_count}/{len(mutants)}{extras}"
         )
         print(f"wrote {report_path}")
-    return exit_code
+    return EXIT_OK
 
 
 def cmd_compare(args) -> int:
@@ -300,10 +298,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MutspectError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except (MutspectError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -9,6 +9,14 @@ sequence does not depend on ``tau``; the threshold only picks the stopping
 point.  The sequence is therefore computed once per graph and cached, and a
 clustering at any ``tau`` is a prefix cut of it.
 
+The build keeps the cross-weight sums between clusters and a cached best
+partner per row (row maxima), so each of the n - 1 steps costs O(n) plus
+O(n) per row whose cached best it invalidates; memory is a few n x n float64
+tables.  Linkage is the sum divided by the size product, which is exact
+whenever the sums are (e.g. dyadic weights), so equal linkages stay equal.
+Ties go to the pair with the lowest smallest member, then the lowest
+smallest member of the other cluster.
+
 The parameter search walks the sampling-rate grid linearly and binary-searches
 ``tau`` inside each round until the mutant reduction rate lands in the
 requested constraint interval.
@@ -17,6 +25,7 @@ requested constraint interval.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,54 +81,53 @@ class RepresentativeMap:
         return [rep for rep, _ in self.pairs]
 
 
-@dataclass(frozen=True)
-class MergeStep:
+class MergeStep(NamedTuple):
     linkage: float
-    members_a: tuple[int, ...]  # graph positions, sorted
-    members_b: tuple[int, ...]
+    i: int  # surviving graph position: the merged cluster's smallest member
+    j: int  # absorbed graph position, j > i
 
 
 def _merge_trajectory(weights: np.ndarray) -> list[MergeStep]:
     """Full greedy average-linkage merge sequence for a dense weight table.
 
-    Linkage between clusters is the mean of the cross weights, recomputed
-    with np.mean over the index block so repeated runs are bit-identical.
-    Ties on linkage resolve to the pair whose smallest member position is
-    lowest, then by the other cluster's smallest position.
+    A cluster lives at its smallest member's position.  ``sums`` holds the
+    cross-weight sums between clusters; ``link`` holds sum / (size product)
+    over the upper triangle, -inf elsewhere and for absorbed clusters.
+    ``best`` and ``top`` cache each row's first argmax and its value, so the
+    first argmax of ``top`` and then of that row is the lowest (smallest
+    member, other smallest member) pair among the greatest linkages: the
+    documented tie rule.  Each step refreshes only the rows whose cached
+    best can change.
     """
     n = weights.shape[0]
-    members: list[list[int] | None] = [[i] for i in range(n)]
-    linkage = weights.astype(np.float64).copy()
-    np.fill_diagonal(linkage, -np.inf)
-    active = np.ones(n, dtype=bool)
+    if n < 2:
+        return []
+    sums = np.array(weights, dtype=np.float64)
+    sizes = np.ones(n)
+    gone = np.zeros(n)  # 0.0 for live clusters, -inf once absorbed
+    link = np.where(np.triu(np.ones((n, n), dtype=bool), 1), sums, -np.inf)
+    best = link.argmax(axis=1)
+    top = link[np.arange(n), best]
     steps: list[MergeStep] = []
     for _ in range(n - 1):
-        table = np.where(active[:, None] & active[None, :], linkage, -np.inf)
-        best = table.max()
-        cand = np.argwhere(table == best)
-        pairs = {(min(int(a), int(b)), max(int(a), int(b))) for a, b in cand}
-        key = min(pairs, key=lambda p: (members[p[0]][0], members[p[1]][0]))
-        i, j = key if members[key[0]][0] <= members[key[1]][0] else key[::-1]
-        steps.append(
-            MergeStep(float(best), tuple(members[i]), tuple(members[j]))
-        )
-        members[i] = sorted(members[i] + members[j])
-        members[j] = None
-        active[j] = False
-        block_i = members[i]
-        for c in np.flatnonzero(active):
-            if c == i:
-                continue
-            value = float(np.mean(weights[np.ix_(block_i, members[c])]))
-            linkage[i, c] = value
-            linkage[c, i] = value
+        i = int(top.argmax())
+        j = int(best[i])
+        steps.append(MergeStep(float(top[i]), i, j))
+        sums[i] += sums[j]
+        sums[:, i] = sums[i]
+        sizes[i] += sizes[j]
+        gone[j] = -np.inf
+        link[j] = link[:, j] = top[j] = -np.inf
+        row = sums[i] / (sizes[i] * sizes) + gone
+        link[i, i + 1:] = row[i + 1:]
+        link[:i, i] = row[:i]
+        stale = (best == i) | (best == j)  # row i included: best[i] was j
+        beats = (row[:i] > top[:i]) | ((row[:i] == top[:i]) & (best[:i] > i))
+        best[:i][beats], top[:i][beats] = i, row[:i][beats]
+        rows = np.flatnonzero(stale)
+        best[rows] = link[rows].argmax(axis=1)
+        top[rows] = link[rows, best[rows]]
     return steps
-
-
-def _trajectory_for(graph: SimilarityGraph) -> list[MergeStep]:
-    if graph._trajectory is None:
-        graph._trajectory = _merge_trajectory(graph.weights)
-    return graph._trajectory
 
 
 def hac_cluster(graph: SimilarityGraph, tau: float) -> ClusterSet:
@@ -130,28 +138,18 @@ def hac_cluster(graph: SimilarityGraph, tau: float) -> ClusterSet:
     """
     if not 0.0 < tau < 1.0:
         raise ParameterError(f"tau must lie in (0, 1), got {tau}")
-    steps = _trajectory_for(graph)
+    if graph._trajectory is None:
+        graph._trajectory = _merge_trajectory(graph.weights)
     parent = list(range(graph.n_nodes))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for step in steps:
+    for step in graph._trajectory:
         if step.linkage < tau:
             break
-        ra, rb = find(step.members_a[0]), find(step.members_b[0])
-        parent[max(ra, rb)] = min(ra, rb)
-
+        parent[step.j] = step.i
     groups: dict[int, list[int]] = {}
-    for pos in range(graph.n_nodes):
-        groups.setdefault(find(pos), []).append(pos)
-    clusters = sorted(
-        (tuple(graph.ids[p] for p in sorted(group)) for group in groups.values()),
-        key=lambda c: c[0],
-    )
+    for pos, mutant_id in enumerate(graph.ids):
+        parent[pos] = parent[parent[pos]]  # parents sit lower: already roots
+        groups.setdefault(parent[pos], []).append(mutant_id)
+    clusters = sorted(map(tuple, groups.values()), key=lambda c: c[0])
     return ClusterSet(tuple(clusters), tau)
 
 
@@ -209,6 +207,7 @@ def parameter_search(
     an interior plateau).  Not satisfiable is a value, not an exception.
     ``phases`` accumulates wall-clock seconds spent in clustering calls.
     """
+    phases = {} if phases is None else phases
     rounds: list[XRound] = []
     for x in x_grid:
         sample, graph = build(x)
@@ -224,11 +223,8 @@ def parameter_search(
             if tau_hi - tau_lo < WIDTH_CAP:
                 round_trace.stop_reason = "interval-collapsed"
                 break
-            if phases is None:
+            with phase_timer(phases, "clustering"):
                 clusters = hac_cluster(graph, tau)
-            else:
-                with phase_timer(phases, "clustering"):
-                    clusters = hac_cluster(graph, tau)
             rate = mutant_reduction_rate(n, clusters)
             round_trace.taus.append(tau)
             round_trace.rates.append(rate)

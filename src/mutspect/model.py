@@ -9,6 +9,7 @@ threads and every forward pass is a pure function of (model, input).
 from __future__ import annotations
 
 import struct
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -91,6 +92,8 @@ class FcnnClassifier:
 # ---------------------------------------------------------------------------
 # Forward-pass instrumentation.  A counter registered through
 # count_forward_passes() is bumped once per (model, data point) application.
+# One lock guards the registry and the counts: mutant_spectra tallies from
+# worker threads.
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -99,21 +102,25 @@ class ForwardPassCounter:
 
 
 _ACTIVE_COUNTERS: list[ForwardPassCounter] = []
+_COUNTER_LOCK = threading.Lock()
 
 
 @contextmanager
 def count_forward_passes():
     counter = ForwardPassCounter()
-    _ACTIVE_COUNTERS.append(counter)
+    with _COUNTER_LOCK:
+        _ACTIVE_COUNTERS.append(counter)
     try:
         yield counter
     finally:
-        _ACTIVE_COUNTERS.remove(counter)
+        with _COUNTER_LOCK:
+            _ACTIVE_COUNTERS.remove(counter)
 
 
 def _tally(n: int):
-    for counter in _ACTIVE_COUNTERS:
-        counter.count += n
+    with _COUNTER_LOCK:
+        for counter in _ACTIVE_COUNTERS:
+            counter.count += n
 
 
 def _stable_softmax(z: np.ndarray) -> np.ndarray:
@@ -244,10 +251,7 @@ def deserialize_model(data: bytes) -> FcnnClassifier:
             raise ValidationError(f"layer {i}: {exc}") from exc
     if offset != len(data):
         raise FormatError(f"trailing bytes at offset {offset}")
-    try:
-        return FcnnClassifier(tuple(layers))
-    except ValidationError as exc:
-        raise ValidationError(str(exc)) from exc
+    return FcnnClassifier(tuple(layers))
 
 
 def save_model(model: FcnnClassifier, path) -> None:

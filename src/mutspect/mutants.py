@@ -283,17 +283,10 @@ def generate_mutant_set(
         kind = applicable[int(rng.integers(len(applicable)))]
         target = spaces[kind][int(rng.integers(len(spaces[kind])))]
         mutant_seed = int(rng.integers(0, 2**63))
-        if kind is MutatorKind.GAUSSIAN_FUZZING:
-            rec = gaussian_fuzz(model, target[0], target[1], gf_sigma, mutant_seed, mutant_id)
-        elif kind is MutatorKind.WEIGHT_SHUFFLE:
-            rec = weight_shuffle(model, target[0], target[1], mutant_seed, mutant_id)
-        elif kind is MutatorKind.NEURON_EFFECT_BLOCK:
-            rec = neuron_effect_block(model, target[0], target[1], mutant_id)
-        elif kind is MutatorKind.NEURON_ACTIVATION_INVERSE:
-            rec = neuron_activation_inverse(model, target[0], target[1], mutant_id)
-        else:
-            rec = neuron_switch(model, target[0], target[1], target[2], mutant_id)
-        records.append(rec)
+        entry = {"kind": kind.value, "id": mutant_id, "layer": target[0],
+                 "neuron": target[1], "seed": mutant_seed, "params": {"sigma": gf_sigma},
+                 "partner": target[2] if len(target) > 2 else None}
+        records.append(rebuild_mutant(model, entry))
     return MutantSet(model, records, seed, warnings)
 
 
@@ -307,6 +300,7 @@ MANIFEST_VERSION = 1
 
 
 def rebuild_mutant(original: FcnnClassifier, entry: dict) -> MutantRecord:
+    """The one operator dispatch: a manifest entry (or a fresh draw) -> mutant."""
     kind = MutatorKind(entry["kind"])
     mid = int(entry["id"])
     layer = int(entry["layer"])

@@ -4,7 +4,7 @@ Each mutant output, evaluated over a small stratified sample, is a short real
 series; its unnormalized DFT magnitude vector (all |S| bins kept) is the
 behavioural signature.  The distance between two mutants is the maximum over
 outputs of the Euclidean distance between their signatures, and similarity is
-exp(-distance), giving edge weights in (0, 1] for a complete graph.
+exp(-distance), giving edge weights in [0, 1] for a complete graph.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .errors import (
     NumericError,
     ParameterError,
     SpectraFailureError,
+    ValidationError,
 )
 from .model import batch_outputs
 from .mutants import MutantSet
@@ -108,6 +109,9 @@ class SpectraSet:
 
     def __post_init__(self):
         vals = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
+        if vals.ndim != 3 or vals.shape[::2] != (len(self.ids), len(self.sample)):
+            raise ValidationError(f"spectra values {vals.shape} do not fit "
+                                  f"({len(self.ids)}, q, {len(self.sample)})")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         if not self.sample_hash:
@@ -219,9 +223,11 @@ def mutant_similarity(a: int, b: int, spectra: SpectraSet) -> float:
 class SimilarityGraph:
     """Complete weighted undirected simple graph over usable mutant ids.
 
-    Weights live in (0, 1]; exactly one weight per unordered distinct pair.
-    Self-edges are not stored (the diagonal of the internal table is a
-    placeholder and not exposed).
+    Weights live in [0, 1] (exp(-distance) may underflow to 0); exactly one
+    weight per unordered distinct pair.  Self-edges are not stored (the
+    diagonal of the internal table is a placeholder and not exposed).  The
+    table must be square, sized to ``ids``, finite, exactly symmetric and
+    inside [0, 1]; anything else raises ValidationError.
     """
 
     ids: tuple[int, ...]
@@ -232,6 +238,11 @@ class SimilarityGraph:
 
     def __post_init__(self):
         w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
+        if w.shape != (len(self.ids),) * 2:
+            raise ValidationError(f"weight table {w.shape} does not fit {len(self.ids)} ids")
+        # NaN fails both bounds, so this also rejects non-finite weights
+        if not (((w >= 0) & (w <= 1)).all() and np.array_equal(w, w.T)):
+            raise ValidationError("weights must be finite, symmetric and in [0, 1]")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 

@@ -6,12 +6,14 @@ from mutspect.clustering import (
     NOT_SATISFIABLE_MESSAGE,
     ClusterSet,
     ReductionConstraint,
+    _merge_trajectory,
     hac_cluster,
     mutant_reduction_rate,
     parameter_search,
     select_representatives,
 )
 from mutspect.errors import ParameterError, ValidationError
+from mutspect.pipeline import TAU_SWEEP_GRID
 from mutspect.spectra import SimilarityGraph
 
 
@@ -55,6 +57,51 @@ def oracle_agglomerate(weights, tau):
 
 def as_partition(cluster_set):
     return sorted(tuple(c) for c in cluster_set.clusters)
+
+
+DYADIC_LEVELS = np.arange(1, 8) / 8  # 0.125 .. 0.875: sums and means are exact
+
+
+def symmetric(upper):
+    upper = np.triu(upper, 1)
+    w = upper + upper.T
+    np.fill_diagonal(w, 1.0)
+    return w
+
+
+def with_duplicates(w, pairs):
+    """Make each ``dup`` a twin of ``src``: same row and column, weight 1.0."""
+    w = w.copy()
+    for src, dup in pairs:
+        w[dup], w[:, dup] = w[src], w[:, src]
+        w[src, dup] = w[dup, src] = 1.0
+    np.fill_diagonal(w, 1.0)
+    return w
+
+
+def rescan_trajectory(weights):
+    """Merge steps from a full argmax over the sum-based linkage table at every
+    step: the library's arithmetic without its cached row maxima."""
+    n = weights.shape[0]
+    sums, sizes, alive = weights.astype(np.float64), np.ones(n), np.ones(n, bool)
+    steps = []
+    for _ in range(n - 1):
+        link = sums / np.outer(sizes, sizes)
+        link[~np.triu(alive[:, None] & alive[None, :], 1)] = -np.inf
+        i, j = np.unravel_index(int(link.argmax()), link.shape)
+        steps.append((float(link[i, j]), int(i), int(j)))
+        sums[i] += sums[j]
+        sums[:, i] = sums[i]
+        sizes[i] += sizes[j]
+        alive[j] = False
+    return steps
+
+
+def assert_matches_oracle(w, taus):
+    graph = graph_from_weights(w)
+    for tau in taus:
+        got = as_partition(hac_cluster(graph, float(tau)))
+        assert got == oracle_agglomerate(w, float(tau)), (w.shape[0], tau)
 
 
 class TestHacCluster:
@@ -102,6 +149,96 @@ class TestHacCluster:
                 got = as_partition(hac_cluster(graph, float(tau)))
                 want = oracle_agglomerate(w, float(tau))
                 assert got == want, (n, tau)
+
+    def test_matches_oracle_on_dyadic_tie_tables(self):
+        rng = np.random.default_rng(123)
+        taus = sorted(set(TAU_SWEEP_GRID) | set(DYADIC_LEVELS))
+        for _ in range(30):
+            n = int(rng.integers(2, 9))
+            assert_matches_oracle(symmetric(rng.choice(DYADIC_LEVELS, (n, n))), taus)
+
+    def test_matches_oracle_with_duplicate_rows(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            n = int(rng.integers(3, 9))
+            w = symmetric(rng.choice(DYADIC_LEVELS, (n, n)))
+            src = int(rng.integers(n))
+            dups = rng.choice([k for k in range(n) if k != src], int(rng.integers(1, n)))
+            w = with_duplicates(w, [(src, int(d)) for d in dups])
+            assert_matches_oracle(w, TAU_SWEEP_GRID)
+
+    @pytest.mark.parametrize("value", [0.125, 0.25, 0.5, 0.75, 1.0])
+    def test_constant_tables(self, value):
+        for n in range(2, 11):
+            w = np.full((n, n), value)
+            assert_matches_oracle(w, TAU_SWEEP_GRID)
+            if value < 1.0:  # every linkage equals tau: all merge into one
+                assert hac_cluster(graph_from_weights(w), value).clusters == (
+                    tuple(range(n)),
+                )
+
+    def test_chain_at_tau_equal_to_weight(self):
+        # w(0,1) = w(1,2) = tau: (0, 1) wins the tie, then 2 links at 0.5
+        w = np.array([[1.0, 0.9, 0.1], [0.9, 1.0, 0.9], [0.1, 0.9, 1.0]])
+        cs = hac_cluster(graph_from_weights(w), 0.9)
+        assert as_partition(cs) == [(0, 1), (2,)] == oracle_agglomerate(w, 0.9)
+
+    def test_tie_resolves_to_lowest_smallest_member_pair(self):
+        w = np.full((4, 4), 0.25)
+        w[1, 2] = w[2, 1] = w[2, 3] = w[3, 2] = 0.75
+        np.fill_diagonal(w, 1.0)
+        cs = hac_cluster(graph_from_weights(w), 0.75)
+        assert as_partition(cs) == [(0,), (1, 2), (3,)] == oracle_agglomerate(w, 0.75)
+
+    def test_planted_blocks_with_duplicates_all_sweep_taus(self):
+        rng = np.random.default_rng(40)
+        block = np.arange(40) // 10
+        same = block[:, None] == block[None, :]
+        w = symmetric(
+            np.where(
+                same,
+                rng.choice(DYADIC_LEVELS[4:], (40, 40)),
+                rng.choice(DYADIC_LEVELS[:2], (40, 40)),
+            )
+        )
+        w = with_duplicates(w, [(0, 5), (0, 17), (12, 13), (21, 38), (30, 39)])
+        assert_matches_oracle(w, TAU_SWEEP_GRID)
+
+    def test_cached_build_matches_full_rescan_under_rounding(self):
+        # with non-dyadic weights a merged row can round up to (or past) its
+        # cached maximum; the cache must follow the computed values exactly
+        levels = ((0.1, 0.3), (0.1, 0.3), (0.1, 0.2, 0.3, 0.6, 0.7, 0.9))
+        rng = np.random.default_rng(2)
+        block = np.full((5, 5), 0.1)
+        block[2:, 2:] = 0.3
+        tables = [
+            symmetric(block),
+            symmetric(
+                np.array(
+                    [
+                        [1, 0.3, 0.1, 0.3, 0.3, 0.1, 0.1],
+                        [0, 1, 0.3, 0.3, 0.3, 0.3, 0.3],
+                        [0, 0, 1, 0.3, 0.1, 0.1, 0.3],
+                        [0, 0, 0, 1, 0.3, 0.1, 0.1],
+                        [0, 0, 0, 0, 1, 0.3, 0.3],
+                        [0, 0, 0, 0, 0, 1, 0.1],
+                        [0, 0, 0, 0, 0, 0, 1],
+                    ]
+                )
+            ),
+        ]
+        for k in range(300):
+            n = int(rng.integers(3, 10))
+            tables.append(symmetric(rng.choice(levels[k % 3], (n, n))))
+        for w in tables:
+            got = [(s.linkage, s.i, s.j) for s in _merge_trajectory(w)]
+            assert got == rescan_trajectory(w)
+
+    def test_nan_weight_rejected_before_clustering(self):
+        w = np.full((3, 3), 0.5)
+        w[0, 1] = w[1, 0] = np.nan
+        with pytest.raises(ValidationError):
+            hac_cluster(graph_from_weights(w), 0.5)
 
     def test_monotone_cluster_count_in_tau(self):
         rng = np.random.default_rng(7)

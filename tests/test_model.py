@@ -127,6 +127,21 @@ def test_forward_pass_counter(random_net):
     assert counter.count == 8
 
 
+def test_forward_pass_counter_exact_under_threads(random_net):
+    from concurrent.futures import ThreadPoolExecutor
+
+    point = np.zeros((1, random_net.input_dim))
+
+    def work(_):
+        for _ in range(500):
+            batch_outputs(random_net, point)
+
+    with count_forward_passes() as outer, count_forward_passes() as inner:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(work, range(8)))
+    assert outer.count == inner.count == 8 * 500
+
+
 def test_invalid_architectures_rejected():
     with pytest.raises(ValidationError):
         FcnnClassifier((DenseLayer(np.zeros((2, 2)), np.zeros(2), RELU),))  # no softmax

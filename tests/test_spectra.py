@@ -5,9 +5,11 @@ from mutspect.dataset import LabeledDataset
 from mutspect.errors import (
     DegenerateGraphError,
     MissingMutantError,
+    MutspectError,
     NumericError,
     ParameterError,
     SpectraFailureError,
+    ValidationError,
 )
 from mutspect.model import count_forward_passes
 from mutspect.mutants import gaussian_fuzz, generate_mutant_set, MutantSet
@@ -15,6 +17,8 @@ from mutspect.spectra import (
     TRANSFORM_DFT,
     TRANSFORM_RAW,
     SampleSet,
+    SimilarityGraph,
+    SpectraSet,
     build_similarity_graph,
     dft_magnitude,
     load_spectra,
@@ -140,6 +144,16 @@ class TestMutantSpectra:
         with count_forward_passes() as counter:
             mutant_spectra(ms, ds, sample)
         assert counter.count == 2 * 6  # |M| * |S|, never |M| * |S| * q
+
+    def test_forward_pass_budget_with_threads(self, random_net):
+        ds = blob_dataset(dim=random_net.input_dim)
+        ms = generate_mutant_set(random_net, 40, seed=3)
+        sample = stratified_sample(ds, 2, 0)
+        with count_forward_passes() as counter:
+            threaded = mutant_spectra(ms, ds, sample, threads=2)
+        assert counter.count == 40 * len(sample)
+        serial = mutant_spectra(ms, ds, sample)
+        assert threaded.values.tobytes() == serial.values.tobytes()
 
     def test_quarantine_nonfinite_mutant(self, random_net):
         import mutspect.model as mm
@@ -280,6 +294,38 @@ class TestSimilarityGraph:
         assert graph.sample_hash == sample.content_hash() == spectra.sample_hash
 
 
+class TestSimilarityGraphValidation:
+    def make(self, weights, ids=None):
+        w = np.asarray(weights, dtype=np.float64)
+        ids = tuple(range(w.shape[0])) if ids is None else ids
+        return SimilarityGraph(ids, w, sample_hash="test", transform=TRANSFORM_DFT)
+
+    def test_nan_weight(self):
+        with pytest.raises(ValidationError):
+            self.make([[1.0, np.nan], [np.nan, 1.0]])
+
+    def test_infinite_or_out_of_range_weight(self):
+        for bad in (np.inf, -np.inf, 1.5, -0.25):
+            with pytest.raises(ValidationError):
+                self.make([[1.0, bad], [bad, 1.0]])
+
+    def test_ids_do_not_fit_table(self):
+        with pytest.raises(ValidationError):
+            self.make(np.eye(2), ids=(0, 1, 2))
+
+    def test_non_square_table(self):
+        with pytest.raises(ValidationError):
+            self.make(np.ones((2, 3)), ids=(0, 1))
+
+    def test_asymmetric_table(self):
+        with pytest.raises(ValidationError):
+            self.make([[1.0, 0.5], [np.nextafter(0.5, 1.0), 1.0]])
+
+    def test_zero_weight_accepted(self):
+        # exp(-distance) underflows to exactly 0 for very distant mutants
+        assert self.make([[1.0, 0.0], [0.0, 1.0]]).weight(0, 1) == 0.0
+
+
 class TestSpectraIO:
     def test_round_trip(self, tmp_path, random_net):
         ds = blob_dataset(dim=random_net.input_dim)
@@ -292,6 +338,29 @@ class TestSpectraIO:
         assert loaded.transform == spectra.transform
         assert loaded.values.tobytes() == spectra.values.tobytes()
         assert loaded.sample.content_hash() == spectra.sample.content_hash()
+
+    def test_misshaped_values_rejected(self):
+        sample = SampleSet(np.arange(3), 1, 0)
+        for shape in ((2, 4, 3), (3, 4, 2), (3, 3), (3, 4, 3, 1)):
+            with pytest.raises(ValidationError):
+                SpectraSet((0, 1, 2), np.zeros(shape), sample, TRANSFORM_DFT)
+
+    def test_load_misshaped_npz(self, tmp_path):
+        path = tmp_path / "bad.npz"
+        np.savez(
+            path,
+            version=np.int64(1),
+            ids=np.arange(3, dtype=np.int64),
+            values=np.zeros((2, 4, 5)),  # two rows for three ids
+            failed=np.zeros(0, dtype=np.int64),
+            transform=np.asarray(TRANSFORM_DFT),
+            sample_indices=np.arange(5, dtype=np.int64),
+            sample_rate=np.int64(1),
+            sample_seed=np.int64(0),
+            sample_truncated=np.zeros(0, dtype=np.int64),
+        )
+        with pytest.raises(MutspectError):
+            load_spectra(path)
 
     def test_spectra_from_outputs_matches_model_path(self, random_net):
         ds = blob_dataset(dim=random_net.input_dim)
