@@ -28,13 +28,7 @@ from .model import FcnnClassifier, batch_outputs
 from .mutants import MutantSet
 from .pipeline import PipelineResult, Seeds, run_accelerated
 from .spectra import TRANSFORM_RAW, stratified_sample
-from .testing import (
-    UNTESTED,
-    MutantVerdict,
-    TimingRecord,
-    VerdictTable,
-    _test_records,
-)
+from .testing import UNTESTED, MutantVerdict, VerdictTable, vanilla_test
 from .util import phase_timer, philox_rng
 
 
@@ -71,31 +65,22 @@ def rms_test(
     ids = sorted(mutants.ids())
     k = math.ceil(fraction * len(ids))
     chosen = sorted(philox_rng(seed).permutation(np.asarray(ids))[:k].tolist())
-    phases: dict[str, float] = {}
-    with phase_timer(phases, "testing"):
-        records = [mutants.by_id(m) for m in chosen]
-        verdicts = _test_records(original, records, dataset)
+    selected = MutantSet(original, [mutants.by_id(m) for m in chosen], mutants.generation_seed)
+    table = vanilla_test(original, selected, dataset, "rms")
     for m in ids:
-        if m not in verdicts:
-            verdicts[m] = MutantVerdict(m, None, None, UNTESTED)
-    timing = TimingRecord(phases, tested_count=len(chosen))
-    return VerdictTable(
-        verdicts, timing, "rms", tuple(int(l) for l in dataset.labels_present())
-    )
+        if m not in table.verdicts:
+            table.verdicts[m] = MutantVerdict(m, None, None, UNTESTED)
+    return table
 
 
 def _test_on_subset(original, mutants, dataset, mode: str, select) -> VerdictTable:
-    """Every mutant tested on ``dataset.subset(select())``; selection is timed."""
+    """vanilla_test on ``dataset.subset(select())``; the selection is timed too."""
     phases: dict[str, float] = {}
     with phase_timer(phases, "selection"):
         sub = dataset.subset(select())
-    with phase_timer(phases, "testing"):
-        records = sorted(mutants.mutants, key=lambda m: m.mutant_id)
-        verdicts = _test_records(original, records, sub)
-    timing = TimingRecord(phases, tested_count=len(verdicts))
-    return VerdictTable(
-        verdicts, timing, mode, tuple(int(l) for l in sub.labels_present())
-    )
+    table = vanilla_test(original, mutants, sub, mode)
+    table.timing.phases.update(phases)
+    return table
 
 
 def bss_select(
@@ -151,7 +136,6 @@ def raw_cluster_test(
     seeds: Seeds = Seeds(),
     fixed_per_class: int | None = None,
     fixed_tau: float | None = None,
-    threads: int = 1,
 ) -> PipelineResult:
     """The spectral pipeline minus the transform: cluster raw output columns."""
     return run_accelerated(
@@ -163,8 +147,6 @@ def raw_cluster_test(
         transform=TRANSFORM_RAW,
         fixed_per_class=fixed_per_class,
         fixed_tau=fixed_tau,
-        threads=threads,
-        mode="raw",
     )
 
 

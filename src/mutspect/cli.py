@@ -10,13 +10,13 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .baselines import bss_test, raw_cluster_test, rms_test, rss_test
+from .baselines import BaselineConfig, baseline_test, raw_cluster_test
 from .clustering import NOT_SATISFIABLE_MESSAGE
 from .config import (
-    THREADS_ENV_VAR,
     RunConfig,
     build_config,
     config_echo,
@@ -24,7 +24,7 @@ from .config import (
     parse_config_file,
 )
 from .dataset import load_dataset
-from .errors import MutspectError
+from .errors import MutspectError, ParameterError
 from .model import load_model, save_model
 from .mutants import ALL_KINDS, MutatorKind, generate_mutant_set, load_manifest, save_manifest
 from .pipeline import (
@@ -68,25 +68,21 @@ def _add_run_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--x", type=int, dest="per_class_rate",
                         help="fixed samples per class (disables the x search)")
     parser.add_argument("--tau", type=float, help="fixed linkage threshold")
-    parser.add_argument("--seed", type=int, dest="sampling_seed")
-    parser.add_argument("--representative-seed", type=int, dest="representative_seed")
+    _add_seed_flags(parser)
     parser.add_argument("--baseline-seed", type=int, dest="baseline_seed")
     parser.add_argument("--rms-fraction", type=float, dest="rms_fraction")
     parser.add_argument("--bss-threshold", type=int, dest="bss_threshold")
+
+
+def _add_seed_flags(parser: argparse.ArgumentParser):
+    parser.add_argument("--seed", type=int, dest="sampling_seed")
+    parser.add_argument("--representative-seed", type=int, dest="representative_seed")
     parser.add_argument("--repeats", type=int)
-    parser.add_argument("--threads", type=int,
-                        help=f"worker threads (also ${THREADS_ENV_VAR})")
 
 
 def _config_from_args(args) -> RunConfig:
     file_values = parse_config_file(args.config) if args.config else {}
-    keys = (
-        "model", "dataset", "manifest", "out", "mode", "reduction_lo",
-        "reduction_hi", "per_class_rate", "tau", "sampling_seed",
-        "representative_seed", "baseline_seed", "rms_fraction",
-        "bss_threshold", "repeats", "threads",
-    )
-    overrides = {k: getattr(args, k, None) for k in keys}
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     return build_config(file_values, **overrides)
 
 
@@ -113,7 +109,6 @@ def _run_one(config: RunConfig, model, dataset, mutants, repeat: int) -> Pipelin
         sampling=derived_seed(config.sampling_seed, repeat),
         representative=derived_seed(config.representative_seed, repeat),
     )
-    baseline_seed = derived_seed(config.baseline_seed, repeat)
     if config.mode == "vanilla":
         return run_vanilla(model, mutants, dataset)
     if config.mode in ("spectral", "raw"):
@@ -126,16 +121,17 @@ def _run_one(config: RunConfig, model, dataset, mutants, repeat: int) -> Pipelin
             seeds,
             fixed_per_class=config.per_class_rate,
             fixed_tau=config.tau,
-            threads=config.threads,
         )
-    if config.mode == "rms":
-        table = rms_test(model, mutants, dataset, config.rms_fraction, baseline_seed)
-    elif config.mode == "bss":
-        table = bss_test(model, mutants, dataset, config.bss_threshold)
-    else:  # rss
-        if config.per_class_rate is None:
-            raise MutspectError("--x is required for rss (same sample size as spectral)")
-        table = rss_test(model, mutants, dataset, config.per_class_rate, baseline_seed)
+    if config.mode == "rss" and config.per_class_rate is None:
+        raise MutspectError("--x is required for rss (same sample size as spectral)")
+    baseline = BaselineConfig(
+        config.mode,
+        config.rms_fraction,
+        config.bss_threshold,
+        config.per_class_rate,
+        derived_seed(config.baseline_seed, repeat),
+    )
+    table = baseline_test(model, mutants, dataset, baseline)
     return PipelineResult(mode=config.mode, found=True, table=table)
 
 
@@ -217,14 +213,17 @@ def cmd_sweep(args) -> int:
     config = _config_from_args(args)
     model, dataset, mutants, hashes = _load_inputs(config)
     spec_kwargs = {}
-    if args.x_grid:
-        spec_kwargs["x_grid"] = tuple(int(v) for v in args.x_grid.split(","))
-    if args.tau_grid:
-        spec_kwargs["tau_grid"] = tuple(float(v) for v in args.tau_grid.split(","))
+    try:
+        if args.x_grid:
+            spec_kwargs["x_grid"] = tuple(int(v) for v in args.x_grid.split(","))
+        if args.tau_grid:
+            spec_kwargs["tau_grid"] = tuple(float(v) for v in args.tau_grid.split(","))
+    except ValueError as exc:
+        raise ParameterError(f"grids must be comma lists of numbers: {exc}") from None
     spec_kwargs["repeats"] = config.repeats
     spec = SweepSpec(**spec_kwargs)
     seeds = Seeds(config.sampling_seed, config.representative_seed)
-    sweep = run_sweep(model, mutants, dataset, spec, seeds, threads=config.threads)
+    sweep = run_sweep(model, mutants, dataset, spec, seeds)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(out_dir / "sweep.csv", sweep)
@@ -282,10 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p_sweep)
     p_sweep.add_argument("--x-grid", help="comma list of samples-per-class values")
     p_sweep.add_argument("--tau-grid", help="comma list of linkage thresholds")
-    p_sweep.add_argument("--repeats", type=int)
-    p_sweep.add_argument("--seed", type=int, dest="sampling_seed")
-    p_sweep.add_argument("--representative-seed", type=int, dest="representative_seed")
-    p_sweep.add_argument("--threads", type=int)
+    _add_seed_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_show = sub.add_parser("show-config", help="print all defaults")

@@ -193,7 +193,6 @@ def parameter_search(
     build,
     constraint: ReductionConstraint,
     x_grid=X_GRID,
-    n_mutants: int | None = None,
     phases: dict | None = None,
 ) -> SearchResult:
     """Linear search over sampling rates, binary search over tau per rate.
@@ -211,7 +210,6 @@ def parameter_search(
     rounds: list[XRound] = []
     for x in x_grid:
         sample, graph = build(x)
-        n = n_mutants if n_mutants is not None else graph.n_nodes
         round_trace = XRound(per_class_rate=x)
         rounds.append(round_trace)
         tau_lo, tau_hi = 0.0, 1.0
@@ -225,7 +223,7 @@ def parameter_search(
                 break
             with phase_timer(phases, "clustering"):
                 clusters = hac_cluster(graph, tau)
-            rate = mutant_reduction_rate(n, clusters)
+            rate = mutant_reduction_rate(graph.n_nodes, clusters)
             round_trace.taus.append(tau)
             round_trace.rates.append(rate)
             round_trace.cluster_counts.append(len(clusters))

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields
 
 from .clustering import DEFAULT_REDUCTION, ReductionConstraint
 from .errors import ParameterError
 
 MODES = ("vanilla", "spectral", "raw", "rms", "bss", "rss")
-
-THREADS_ENV_VAR = "MUTSPECT_THREADS"
 
 
 @dataclass
@@ -31,7 +28,6 @@ class RunConfig:
     rms_fraction: float = 0.75
     bss_threshold: int = 10
     repeats: int = 5
-    threads: int = 1
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -44,17 +40,13 @@ class RunConfig:
         return ReductionConstraint(self.reduction_lo, self.reduction_hi)
 
 
-_INT_FIELDS = {
-    "per_class_rate",
-    "sampling_seed",
-    "generation_seed",
-    "representative_seed",
-    "baseline_seed",
-    "bss_threshold",
-    "repeats",
-    "threads",
-}
-_FLOAT_FIELDS = {"reduction_lo", "reduction_hi", "tau", "rms_fraction"}
+def _fields_typed(name: str) -> set[str]:
+    # annotations are strings here; "int | None" counts as int
+    return {f.name for f in fields(RunConfig) if f.type.split(" |")[0] == name}
+
+
+_INT_FIELDS = _fields_typed("int")
+_FLOAT_FIELDS = _fields_typed("float")
 
 
 def parse_config_file(path) -> dict:
@@ -71,12 +63,13 @@ def parse_config_file(path) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in known:
                 raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in _INT_FIELDS:
-                values[key] = int(value)
-            elif key in _FLOAT_FIELDS:
-                values[key] = float(value)
-            else:
-                values[key] = value
+            convert = int if key in _INT_FIELDS else float if key in _FLOAT_FIELDS else str
+            try:
+                values[key] = convert(value)
+            except ValueError:
+                raise ParameterError(
+                    f"{path}:{lineno}: {key}={value!r} is not a valid {convert.__name__}"
+                ) from None
     return values
 
 
@@ -85,10 +78,6 @@ def build_config(file_values: dict | None = None, **overrides) -> RunConfig:
     for key, value in overrides.items():
         if value is not None:
             values[key] = value
-    if "threads" not in values:
-        env = os.environ.get(THREADS_ENV_VAR)
-        if env:
-            values["threads"] = int(env)
     return RunConfig(**values)
 
 
@@ -97,11 +86,8 @@ def config_echo(config: RunConfig) -> dict:
     rerun into a different directory stays byte-identical."""
     echo = {f.name: getattr(config, f.name) for f in fields(RunConfig)}
     echo.pop("out")
-    echo.pop("threads")  # execution detail, not semantics
     return echo
 
 
 def format_defaults() -> str:
-    lines = [f"{f.name}={getattr(RunConfig(), f.name)}" for f in fields(RunConfig)]
-    lines.append(f"# thread count also honours ${THREADS_ENV_VAR}")
-    return "\n".join(lines)
+    return "\n".join(f"{f.name}={getattr(RunConfig(), f.name)}" for f in fields(RunConfig))

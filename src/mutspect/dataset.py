@@ -3,6 +3,7 @@
 File format, version 1, little-endian:
   magic "FDST" | version u8 | point_count u32 | input_dim u32 | class_count u32
   per point: features f64 (input_dim) | label u32
+The points are one packed array of the structured dtype ``_point_dtype``.
 """
 
 from __future__ import annotations
@@ -13,10 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .util import readonly
+from .util import ByteReader, readonly
 
 _MAGIC = b"FDST"
 _VERSION = 1
+_HEADER_BYTES = 17  # magic, version and three u32 counts
+
+
+def _point_dtype(dim: int) -> np.dtype:
+    return np.dtype([("features", "<f8", (dim,)), ("label", "<u4")])
 
 
 @dataclass(frozen=True)
@@ -44,9 +50,7 @@ class LabeledDataset:
                 f"[{y.min()}, {y.max()}]"
             )
         object.__setattr__(self, "features", readonly(x))
-        y = np.ascontiguousarray(y)
-        y.flags.writeable = False
-        object.__setattr__(self, "labels", y)
+        object.__setattr__(self, "labels", readonly(y))
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -65,40 +69,43 @@ class LabeledDataset:
         return LabeledDataset(self.features[idx], self.labels[idx], self.class_count)
 
 
-def save_dataset(dataset: LabeledDataset, path) -> None:
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<B", _VERSION))
-        f.write(struct.pack("<III", len(dataset), dataset.input_dim, dataset.class_count))
-        for row, label in zip(dataset.features, dataset.labels):
-            f.write(row.astype("<f8").tobytes())
-            f.write(struct.pack("<I", int(label)))
+def serialize_dataset(dataset: LabeledDataset) -> bytes:
+    points = np.empty(len(dataset), dtype=_point_dtype(dataset.input_dim))
+    points["features"] = dataset.features
+    points["label"] = dataset.labels
+    header = struct.pack("<BIII", _VERSION, len(dataset), dataset.input_dim, dataset.class_count)
+    return _MAGIC + header + points.tobytes()
 
 
-def load_dataset(path) -> LabeledDataset:
-    with open(path, "rb") as f:
-        data = f.read()
-    offset = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal offset
-        if offset + n > len(data):
-            raise FormatError(f"truncated dataset file: need {what} at byte {offset}")
-        chunk = data[offset : offset + n]
-        offset += n
-        return chunk
-
+def deserialize_dataset(data: bytes) -> LabeledDataset:
+    take = ByteReader(data, "dataset").take
     if take(4, "magic") != _MAGIC:
         raise FormatError("bad magic at byte 0: not a dataset file")
     (version,) = struct.unpack("<B", take(1, "version"))
     if version != _VERSION:
         raise FormatError(f"unsupported dataset format version {version} at byte 4")
     count, dim, classes = struct.unpack("<III", take(12, "header"))
-    features = np.empty((count, dim))
-    labels = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        features[i] = np.frombuffer(take(8 * dim, f"point {i} features"), dtype="<f8")
-        (labels[i],) = struct.unpack("<I", take(4, f"point {i} label"))
-    if offset != len(data):
-        raise FormatError(f"trailing bytes at offset {offset}")
-    return LabeledDataset(features, labels, classes)
+    if count == 0:
+        raise FormatError("point count is zero at byte 5")
+    # sizes are checked before anything is allocated: the header is untrusted
+    size = 8 * dim + 4
+    end = _HEADER_BYTES + count * size
+    if end > len(data):
+        i, rest = divmod(len(data) - _HEADER_BYTES, size)
+        what, at = ("features", 0) if rest < 8 * dim else ("label", 8 * dim)
+        raise FormatError(f"truncated dataset file: need point {i} {what} at byte "
+                          f"{_HEADER_BYTES + i * size + at}")
+    if end != len(data):
+        raise FormatError(f"trailing bytes at offset {end}")
+    points = np.frombuffer(data, dtype=_point_dtype(dim), count=count, offset=_HEADER_BYTES)
+    return LabeledDataset(points["features"], points["label"], classes)
+
+
+def save_dataset(dataset: LabeledDataset, path) -> None:
+    with open(path, "wb") as f:
+        f.write(serialize_dataset(dataset))
+
+
+def load_dataset(path) -> LabeledDataset:
+    with open(path, "rb") as f:
+        return deserialize_dataset(f.read())

@@ -2,8 +2,9 @@
 
 A model is a stack of fully-connected layers, ReLU activations on every
 hidden layer and softmax on the last one.  All parameters are float64 and
-arrays are frozen after construction, so instances are safe to share across
-threads and every forward pass is a pure function of (model, input).
+arrays are frozen after construction, so every forward pass is a pure
+function of (model, input).  There is one forward engine, batch_outputs;
+forward and predict evaluate a single point through it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, NumericError, ShapeError, ValidationError
-from .util import readonly, sha256_bytes
+from .util import ByteReader, readonly, sha256_bytes
 
 RELU = "relu"
 SOFTMAX = "softmax"
@@ -92,8 +93,8 @@ class FcnnClassifier:
 # ---------------------------------------------------------------------------
 # Forward-pass instrumentation.  A counter registered through
 # count_forward_passes() is bumped once per (model, data point) application.
-# One lock guards the registry and the counts: mutant_spectra tallies from
-# worker threads.
+# One lock guards the registry and the counts, so that the counts stay exact
+# when callers run the engine from threads of their own.
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -137,15 +138,7 @@ def forward(model: FcnnClassifier, features) -> np.ndarray:
         raise ShapeError(
             f"expected feature vector of length {model.input_dim}, got shape {x.shape}"
         )
-    _tally(1)
-    a = x
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, layer in enumerate(model.layers):
-            z = layer.weights @ a + layer.biases
-            a = _stable_softmax(z) if layer.activation == SOFTMAX else np.maximum(z, 0.0)
-            if not np.isfinite(a).all():
-                raise NumericError(f"non-finite activation in layer {i}")
-    return a
+    return batch_outputs(model, x[None, :])[0]
 
 
 def predict(model: FcnnClassifier, features) -> int:
@@ -184,8 +177,6 @@ def batch_outputs(model: FcnnClassifier, points, check: bool = True) -> np.ndarr
 def predictions_with_flags(model: FcnnClassifier, points) -> np.ndarray:
     """Predicted class per point; -1 marks rows with non-finite outputs."""
     out = batch_outputs(model, points, check=False)
-    if out.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
     preds = np.argmax(out, axis=1).astype(np.int64)
     preds[~np.isfinite(out).all(axis=1)] = -1
     return preds
@@ -217,16 +208,8 @@ def model_hash(model: FcnnClassifier) -> str:
 
 
 def deserialize_model(data: bytes) -> FcnnClassifier:
-    offset = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal offset
-        if offset + n > len(data):
-            raise FormatError(f"truncated model file: need {what} at byte {offset}")
-        chunk = data[offset : offset + n]
-        offset += n
-        return chunk
-
+    reader = ByteReader(data, "model")
+    take = reader.take
     if take(4, "magic") != _MAGIC:
         raise FormatError("bad magic at byte 0: not a model file")
     (version,) = struct.unpack("<B", take(1, "version"))
@@ -239,7 +222,7 @@ def deserialize_model(data: bytes) -> FcnnClassifier:
     for i in range(layer_count):
         out_dim, in_dim, act = struct.unpack("<III", take(12, f"layer {i} shape"))
         if act not in _ACT_NAME:
-            raise FormatError(f"unknown activation code {act} at byte {offset - 4}")
+            raise FormatError(f"unknown activation code {act} at byte {reader.offset - 4}")
         shapes.append((out_dim, in_dim, _ACT_NAME[act]))
     layers = []
     for i, (out_dim, in_dim, act) in enumerate(shapes):
@@ -249,8 +232,8 @@ def deserialize_model(data: bytes) -> FcnnClassifier:
             layers.append(DenseLayer(w.reshape(out_dim, in_dim), b.copy(), act))
         except ValidationError as exc:
             raise ValidationError(f"layer {i}: {exc}") from exc
-    if offset != len(data):
-        raise FormatError(f"trailing bytes at offset {offset}")
+    if reader.offset != len(data):
+        raise FormatError(f"trailing bytes at offset {reader.offset}")
     return FcnnClassifier(tuple(layers))
 
 

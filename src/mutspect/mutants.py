@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TargetError, UnsupportedTargetError, ValidationError
+from .errors import FormatError, TargetError, UnsupportedTargetError, ValidationError
 from .model import DenseLayer, FcnnClassifier, model_hash
 from .util import philox_rng
 
@@ -158,19 +158,27 @@ def weight_shuffle(
     )
 
 
+def _rewrite_outgoing(
+    model: FcnnClassifier, layer: int, neuron: int, kind: MutatorKind, mutant_id: int, rewrite
+) -> MutantRecord:
+    """Replace the neuron's outgoing weights (column ``neuron`` of the next
+    layer) by ``rewrite(column)``; every other parameter is bit-identical."""
+    _check_target(model, layer, neuron)
+    if layer == len(model.layers) - 1:
+        raise UnsupportedTargetError(f"{kind.value}: an output neuron has no outgoing weights")
+    nxt = model.layers[layer + 1]
+    w = nxt.weights.copy()
+    w[:, neuron] = rewrite(w[:, neuron])
+    mutated = _rebuild(model, layer + 1, w, nxt.biases.copy())
+    return MutantRecord(mutant_id, kind, layer, neuron, None, {}, 0, mutated)
+
+
 def neuron_effect_block(
     model: FcnnClassifier, layer: int, neuron: int, mutant_id: int = 0
 ) -> MutantRecord:
     """Zero the neuron's outgoing weights (column ``neuron`` of the next layer)."""
-    _check_target(model, layer, neuron)
-    if layer == len(model.layers) - 1:
-        raise UnsupportedTargetError("cannot block an output-layer neuron")
-    nxt = model.layers[layer + 1]
-    w = nxt.weights.copy()
-    w[:, neuron] = 0.0
-    mutated = _rebuild(model, layer + 1, w, nxt.biases.copy())
-    return MutantRecord(
-        mutant_id, MutatorKind.NEURON_EFFECT_BLOCK, layer, neuron, None, {}, 0, mutated
+    return _rewrite_outgoing(
+        model, layer, neuron, MutatorKind.NEURON_EFFECT_BLOCK, mutant_id, lambda c: 0.0
     )
 
 
@@ -178,15 +186,8 @@ def neuron_activation_inverse(
     model: FcnnClassifier, layer: int, neuron: int, mutant_id: int = 0
 ) -> MutantRecord:
     """Negate the neuron's activation, realized by negating its outgoing weights."""
-    _check_target(model, layer, neuron)
-    if layer == len(model.layers) - 1:
-        raise UnsupportedTargetError("cannot invert an output-layer neuron")
-    nxt = model.layers[layer + 1]
-    w = nxt.weights.copy()
-    w[:, neuron] = -w[:, neuron]
-    mutated = _rebuild(model, layer + 1, w, nxt.biases.copy())
-    return MutantRecord(
-        mutant_id, MutatorKind.NEURON_ACTIVATION_INVERSE, layer, neuron, None, {}, 0, mutated
+    return _rewrite_outgoing(
+        model, layer, neuron, MutatorKind.NEURON_ACTIVATION_INVERSE, mutant_id, lambda c: -c
     )
 
 
@@ -283,9 +284,7 @@ def generate_mutant_set(
         kind = applicable[int(rng.integers(len(applicable)))]
         target = spaces[kind][int(rng.integers(len(spaces[kind])))]
         mutant_seed = int(rng.integers(0, 2**63))
-        entry = {"kind": kind.value, "id": mutant_id, "layer": target[0],
-                 "neuron": target[1], "seed": mutant_seed, "params": {"sigma": gf_sigma},
-                 "partner": target[2] if len(target) > 2 else None}
+        entry = _manifest_entry(kind, mutant_id, target, mutant_seed, {"sigma": gf_sigma})
         records.append(rebuild_mutant(model, entry))
     return MutantSet(model, records, seed, warnings)
 
@@ -297,6 +296,13 @@ def generate_mutant_set(
 # ---------------------------------------------------------------------------
 
 MANIFEST_VERSION = 1
+
+
+def _manifest_entry(kind: MutatorKind, mutant_id: int, target: tuple, seed: int,
+                    params: dict) -> dict:
+    """Entry for a drawn target: (layer, neuron) or (layer, neuron, partner)."""
+    return {"kind": kind.value, "id": mutant_id, "layer": target[0], "neuron": target[1],
+            "seed": seed, "params": params, "partner": target[2] if len(target) > 2 else None}
 
 
 def rebuild_mutant(original: FcnnClassifier, entry: dict) -> MutantRecord:
@@ -326,15 +332,7 @@ def save_manifest(mutant_set: MutantSet, path) -> None:
         "original_sha256": model_hash(mutant_set.original),
         "warnings": list(mutant_set.warnings),
         "mutants": [
-            {
-                "id": m.mutant_id,
-                "kind": m.kind.value,
-                "layer": m.layer,
-                "neuron": m.neuron,
-                "partner": m.partner,
-                "params": m.params,
-                "seed": m.seed,
-            }
+            _manifest_entry(m.kind, m.mutant_id, (m.layer, m.neuron, m.partner), m.seed, m.params)
             for m in mutant_set.mutants
         ],
     }
@@ -344,13 +342,23 @@ def save_manifest(mutant_set: MutantSet, path) -> None:
 
 
 def load_manifest(path, original: FcnnClassifier) -> MutantSet:
+    """Rebuild every mutant of a manifest; a malformed one raises MutspectError."""
     with open(path, "r", encoding="utf-8") as f:
-        payload = json.load(f)
-    if payload.get("format") != "mutant-manifest":
+        try:
+            payload = json.load(f)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise FormatError(f"manifest {path} is not JSON: {exc}") from None
+    if not isinstance(payload, dict) or payload.get("format") != "mutant-manifest":
         raise ValidationError("not a mutant manifest")
     if payload.get("version") != MANIFEST_VERSION:
         raise ValidationError(f"unsupported manifest version {payload.get('version')}")
-    if payload["original_sha256"] != model_hash(original):
-        raise ValidationError("manifest was generated from a different original model")
-    records = [rebuild_mutant(original, entry) for entry in payload["mutants"]]
-    return MutantSet(original, records, payload["generation_seed"], payload.get("warnings", []))
+    if payload.get("original_sha256") != model_hash(original):
+        raise ValidationError(
+            "manifest original_sha256 is missing or names a different original model"
+        )
+    try:
+        records = [rebuild_mutant(original, entry) for entry in payload["mutants"]]
+        generation_seed = payload["generation_seed"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed manifest: {exc!r}") from None
+    return MutantSet(original, records, generation_seed, payload.get("warnings", []))

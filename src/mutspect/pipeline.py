@@ -62,13 +62,11 @@ class SpectraFamily:
         dataset: LabeledDataset,
         transform: str = TRANSFORM_DFT,
         sampling_seed: int = 0,
-        threads: int = 1,
     ):
         self.mutants = mutants
         self.dataset = dataset
         self.transform = transform
         self.sampling_seed = sampling_seed
-        self.threads = threads
         self.phases: dict[str, float] = {}
         self._cache: dict[int, tuple] = {}
 
@@ -77,9 +75,7 @@ class SpectraFamily:
             with phase_timer(self.phases, "sampling"):
                 sample = stratified_sample(self.dataset, per_class, self.sampling_seed)
             with phase_timer(self.phases, "spectra"):
-                spectra = mutant_spectra(
-                    self.mutants, self.dataset, sample, self.transform, self.threads
-                )
+                spectra = mutant_spectra(self.mutants, self.dataset, sample, self.transform)
             with phase_timer(self.phases, "graph"):
                 graph = build_similarity_graph(self.mutants, spectra)
             self._cache[per_class] = (sample, spectra, graph)
@@ -128,8 +124,6 @@ def run_accelerated(
     transform: str = TRANSFORM_DFT,
     fixed_per_class: int | None = None,
     fixed_tau: float | None = None,
-    threads: int = 1,
-    mode: str | None = None,
 ) -> PipelineResult:
     """Spectral-clustering acceleration of mutation testing.
 
@@ -138,8 +132,8 @@ def run_accelerated(
     disabled but tau is still searched.  A search that exhausts the grid
     yields ``found=False`` with the not-satisfiable message; no testing runs.
     """
-    mode = mode or ("spectral" if transform == TRANSFORM_DFT else "raw")
-    family = SpectraFamily(mutants, dataset, transform, seeds.sampling, threads)
+    mode = "spectral" if transform == TRANSFORM_DFT else "raw"
+    family = SpectraFamily(mutants, dataset, transform, seeds.sampling)
     search_rounds: list[XRound] = []
     if fixed_tau is not None:
         if fixed_per_class is None:
@@ -245,7 +239,6 @@ def run_sweep(
     spec: SweepSpec = SweepSpec(),
     seeds: Seeds = Seeds(),
     vanilla: VerdictTable | None = None,
-    threads: int = 1,
 ) -> SweepResult:
     """Reduction-rate / score-error measurements over the full grid.
 
@@ -265,7 +258,7 @@ def run_sweep(
 
     for repeat in range(spec.repeats):
         sampling_seed = derived_seed(seeds.sampling, repeat)
-        family = SpectraFamily(mutants, dataset, TRANSFORM_DFT, sampling_seed, threads)
+        family = SpectraFamily(mutants, dataset, TRANSFORM_DFT, sampling_seed)
         for x in spec.x_grid:
             _, graph = family.build(x)
             quarantined = family.quarantined(x)

@@ -215,13 +215,10 @@ def format_compare_table(rows: list[dict]) -> str:
         f"{'technique':<12} {'runs':>4} {'loss avg':>9} {'min':>9} {'max':>9} "
         f"{'red avg':>8} {'min':>8} {'max':>8} {'spd avg':>8} {'min':>8} {'max':>8}"
     ]
+    widths = (9, 9, 9, 8, 8, 8, 8, 8, 8)  # one per column after "runs"
     for row in rows:
-        lines.append(
-            f"{row['technique']:<12} {row['runs']:>4} "
-            f"{fmt(row['loss_avg']):>9} {fmt(row['loss_min']):>9} {fmt(row['loss_max']):>9} "
-            f"{fmt(row['reduction_avg']):>8} {fmt(row['reduction_min']):>8} {fmt(row['reduction_max']):>8} "
-            f"{fmt(row['speed_up_avg']):>8} {fmt(row['speed_up_min']):>8} {fmt(row['speed_up_max']):>8}"
-        )
+        cells = (f"{fmt(row[c]):>{w}}" for c, w in zip(COMPARE_CSV_COLUMNS[2:], widths))
+        lines.append(f"{row['technique']:<12} {row['runs']:>4} " + " ".join(cells))
     return "\n".join(lines)
 
 

@@ -9,7 +9,7 @@ exp(-distance), giving edge weights in [0, 1] for a complete graph.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +18,7 @@ from scipy.spatial.distance import cdist
 from .dataset import LabeledDataset
 from .errors import (
     DegenerateGraphError,
+    FormatError,
     MissingMutantError,
     NumericError,
     ParameterError,
@@ -26,7 +27,7 @@ from .errors import (
 )
 from .model import batch_outputs
 from .mutants import MutantSet
-from .util import philox_rng, sha256_bytes
+from .util import philox_rng, readonly, sha256_bytes
 
 TRANSFORM_DFT = "dft-magnitude"
 TRANSFORM_RAW = "raw-output"
@@ -46,9 +47,7 @@ class SampleSet:
     truncated_classes: tuple[int, ...] = ()  # classes with population < rate
 
     def __post_init__(self):
-        idx = np.ascontiguousarray(np.asarray(self.indices, dtype=np.int64))
-        idx.flags.writeable = False
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices", readonly(np.asarray(self.indices, dtype=np.int64)))
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -108,12 +107,11 @@ class SpectraSet:
     sample_hash: str = ""
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
+        vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 3 or vals.shape[::2] != (len(self.ids), len(self.sample)):
             raise ValidationError(f"spectra values {vals.shape} do not fit "
                                   f"({len(self.ids)}, q, {len(self.sample)})")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", readonly(vals))
         if not self.sample_hash:
             object.__setattr__(self, "sample_hash", self.sample.content_hash())
 
@@ -143,7 +141,6 @@ def mutant_spectra(
     dataset: LabeledDataset,
     sample: SampleSet,
     transform: str = TRANSFORM_DFT,
-    threads: int = 1,
 ) -> SpectraSet:
     """Signatures for every mutant over the shared sample.
 
@@ -154,27 +151,11 @@ def mutant_spectra(
     non-finite outputs are quarantined, not raised.
     """
     points = dataset.features[sample.indices]
-    records = sorted(mutants.mutants, key=lambda m: m.mutant_id)
-
-    def evaluate(record):
-        return batch_outputs(record.model, points, check=False)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outputs = list(pool.map(evaluate, records))
-    else:
-        outputs = [evaluate(r) for r in records]
-
-    ids, rows, failed = [], [], []
-    for record, out in zip(records, outputs):
-        if not np.isfinite(out).all():
-            failed.append(record.mutant_id)
-            continue
-        ids.append(record.mutant_id)
-        rows.append(_features_from_outputs(out, transform))
-    q = mutants.original.num_outputs
-    values = np.stack(rows) if rows else np.empty((0, q, len(sample)))
-    return SpectraSet(tuple(ids), values, sample, transform, tuple(failed))
+    outputs = {
+        record.mutant_id: batch_outputs(record.model, points, check=False)
+        for record in mutants.mutants
+    }
+    return spectra_from_outputs(outputs, sample, transform)
 
 
 def spectra_from_outputs(
@@ -182,7 +163,11 @@ def spectra_from_outputs(
     sample: SampleSet,
     transform: str = TRANSFORM_DFT,
 ) -> SpectraSet:
-    """Build a SpectraSet from host-supplied output matrices (|S| x q each)."""
+    """Build a SpectraSet from output matrices (|S| x q each), keyed by mutant id.
+
+    Mutants whose matrix holds a non-finite value are quarantined in
+    ``failed``; q comes from the matrices given, quarantined ones included.
+    """
     ids, rows, failed = [], [], []
     q_seen = None
     for mutant_id in sorted(outputs_by_id):
@@ -202,8 +187,7 @@ def spectra_from_outputs(
             continue
         ids.append(mutant_id)
         rows.append(_features_from_outputs(out, transform))
-    q = rows[0].shape[0] if rows else 0
-    values = np.stack(rows) if rows else np.empty((0, q, len(sample)))
+    values = np.stack(rows) if rows else np.empty((0, q_seen or 0, len(sample)))
     return SpectraSet(tuple(ids), values, sample, transform, tuple(failed))
 
 
@@ -237,14 +221,13 @@ class SimilarityGraph:
     _trajectory: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
+        w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (len(self.ids),) * 2:
             raise ValidationError(f"weight table {w.shape} does not fit {len(self.ids)} ids")
         # NaN fails both bounds, so this also rejects non-finite weights
         if not (((w >= 0) & (w <= 1)).all() and np.array_equal(w, w.T)):
             raise ValidationError("weights must be finite, symmetric and in [0, 1]")
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", readonly(w))
 
     @property
     def n_nodes(self) -> int:
@@ -314,19 +297,30 @@ def save_spectra(spectra: SpectraSet, path) -> None:
 
 
 def load_spectra(path) -> SpectraSet:
-    with np.load(path) as data:
-        if int(data["version"]) != SPECTRA_FORMAT_VERSION:
-            raise ParameterError(f"unsupported spectra format version {int(data['version'])}")
-        sample = SampleSet(
-            data["sample_indices"],
-            int(data["sample_rate"]),
-            int(data["sample_seed"]),
-            tuple(int(c) for c in data["sample_truncated"]),
-        )
-        return SpectraSet(
-            tuple(int(i) for i in data["ids"]),
-            data["values"],
-            sample,
-            str(data["transform"]),
-            tuple(int(i) for i in data["failed"]),
-        )
+    """Read a file written by save_spectra.
+
+    A file that is not an npz archive, or lacks a key, or holds a key of the
+    wrong type or shape, raises FormatError.
+    """
+    try:
+        with np.load(path) as data:
+            if int(data["version"]) != SPECTRA_FORMAT_VERSION:
+                raise ParameterError(
+                    f"unsupported spectra format version {int(data['version'])}"
+                )
+            sample = SampleSet(
+                data["sample_indices"],
+                int(data["sample_rate"]),
+                int(data["sample_seed"]),
+                tuple(int(c) for c in data["sample_truncated"]),
+            )
+            return SpectraSet(
+                tuple(int(i) for i in data["ids"]),
+                data["values"],
+                sample,
+                str(data["transform"]),
+                tuple(int(i) for i in data["failed"]),
+            )
+    except (KeyError, TypeError, ValueError, AttributeError, EOFError,
+            zipfile.BadZipFile) as exc:
+        raise FormatError(f"{path}: not a readable spectra file: {exc}") from None

@@ -12,16 +12,7 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .model import RELU, SOFTMAX, DenseLayer, FcnnClassifier
-from .mutants import (
-    MutantSet,
-    MutatorKind,
-    gaussian_fuzz,
-    neuron_activation_inverse,
-    neuron_effect_block,
-    neuron_switch,
-    weight_shuffle,
-    _target_space,
-)
+from .mutants import MutantSet, MutatorKind, _manifest_entry, _target_space, rebuild_mutant
 from .util import philox_rng
 
 
@@ -116,16 +107,11 @@ def diverse_mutant_set(
         space = _target_space(model, kind)
         target = space[int(rng.integers(len(space)))]
         mutant_seed = int(rng.integers(0, 2**63))
+        params = {}
         if kind is MutatorKind.GAUSSIAN_FUZZING:
-            sigma = float(np.exp(rng.uniform(np.log(sigma_range[0]), np.log(sigma_range[1]))))
-            rec = gaussian_fuzz(model, target[0], target[1], sigma, mutant_seed, mutant_id)
-        elif kind is MutatorKind.WEIGHT_SHUFFLE:
-            rec = weight_shuffle(model, target[0], target[1], mutant_seed, mutant_id)
-        elif kind is MutatorKind.NEURON_EFFECT_BLOCK:
-            rec = neuron_effect_block(model, target[0], target[1], mutant_id)
-        elif kind is MutatorKind.NEURON_ACTIVATION_INVERSE:
-            rec = neuron_activation_inverse(model, target[0], target[1], mutant_id)
-        else:
-            rec = neuron_switch(model, target[0], target[1], target[2], mutant_id)
-        records.append(rec)
+            params["sigma"] = float(
+                np.exp(rng.uniform(np.log(sigma_range[0]), np.log(sigma_range[1])))
+            )
+        entry = _manifest_entry(kind, mutant_id, target, mutant_seed, params)
+        records.append(rebuild_mutant(model, entry))
     return MutantSet(model, records, seed)

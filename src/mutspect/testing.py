@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .errors import UndefinedScoreError, ValidationError
-from .model import FcnnClassifier, forward, predictions_with_flags
+from .model import FcnnClassifier, predict, predictions_with_flags
 from .mutants import MutantSet
 from .util import phase_timer
 
@@ -89,7 +89,7 @@ class VerdictTable:
 
 def kill(original: FcnnClassifier, mutant: FcnnClassifier, features, label: int) -> bool:
     """True iff the original predicts ``label`` and the mutant does not."""
-    if int(np.argmax(forward(original, features))) != int(label):
+    if predict(original, features) != int(label):
         return False
     out = predictions_with_flags(mutant, np.asarray(features)[None, :])
     if out[0] == -1:
@@ -140,31 +140,28 @@ def mutation_score(table: VerdictTable) -> float:
     return sum(counts.values()) / (len(counts) * len(table.labels))
 
 
-def _test_records(original, records, dataset):
-    original_preds = predictions_with_flags(original, dataset.features)
-    if (original_preds == -1).any():
-        raise ValidationError("original model produced non-finite outputs")
-    labels = dataset.labels
-    verdicts = {}
-    for record in records:
-        mutant_preds = predictions_with_flags(record.model, dataset.features)
-        verdicts[record.mutant_id] = _verdict_from_predictions(
-            record.mutant_id, mutant_preds, original_preds, labels
-        )
-    return verdicts
-
-
 def vanilla_test(
     original: FcnnClassifier,
     mutants: MutantSet,
     dataset: LabeledDataset,
     mode: str = "vanilla",
 ) -> VerdictTable:
-    """Exhaustive testing: every mutant against every point of the dataset."""
+    """Exhaustive testing: every mutant against every point of the dataset.
+
+    This is the one tester: the subset baselines and the accelerated run
+    call it on the mutants or points they select.
+    """
     phases: dict[str, float] = {}
     with phase_timer(phases, "testing"):
-        records = sorted(mutants.mutants, key=lambda m: m.mutant_id)
-        verdicts = _test_records(original, records, dataset)
+        original_preds = predictions_with_flags(original, dataset.features)
+        if (original_preds == -1).any():
+            raise ValidationError("original model produced non-finite outputs")
+        verdicts = {}
+        for record in sorted(mutants.mutants, key=lambda m: m.mutant_id):
+            mutant_preds = predictions_with_flags(record.model, dataset.features)
+            verdicts[record.mutant_id] = _verdict_from_predictions(
+                record.mutant_id, mutant_preds, original_preds, dataset.labels
+            )
     timing = TimingRecord(phases, tested_count=len(verdicts))
     return VerdictTable(verdicts, timing, mode, tuple(int(l) for l in dataset.labels_present()))
 
@@ -186,21 +183,18 @@ def accelerated_test(
     (sampling, spectra, graph, clustering, search) are folded into the
     timing record so total time reflects the whole accelerated run.
     """
-    phases = dict(overhead or {})
-    with phase_timer(phases, "testing"):
-        tested_ids = sorted(set(representatives.representatives()) | set(quarantined))
-        records = [mutants.by_id(m) for m in tested_ids]
-        verdicts = _test_records(original, records, dataset)
-        for rep, members in representatives.pairs:
-            base = verdicts[rep]
-            for member in members:
-                if member == rep:
-                    continue
-                verdicts[member] = MutantVerdict(
+    tested_ids = sorted(set(representatives.representatives()) | set(quarantined))
+    tested = MutantSet(original, [mutants.by_id(m) for m in tested_ids], mutants.generation_seed)
+    table = vanilla_test(original, tested, dataset, mode)
+    table.timing.phases.update(overhead or {})
+    for rep, members in representatives.pairs:
+        base = table.verdicts[rep]
+        for member in members:
+            if member != rep:
+                table.verdicts[member] = MutantVerdict(
                     member, base.killing_count, base.killed, PROPAGATED, rep
                 )
-    timing = TimingRecord(phases, tested_count=len(tested_ids))
-    return VerdictTable(verdicts, timing, mode, tuple(int(l) for l in dataset.labels_present()))
+    return table
 
 
 def accuracy(model: FcnnClassifier, dataset: LabeledDataset) -> float:

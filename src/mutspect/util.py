@@ -1,4 +1,4 @@
-"""Shared helpers: seeded RNG construction, hashing, phase timing."""
+"""Shared helpers: seeded RNG construction, hashing, phase timing, binary reads."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+
+from .errors import FormatError
 
 
 def philox_rng(seed: int) -> np.random.Generator:
@@ -49,7 +51,23 @@ def phase_timer(phases: dict, name: str):
 
 
 def readonly(arr: np.ndarray) -> np.ndarray:
-    """Return a C-contiguous float view flagged read-only."""
+    """Return a C-contiguous view flagged read-only."""
     out = np.ascontiguousarray(arr)
     out.flags.writeable = False
     return out
+
+
+class ByteReader:
+    """Sequential reader of a binary file; truncation names the byte offset."""
+
+    def __init__(self, data: bytes, kind: str):
+        self.data = data
+        self.kind = kind
+        self.offset = 0
+
+    def take(self, n: int, what: str) -> bytes:
+        if self.offset + n > len(self.data):
+            raise FormatError(f"truncated {self.kind} file: need {what} at byte {self.offset}")
+        chunk = self.data[self.offset : self.offset + n]
+        self.offset += n
+        return chunk

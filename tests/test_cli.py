@@ -235,7 +235,8 @@ def test_show_config(capsys):
     out = capsys.readouterr().out
     assert "reduction_lo=0.26" in out
     assert "reduction_hi=0.56" in out
-    assert "MUTSPECT_THREADS" in out
+    assert "MUTSPECT_THREADS" not in out
+    assert "threads" not in out
 
 
 def test_missing_input_is_exit_2(tmp_path):
@@ -267,3 +268,57 @@ def test_config_file_with_flag_override(workdir, tmp_path):
     rc = main(["run", "--config", str(cfg), "--out", str(out)])
     assert rc == 0
     assert (out / "report_vanilla_r0.json").exists()
+
+
+def write_bad_manifest(manifest, tmp_path, case):
+    """A copy of ``manifest`` broken in one way; returns its path."""
+    text = manifest.read_text()
+    payload = json.loads(text)
+    if case == "bad-json":
+        text = text[: len(text) // 2]
+    elif case == "no-original-hash":
+        del payload["original_sha256"]
+        text = json.dumps(payload)
+    else:  # unknown-kind
+        payload["mutants"][0]["kind"] = "XX"
+        text = json.dumps(payload)
+    path = tmp_path / f"{case}.json"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("case", ["bad-json", "no-original-hash", "unknown-kind"])
+def test_corrupt_manifest_is_exit_2(workdir, tmp_path, capsys, case):
+    from mutspect.errors import MutspectError
+    from mutspect.model import load_model
+    from mutspect.mutants import load_manifest
+
+    root, model_path, data_path, manifest = workdir
+    bad = write_bad_manifest(manifest, tmp_path, case)
+    with pytest.raises(MutspectError):
+        load_manifest(bad, load_model(model_path))
+    rc = main(["run", "--model", str(model_path), "--dataset", str(data_path),
+               "--manifest", str(bad), "--mode", "vanilla", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["repeats=abc", "tau=high", "threads=2"])
+def test_bad_config_value_is_exit_2(workdir, tmp_path, capsys, line):
+    root, model_path, data_path, manifest = workdir
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mode=vanilla\n{line}\n")
+    rc = main(["run", "--config", str(cfg), "--model", str(model_path),
+               "--dataset", str(data_path), "--manifest", str(manifest),
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "run.cfg:2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [["--x-grid", "a,b"], ["--tau-grid", "0.5,x"]])
+def test_bad_sweep_grid_is_exit_2(workdir, tmp_path, capsys, grid):
+    root, model_path, data_path, manifest = workdir
+    rc = main(["sweep", "--model", str(model_path), "--dataset", str(data_path),
+               "--manifest", str(manifest), "--out", str(tmp_path), *grid])
+    assert rc == 2
+    assert "comma lists of numbers" in capsys.readouterr().err

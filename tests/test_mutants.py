@@ -16,6 +16,7 @@ from mutspect.mutants import (
     save_manifest,
     weight_shuffle,
 )
+from mutspect.synth import diverse_mutant_set
 from mutspect.util import philox_rng
 
 from conftest import small_stack
@@ -215,6 +216,35 @@ class TestGenerate:
                 assert (rec.layer, rec.neuron) == (target[0], target[1])
             if kind in (MutatorKind.GAUSSIAN_FUZZING, MutatorKind.WEIGHT_SHUFFLE):
                 assert rec.seed == mutant_seed
+
+    def test_diverse_set_replays_direct_operator_calls(self, random_net):
+        # reference: the documented draw order, one direct operator call each
+        count, seed, weak, strong_sigma = 40, 23, (1e-4, 0.01), (0.4, 1.2)
+        ms = diverse_mutant_set(random_net, count, seed, weak, strong_sigma)
+        rng = philox_rng(seed)
+        strong = (MutatorKind.WEIGHT_SHUFFLE, MutatorKind.NEURON_EFFECT_BLOCK,
+                  MutatorKind.NEURON_ACTIVATION_INVERSE, MutatorKind.NEURON_SWITCH,
+                  MutatorKind.GAUSSIAN_FUZZING)
+        for i, rec in enumerate(ms.mutants):
+            kind = MutatorKind.GAUSSIAN_FUZZING if i % 2 == 0 else strong[(i // 2) % 5]
+            space = _target_space(random_net, kind)
+            target = space[int(rng.integers(len(space)))]
+            mutant_seed = int(rng.integers(0, 2**63))
+            if kind is MutatorKind.GAUSSIAN_FUZZING:
+                lo, hi = weak if i % 2 == 0 else strong_sigma
+                sigma = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+                want = gaussian_fuzz(random_net, *target, sigma, mutant_seed, i)
+            elif kind is MutatorKind.WEIGHT_SHUFFLE:
+                want = weight_shuffle(random_net, *target, mutant_seed, i)
+            elif kind is MutatorKind.NEURON_EFFECT_BLOCK:
+                want = neuron_effect_block(random_net, *target, i)
+            elif kind is MutatorKind.NEURON_ACTIVATION_INVERSE:
+                want = neuron_activation_inverse(random_net, *target, i)
+            else:
+                want = neuron_switch(random_net, *target, i)
+            assert (rec.kind, rec.target, rec.params, rec.seed) == (
+                want.kind, want.target, want.params, want.seed)
+            assert model_hash(rec.model) == model_hash(want.model)
 
     def test_shapes_preserved(self, random_net):
         ms = generate_mutant_set(random_net, 30, seed=4)

@@ -1,9 +1,12 @@
+import io
+
 import numpy as np
 import pytest
 
 from mutspect.dataset import LabeledDataset
 from mutspect.errors import (
     DegenerateGraphError,
+    FormatError,
     MissingMutantError,
     MutspectError,
     NumericError,
@@ -138,22 +141,13 @@ class TestMutantSpectra:
 
     def test_forward_pass_budget(self, random_net):
         ds = blob_dataset(dim=random_net.input_dim)
-        ms = generate_mutant_set(random_net, 2, seed=3)
         sample = stratified_sample(ds, 2, 0)
         assert len(sample) == 6
-        with count_forward_passes() as counter:
-            mutant_spectra(ms, ds, sample)
-        assert counter.count == 2 * 6  # |M| * |S|, never |M| * |S| * q
-
-    def test_forward_pass_budget_with_threads(self, random_net):
-        ds = blob_dataset(dim=random_net.input_dim)
-        ms = generate_mutant_set(random_net, 40, seed=3)
-        sample = stratified_sample(ds, 2, 0)
-        with count_forward_passes() as counter:
-            threaded = mutant_spectra(ms, ds, sample, threads=2)
-        assert counter.count == 40 * len(sample)
-        serial = mutant_spectra(ms, ds, sample)
-        assert threaded.values.tobytes() == serial.values.tobytes()
+        for count in (2, 40):
+            ms = generate_mutant_set(random_net, count, seed=3)
+            with count_forward_passes() as counter:
+                mutant_spectra(ms, ds, sample)
+            assert counter.count == count * 6  # |M| * |S|, never |M| * |S| * q
 
     def test_quarantine_nonfinite_mutant(self, random_net):
         import mutspect.model as mm
@@ -183,6 +177,13 @@ class TestMutantSpectra:
             mutant_distance(0, 1, spectra)
         graph = build_similarity_graph(ms, spectra)
         assert graph.ids == (0, 2)
+
+    def test_all_quarantined_keeps_output_count(self):
+        sample = SampleSet(np.arange(3), 1, 0)
+        outputs = {7: np.full((3, 4), np.nan), 9: np.full((3, 4), np.inf)}
+        spectra = spectra_from_outputs(outputs, sample)
+        assert spectra.failed == (7, 9)
+        assert spectra.values.shape == (0, 4, 3)
 
     def test_vector_length_is_sample_size(self, random_net):
         ds = blob_dataset(dim=random_net.input_dim)
@@ -361,6 +362,53 @@ class TestSpectraIO:
         )
         with pytest.raises(MutspectError):
             load_spectra(path)
+
+    @staticmethod
+    def npz_bytes(**overrides) -> io.BytesIO:
+        """A spectra npz in memory, with keys replaced (None drops the key)."""
+        keys = dict(
+            version=np.int64(1),
+            ids=np.arange(2, dtype=np.int64),
+            values=np.zeros((2, 4, 3)),
+            failed=np.zeros(0, dtype=np.int64),
+            transform=np.asarray(TRANSFORM_DFT),
+            sample_indices=np.arange(3, dtype=np.int64),
+            sample_rate=np.int64(1),
+            sample_seed=np.int64(0),
+            sample_truncated=np.zeros(0, dtype=np.int64),
+        )
+        keys.update(overrides)
+        buf = io.BytesIO()
+        np.savez(buf, **{k: v for k, v in keys.items() if v is not None})
+        buf.seek(0)
+        return buf
+
+    def test_load_in_memory_npz(self):
+        assert load_spectra(self.npz_bytes()).values.shape == (2, 4, 3)
+
+    @pytest.mark.parametrize("overrides", [
+        {"failed": None},
+        {"values": None},
+        {"values": np.array([["a", "b"]])},
+        {"version": np.arange(2)},
+        {"ids": np.int64(3)},
+    ], ids=["no-failed", "no-values", "string-values", "array-version", "scalar-ids"])
+    def test_missing_or_mistyped_key_is_format_error(self, overrides):
+        with pytest.raises(FormatError):
+            load_spectra(self.npz_bytes(**overrides))
+
+    @pytest.mark.parametrize("payload", [b"", b"not an npz at all", b"PK\x03\x04broken"],
+                             ids=["empty", "text", "broken-zip"])
+    def test_not_an_npz_is_format_error(self, payload):
+        with pytest.raises(FormatError):
+            load_spectra(io.BytesIO(payload))
+
+    def test_npy_is_format_error(self):
+        buf = io.BytesIO()
+        np.save(buf, np.zeros(3))
+        buf.seek(0)
+        with pytest.raises(FormatError):
+            load_spectra(buf)
 
     def test_spectra_from_outputs_matches_model_path(self, random_net):
         ds = blob_dataset(dim=random_net.input_dim)

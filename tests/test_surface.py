@@ -1,16 +1,14 @@
-"""Interface-level checks: threading determinism, stored mutant models,
-baseline dispatch, env-var thread configuration, margin tie handling."""
+"""Interface-level checks: stored mutant models, baseline dispatch, margin
+tie handling."""
 
 import numpy as np
 import pytest
 
 from mutspect.baselines import BaselineConfig, baseline_test, bss_select
-from mutspect.config import THREADS_ENV_VAR, build_config
 from mutspect.dataset import LabeledDataset
 from mutspect.errors import ParameterError
 from mutspect.model import SOFTMAX, DenseLayer, FcnnClassifier, load_model
 from mutspect.mutants import generate_mutant_set
-from mutspect.spectra import mutant_spectra, stratified_sample
 from mutspect.synth import fitted_classifier, gaussian_blobs
 from mutspect.testing import mutation_score, vanilla_test
 
@@ -21,15 +19,6 @@ def world():
     model = fitted_classifier(ds, hidden=(8,), seed=2, margin=5.0, bias_shift=2.0)
     mutants = generate_mutant_set(model, 12, seed=3)
     return ds, model, mutants
-
-
-def test_threaded_spectra_bitwise_equal(world):
-    ds, model, mutants = world
-    sample = stratified_sample(ds, 3, seed=1)
-    sequential = mutant_spectra(mutants, ds, sample, threads=1)
-    threaded = mutant_spectra(mutants, ds, sample, threads=4)
-    assert sequential.ids == threaded.ids
-    assert sequential.values.tobytes() == threaded.values.tobytes()
 
 
 def test_store_models_flag_writes_loadable_mutants(world, tmp_path):
@@ -81,12 +70,3 @@ def test_baseline_dispatch(world):
         baseline_test(model, mutants, ds, BaselineConfig("rss"))
     with pytest.raises(ParameterError):
         BaselineConfig("rms", rms_fraction=0.0)
-
-
-def test_threads_env_var(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV_VAR, "7")
-    config = build_config({}, mode="vanilla")
-    assert config.threads == 7
-    # explicit value wins over the environment
-    config = build_config({}, mode="vanilla", threads=2)
-    assert config.threads == 2
