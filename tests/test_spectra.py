@@ -149,6 +149,21 @@ class TestMutantSpectra:
                 mutant_spectra(ms, ds, sample)
             assert counter.count == count * 6  # |M| * |S|, never |M| * |S| * q
 
+    def test_forward_pass_budget_with_threads(self, random_net):
+        # mutant_spectra has no pool of its own; callers may run it from threads
+        from concurrent.futures import ThreadPoolExecutor
+
+        ds = blob_dataset(dim=random_net.input_dim)
+        ms = generate_mutant_set(random_net, 40, seed=3)
+        sample = stratified_sample(ds, 2, 0)
+        with count_forward_passes() as counter:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                threaded = list(pool.map(lambda _: mutant_spectra(ms, ds, sample), range(2)))
+        assert counter.count == 2 * 40 * len(sample)
+        serial = mutant_spectra(ms, ds, sample)
+        for spectra in threaded:
+            assert spectra.values.tobytes() == serial.values.tobytes()
+
     def test_quarantine_nonfinite_mutant(self, random_net):
         import mutspect.model as mm
         from mutspect.mutants import MutantRecord, MutatorKind
