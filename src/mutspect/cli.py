@@ -96,11 +96,7 @@ def _load_inputs(config: RunConfig):
     model = load_model(config.model)
     dataset = load_dataset(config.dataset)
     mutants = load_manifest(config.manifest, model)
-    hashes = {
-        "model": sha256_file(config.model),
-        "dataset": sha256_file(config.dataset),
-        "manifest": sha256_file(config.manifest),
-    }
+    hashes = {name: sha256_file(getattr(config, name)) for name in ("model", "dataset", "manifest")}
     return model, dataset, mutants, hashes
 
 
@@ -113,24 +109,12 @@ def _run_one(config: RunConfig, model, dataset, mutants, repeat: int) -> Pipelin
         return run_vanilla(model, mutants, dataset)
     if config.mode in ("spectral", "raw"):
         runner = run_accelerated if config.mode == "spectral" else raw_cluster_test
-        return runner(
-            model,
-            mutants,
-            dataset,
-            config.constraint(),
-            seeds,
-            fixed_per_class=config.per_class_rate,
-            fixed_tau=config.tau,
-        )
+        return runner(model, mutants, dataset, config.constraint(), seeds,
+                      fixed_per_class=config.per_class_rate, fixed_tau=config.tau)
     if config.mode == "rss" and config.per_class_rate is None:
         raise MutspectError("--x is required for rss (same sample size as spectral)")
-    baseline = BaselineConfig(
-        config.mode,
-        config.rms_fraction,
-        config.bss_threshold,
-        config.per_class_rate,
-        derived_seed(config.baseline_seed, repeat),
-    )
+    baseline = BaselineConfig(config.mode, config.rms_fraction, config.bss_threshold,
+                              config.per_class_rate, derived_seed(config.baseline_seed, repeat))
     table = baseline_test(model, mutants, dataset, baseline)
     return PipelineResult(mode=config.mode, found=True, table=table)
 

@@ -90,4 +90,6 @@ def config_echo(config: RunConfig) -> dict:
 
 
 def format_defaults() -> str:
-    return "\n".join(f"{f.name}={getattr(RunConfig(), f.name)}" for f in fields(RunConfig))
+    """Defaults as a config file; unset optional fields are comment lines."""
+    defaults = {f.name: getattr(RunConfig(), f.name) for f in fields(RunConfig)}
+    return "\n".join(f"# {k}= (unset)" if v is None else f"{k}={v}" for k, v in defaults.items())

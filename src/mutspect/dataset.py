@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .util import ByteReader, readonly
+from .util import ByteReader, open_fresh, readonly
 
 _MAGIC = b"FDST"
 _VERSION = 1
@@ -70,10 +70,15 @@ class LabeledDataset:
 
 
 def serialize_dataset(dataset: LabeledDataset) -> bytes:
+    counts = {"point_count": len(dataset), "input_dim": dataset.input_dim,
+              "class_count": dataset.class_count}
+    for name, value in counts.items():
+        if value >= 2**32:
+            raise ValidationError(f"dataset {name} {value} does not fit the u32 header field")
+    header = struct.pack("<BIII", _VERSION, *counts.values())
     points = np.empty(len(dataset), dtype=_point_dtype(dataset.input_dim))
     points["features"] = dataset.features
     points["label"] = dataset.labels
-    header = struct.pack("<BIII", _VERSION, len(dataset), dataset.input_dim, dataset.class_count)
     return _MAGIC + header + points.tobytes()
 
 
@@ -102,8 +107,9 @@ def deserialize_dataset(data: bytes) -> LabeledDataset:
 
 
 def save_dataset(dataset: LabeledDataset, path) -> None:
-    with open(path, "wb") as f:
-        f.write(serialize_dataset(dataset))
+    data = serialize_dataset(dataset)  # before the old file is replaced
+    with open_fresh(path, "wb") as f:
+        f.write(data)
 
 
 def load_dataset(path) -> LabeledDataset:

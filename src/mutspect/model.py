@@ -4,7 +4,9 @@ A model is a stack of fully-connected layers, ReLU activations on every
 hidden layer and softmax on the last one.  All parameters are float64 and
 arrays are frozen after construction, so every forward pass is a pure
 function of (model, input).  There is one forward engine, batch_outputs;
-forward and predict evaluate a single point through it.
+forward and predict evaluate a single point through it.  It allocates one
+array per layer (the product with the weights) and applies the bias, ReLU
+and softmax to that array in place.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, NumericError, ShapeError, ValidationError
-from .util import ByteReader, readonly, sha256_bytes
+from .util import ByteReader, open_fresh, readonly, sha256_bytes
 
 RELU = "relu"
 SOFTMAX = "softmax"
@@ -124,13 +126,6 @@ def _tally(n: int):
             counter.count += n
 
 
-def _stable_softmax(z: np.ndarray) -> np.ndarray:
-    # max-subtraction: fuzzed weights can push logits far beyond exp() range
-    shifted = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
-
-
 def forward(model: FcnnClassifier, features) -> np.ndarray:
     """Softmax output vector (length num_outputs) for one data point."""
     x = np.asarray(features, dtype=np.float64)
@@ -164,8 +159,16 @@ def batch_outputs(model: FcnnClassifier, points, check: bool = True) -> np.ndarr
     a = x
     with np.errstate(over="ignore", invalid="ignore"):
         for i, layer in enumerate(model.layers):
-            z = a @ layer.weights.T + layer.biases
-            a = _stable_softmax(z) if layer.activation == SOFTMAX else np.maximum(z, 0.0)
+            # one new array per layer; bias and activation update it in place
+            a = a @ layer.weights.T
+            a += layer.biases
+            if layer.activation == SOFTMAX:
+                # max-subtraction: fuzzed weights can push logits beyond exp()
+                a -= np.max(a, axis=-1, keepdims=True)
+                np.exp(a, out=a)
+                a /= np.sum(a, axis=-1, keepdims=True)
+            else:
+                np.maximum(a, 0.0, out=a)
             if check:
                 finite = np.isfinite(a).all(axis=1)
                 if not finite.all():
@@ -238,7 +241,7 @@ def deserialize_model(data: bytes) -> FcnnClassifier:
 
 
 def save_model(model: FcnnClassifier, path) -> None:
-    with open(path, "wb") as f:
+    with open_fresh(path, "wb") as f:
         f.write(serialize_model(model))
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import FormatError, TargetError, UnsupportedTargetError, ValidationError
 from .model import DenseLayer, FcnnClassifier, model_hash
-from .util import philox_rng
+from .util import open_fresh, philox_rng
 
 DEFAULT_GF_SIGMA = 0.5  # relative to the layer weight std; stand-in default
 
@@ -336,7 +336,7 @@ def save_manifest(mutant_set: MutantSet, path) -> None:
             for m in mutant_set.mutants
         ],
     }
-    with open(path, "w", encoding="utf-8") as f:
+    with open_fresh(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
 

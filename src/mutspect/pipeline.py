@@ -54,7 +54,8 @@ class Seeds:
 
 
 class SpectraFamily:
-    """Per-sampling-rate caches of (sample, spectra, graph) with phase timing."""
+    """Per-sampling-rate caches of (sample, quarantined ids, graph) with phase
+    timing.  The spectra themselves are dropped once their graph is built."""
 
     def __init__(
         self,
@@ -78,7 +79,7 @@ class SpectraFamily:
                 spectra = mutant_spectra(self.mutants, self.dataset, sample, self.transform)
             with phase_timer(self.phases, "graph"):
                 graph = build_similarity_graph(self.mutants, spectra)
-            self._cache[per_class] = (sample, spectra, graph)
+            self._cache[per_class] = (sample, spectra.failed, graph)
         return self._cache[per_class]
 
     def build(self, per_class: int) -> tuple[SampleSet, SimilarityGraph]:
@@ -86,7 +87,7 @@ class SpectraFamily:
         return sample, graph
 
     def quarantined(self, per_class: int) -> tuple[int, ...]:
-        return self.entry(per_class)[1].failed
+        return self.entry(per_class)[1]
 
 
 @dataclass

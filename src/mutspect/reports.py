@@ -11,10 +11,10 @@ import csv
 import json
 
 from .errors import ReportMismatchError
-from .metrics import PredictiveReport
 from .mutants import MutantSet
 from .pipeline import PipelineResult, SweepResult
 from .testing import VerdictTable, mutation_score
+from .util import open_fresh
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -34,7 +34,7 @@ def _na(value):
 
 def write_verdict_csv(path, table: VerdictTable, mutants: MutantSet) -> None:
     kinds = {m.mutant_id: m.kind.value for m in mutants.mutants}
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with open_fresh(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(VERDICT_CSV_COLUMNS)
         for mutant_id in sorted(table.verdicts):
@@ -121,7 +121,7 @@ def _search_metadata(result: PipelineResult) -> dict:
 
 
 def write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with open_fresh(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -133,8 +133,7 @@ def load_json(path) -> dict:
 
 def strip_timing(payload: dict) -> dict:
     """Copy of a report without its wall-clock fields (determinism checks)."""
-    out = {k: v for k, v in payload.items() if k != "timing"}
-    return out
+    return {k: v for k, v in payload.items() if k != "timing"}
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +199,7 @@ COMPARE_CSV_COLUMNS = (
 
 
 def write_compare_csv(path, rows: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with open_fresh(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(COMPARE_CSV_COLUMNS)
         for row in rows:
@@ -238,7 +237,7 @@ SWEEP_CSV_COLUMNS = (
 
 
 def write_sweep_csv(path, sweep: SweepResult) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with open_fresh(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(SWEEP_CSV_COLUMNS)
         for cell in sweep.cells:
@@ -256,25 +255,10 @@ def write_sweep_csv(path, sweep: SweepResult) -> None:
 
 
 def write_rho_csv(path, sweep: SweepResult) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with open_fresh(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(("per_class_rate", "scope", "rho"))
         for (x, repeat), rho in sorted(sweep.rho_per_repeat.items()):
             writer.writerow([x, f"repeat-{repeat}", _na(None if rho is None else repr(rho))])
         for x, rho in sorted(sweep.rho_pooled.items()):
             writer.writerow([x, "pooled", _na(None if rho is None else repr(rho))])
-
-
-def predictive_payload(report: PredictiveReport) -> dict:
-    return {
-        "mae": report.mae,
-        "rmae": _na(report.rmae),
-        "tp": report.tp,
-        "fp": report.fp,
-        "tn": report.tn,
-        "fn": report.fn,
-        "precision": _na(report.precision),
-        "recall": _na(report.recall),
-        "f1": _na(report.f1),
-        "mcc": _na(report.mcc),
-    }

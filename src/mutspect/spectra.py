@@ -5,6 +5,9 @@ series; its unnormalized DFT magnitude vector (all |S| bins kept) is the
 behavioural signature.  The distance between two mutants is the maximum over
 outputs of the Euclidean distance between their signatures, and similarity is
 exp(-distance), giving edge weights in [0, 1] for a complete graph.
+
+Signatures are written mutant by mutant into one (|M|, q, |S|) array, and the
+graph reads them one output at a time, so neither step copies the whole set.
 """
 
 from __future__ import annotations
@@ -127,15 +130,6 @@ class SpectraSet:
         return self.values[self.index_of(mutant_id)]
 
 
-def _features_from_outputs(outputs: np.ndarray, transform: str) -> np.ndarray:
-    # outputs: (|S|, q) -> features: (q, |S|)
-    if transform == TRANSFORM_DFT:
-        return np.abs(np.fft.fft(outputs, axis=0)).T
-    if transform == TRANSFORM_RAW:
-        return outputs.T.copy()
-    raise ParameterError(f"unknown transform {transform!r}")
-
-
 def mutant_spectra(
     mutants: MutantSet,
     dataset: LabeledDataset,
@@ -148,14 +142,13 @@ def mutant_spectra(
     evaluation of |S| forward passes per mutant); the output matrix is then
     reused for all of the mutant's outputs, so the total forward-pass count
     is |M| * |S| regardless of the number of outputs.  Mutants producing
-    non-finite outputs are quarantined, not raised.
+    non-finite outputs are quarantined, not raised.  Mutants are evaluated
+    one at a time in id order, so only one output matrix is alive at once.
     """
     points = dataset.features[sample.indices]
-    outputs = {
-        record.mutant_id: batch_outputs(record.model, points, check=False)
-        for record in mutants.mutants
-    }
-    return spectra_from_outputs(outputs, sample, transform)
+    records = sorted(mutants.mutants, key=lambda m: m.mutant_id)
+    outputs = ((r.mutant_id, batch_outputs(r.model, points, check=False)) for r in records)
+    return _assemble(len(records), outputs, sample, transform)
 
 
 def spectra_from_outputs(
@@ -168,27 +161,40 @@ def spectra_from_outputs(
     Mutants whose matrix holds a non-finite value are quarantined in
     ``failed``; q comes from the matrices given, quarantined ones included.
     """
-    ids, rows, failed = [], [], []
-    q_seen = None
-    for mutant_id in sorted(outputs_by_id):
-        out = np.asarray(outputs_by_id[mutant_id], dtype=np.float64)
+    outputs = ((m, outputs_by_id[m]) for m in sorted(outputs_by_id))
+    return _assemble(len(outputs_by_id), outputs, sample, transform)
+
+
+def _assemble(count: int, outputs, sample: SampleSet, transform: str) -> SpectraSet:
+    # ``outputs`` yields (id, (|S|, q) matrix) in id order; each feature block
+    # goes into one preallocated (count, q, |S|) array, trimmed at the end
+    ids, failed, values = [], [], None
+    for mutant_id, out in outputs:
+        out = np.asarray(out, dtype=np.float64)
         if out.ndim != 2 or out.shape[0] != len(sample):
             raise ParameterError(
                 f"mutant {mutant_id}: output matrix must be (|S|, q), got {out.shape}"
             )
-        if q_seen is None:
-            q_seen = out.shape[1]
-        elif out.shape[1] != q_seen:
+        if values is None:
+            values = np.empty((count, out.shape[1], len(sample)))
+        elif out.shape[1] != values.shape[1]:
             raise ParameterError(
-                f"mutant {mutant_id}: expected {q_seen} outputs, got {out.shape[1]}"
+                f"mutant {mutant_id}: expected {values.shape[1]} outputs, got {out.shape[1]}"
             )
         if not np.isfinite(out).all():
             failed.append(mutant_id)
             continue
+        block = values[len(ids)]
+        if transform == TRANSFORM_DFT:
+            np.abs(np.fft.fft(out, axis=0).T, out=block)
+        elif transform == TRANSFORM_RAW:
+            block[...] = out.T
+        else:
+            raise ParameterError(f"unknown transform {transform!r}")
         ids.append(mutant_id)
-        rows.append(_features_from_outputs(out, transform))
-    values = np.stack(rows) if rows else np.empty((0, q_seen or 0, len(sample)))
-    return SpectraSet(tuple(ids), values, sample, transform, tuple(failed))
+    if values is None:
+        values = np.empty((0, 0, len(sample)))
+    return SpectraSet(tuple(ids), values[: len(ids)], sample, transform, tuple(failed))
 
 
 def mutant_distance(a: int, b: int, spectra: SpectraSet) -> float:
@@ -261,11 +267,11 @@ def build_similarity_graph(mutants: MutantSet, spectra: SpectraSet) -> Similarit
         raise DegenerateGraphError(
             f"need at least 2 usable mutants, have {len(idx)}"
         )
-    feats = spectra.values[idx]  # (n, q, s)
-    n, q, _ = feats.shape
+    n, q = len(idx), spectra.values.shape[1]
     delta = np.zeros((n, n))
     for output in range(q):
-        np.maximum(delta, cdist(feats[:, output, :], feats[:, output, :]), out=delta)
+        feats = spectra.values[idx, output]  # (n, |S|): one output at a time
+        np.maximum(delta, cdist(feats, feats), out=delta)
     upper = np.triu(np.exp(-delta), 1)
     weights = upper + upper.T
     np.fill_diagonal(weights, 1.0)

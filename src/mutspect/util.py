@@ -1,10 +1,12 @@
-"""Shared helpers: seeded RNG construction, hashing, phase timing, binary reads."""
+"""Shared helpers: seeded RNG construction, hashing, phase timing, file I/O."""
 
 from __future__ import annotations
 
 import hashlib
+import os
+import stat
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -32,12 +34,23 @@ def sha256_bytes(data: bytes) -> str:
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
-        while True:
-            block = f.read(1 << 20)
-            if not block:
-                break
+        for block in iter(lambda: f.read(1 << 20), b""):
             h.update(block)
     return h.hexdigest()
+
+
+def open_fresh(path, mode: str = "w", **kwargs):
+    """``open(path, mode)``, on a new file where ``path`` is a regular file.
+
+    Truncating a non-empty file makes ext4 (``auto_da_alloc``) flush it on
+    close, tens of milliseconds; unlinking it first does not.  A symlink or
+    a file with other hard links is written through, as ``open`` does.
+    """
+    with suppress(FileNotFoundError):
+        st = os.lstat(path)
+        if stat.S_ISREG(st.st_mode) and st.st_nlink == 1:
+            os.unlink(path)
+    return open(path, mode, **kwargs)
 
 
 @contextmanager

@@ -239,6 +239,15 @@ def test_show_config(capsys):
     assert "threads" not in out
 
 
+def test_show_config_output_parses_back_to_defaults(tmp_path, capsys):
+    from mutspect.config import RunConfig, build_config, parse_config_file
+
+    assert main(["show-config"]) == 0
+    path = tmp_path / "defaults.cfg"
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert build_config(parse_config_file(path)) == RunConfig()
+
+
 def test_missing_input_is_exit_2(tmp_path):
     rc = main(
         [

@@ -77,6 +77,35 @@ def test_huge_declared_count_rejected_before_allocation():
         deserialize_dataset(data)
 
 
+def _unchecked_dataset(features, labels, class_count):
+    # bypasses LabeledDataset validation so a header field can be made huge
+    # from broadcast views that allocate nothing
+    ds = object.__new__(LabeledDataset)
+    for name, value in (("features", features), ("labels", labels), ("class_count", class_count)):
+        object.__setattr__(ds, name, value)
+    return ds
+
+
+@pytest.mark.parametrize("field, dataset", [
+    ("class_count", lambda: LabeledDataset(np.zeros((1, 1)), [0], 2**32)),
+    ("point_count", lambda: _unchecked_dataset(
+        np.broadcast_to(np.zeros(1), (2**32, 1)), np.broadcast_to(np.zeros(1, int), (2**32,)), 1)),
+    ("input_dim", lambda: _unchecked_dataset(
+        np.broadcast_to(np.zeros(1), (1, 2**32)), np.zeros(1, int), 1)),
+], ids=("class_count", "point_count", "input_dim"))
+def test_header_field_overflow_is_validation_error(tmp_path, field, dataset):
+    ds = dataset()
+    message = f"^dataset {field} 4294967296 does not fit the u32 header field$"
+    with pytest.raises(ValidationError, match=message):
+        serialize_dataset(ds)
+    path = tmp_path / "data.fdst"
+    save_dataset(make_dataset(), path)
+    before = path.read_bytes()
+    with pytest.raises(ValidationError, match=message):
+        save_dataset(ds, path)
+    assert path.read_bytes() == before  # the old file survives a failed save
+
+
 def test_zero_declared_count_rejected():
     with pytest.raises(FormatError, match="byte 5"):
         deserialize_dataset(b"FDST" + struct.pack("<BIII", 1, 0, 2**32 - 1, 2))

@@ -195,3 +195,77 @@ class TestModelFormat:
     def test_trailing_bytes(self, random_net):
         with pytest.raises(FormatError, match="trailing"):
             deserialize_model(serialize_model(random_net) + b"\x00")
+
+
+# ---------------------------------------------------------------------------
+# batch_outputs works in place on one array per layer; these pin it against
+# a forward pass that allocates a new array at every step.
+# ---------------------------------------------------------------------------
+
+
+def reference_outputs(model, points):
+    """Allocate-per-step forward pass, test-side oracle."""
+    a = np.asarray(points, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layer in model.layers:
+            z = a @ layer.weights.T + layer.biases
+            if layer.activation == SOFTMAX:
+                e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+                a = e / np.sum(e, axis=-1, keepdims=True)
+            else:
+                a = np.maximum(z, 0.0)
+    return a
+
+
+@pytest.mark.parametrize("seed, hidden", [(0, ()), (1, (6,)), (2, (9, 7)), (3, (16, 16, 8))])
+def test_batch_outputs_bitwise_matches_allocating_reference(seed, hidden):
+    from conftest import small_stack
+
+    net = small_stack(seed=seed, input_dim=5, hidden=hidden, outputs=4)
+    rng = np.random.default_rng(seed)
+    points = np.vstack([
+        rng.normal(size=(20, 5)),
+        rng.normal(size=(6, 5)) * 1e3,  # logits far beyond exp() range: needs the shift
+        np.full((1, 5), np.inf),
+        np.full((1, 5), np.nan),
+        np.full((1, 5), 1e306),
+    ])
+    logits = points[20:26]
+    for layer in net.layers:
+        logits = logits @ layer.weights.T + layer.biases
+        if layer.activation == RELU:
+            logits = np.maximum(logits, 0.0)
+    assert np.abs(logits).max() > 710  # exp() would overflow without the shift
+    expected = reference_outputs(net, points)
+    assert np.isfinite(expected[:26]).all() and not np.isfinite(expected[26:28]).any()
+    assert batch_outputs(net, points, check=False).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("layer, point", [(0, 3), (1, 2), (2, 0)])
+def test_check_names_first_non_finite_layer_and_point(layer, point):
+    # three layers of identity weights; a huge scale on ``layer`` overflows
+    # only the chosen point, whose input is 1e200 (the others are 1)
+    layers = []
+    for i, act in enumerate((RELU, RELU, SOFTMAX)):
+        scale = 1e200 if i == layer else 1.0
+        layers.append(DenseLayer(np.eye(2) * scale, np.zeros(2), act))
+    net = FcnnClassifier(tuple(layers))
+    points = np.ones((5, 2))
+    points[point] = 1e200
+    message = f"^non-finite activation in layer {layer} for point {point}$"
+    with pytest.raises(NumericError, match=message):
+        batch_outputs(net, points)
+
+
+def test_batch_outputs_never_writes_the_points(random_net):
+    rng = np.random.default_rng(8)
+    points = rng.normal(size=(12, random_net.input_dim)) * 50
+    before = points.copy()
+    batch_outputs(random_net, points)
+    assert points.tobytes() == before.tobytes()
+    dim = random_net.input_dim
+    single = FcnnClassifier((DenseLayer(np.eye(dim), np.zeros(dim), SOFTMAX),))
+    frozen = before.copy()
+    frozen.flags.writeable = False  # a read-only input must not be written to either
+    np.testing.assert_array_equal(batch_outputs(single, frozen), reference_outputs(single, before))
+    assert frozen.tobytes() == before.tobytes()

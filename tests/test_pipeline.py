@@ -116,3 +116,16 @@ def test_sweep_cell_scores_match_direct_propagation(world):
     if cell.score_error is not None:
         assert 0.0 <= cell.score_error
     assert cell.n_clusters >= 1
+
+
+def test_spectra_family_keeps_graphs_not_spectra(world):
+    from mutspect.pipeline import SpectraFamily
+    from mutspect.spectra import SimilarityGraph, SpectraSet, mutant_spectra
+
+    ds, _, mutants = world
+    family = SpectraFamily(mutants, ds, sampling_seed=4)
+    sample, failed, graph = family.entry(3)
+    assert not any(isinstance(part, SpectraSet) for part in family.entry(3))
+    assert isinstance(graph, SimilarityGraph)
+    assert failed == family.quarantined(3) == mutant_spectra(mutants, ds, sample).failed
+    assert family.build(3) == (sample, graph)

@@ -449,3 +449,99 @@ class TestSpectraIO:
         for rec in ms.mutants:
             out = batch_outputs(rec.model, ds.features[sample.indices])
             np.testing.assert_array_equal(raw.vectors(rec.mutant_id), out.T)
+
+
+class TestStreamedAssembly:
+    """mutant_spectra and spectra_from_outputs write each mutant's features
+    into one preallocated array; pinned against per-mutant reference rows."""
+
+    @staticmethod
+    def exploding(net):
+        import mutspect.model as mm
+
+        layers = [mm.DenseLayer(np.full_like(layer.weights, 1e200),
+                                np.full_like(layer.biases, 1e200), layer.activation)
+                  for layer in net.layers]
+        return mm.FcnnClassifier(tuple(layers))
+
+    @staticmethod
+    def reference_rows(mutant_set, ds, sample, transform=TRANSFORM_DFT):
+        from mutspect.model import batch_outputs
+
+        rows = {}
+        for rec in mutant_set.mutants:
+            out = batch_outputs(rec.model, ds.features[sample.indices], check=False)
+            if np.isfinite(out).all():
+                rows[rec.mutant_id] = (np.abs(np.fft.fft(out, axis=0)).T
+                                       if transform == TRANSFORM_DFT else out.T)
+        return rows
+
+    def mixed_set(self, net, order):
+        from mutspect.mutants import MutantRecord, MutatorKind
+
+        records = {
+            m: gaussian_fuzz(net, 0, m % 3, 0.2, seed=m, mutant_id=m) for m in (2, 5, 9)
+        }
+        records[0] = MutantRecord(0, MutatorKind.GAUSSIAN_FUZZING, 0, 0, None, {}, 0,
+                                  self.exploding(net))
+        return MutantSet(net, [records[m] for m in order], 0)
+
+    @pytest.mark.parametrize("transform", [TRANSFORM_DFT, TRANSFORM_RAW])
+    def test_quarantined_first_and_out_of_order_set(self, random_net, transform):
+        ds = blob_dataset(dim=random_net.input_dim)
+        sample = stratified_sample(ds, 3, 4)
+        ms = self.mixed_set(random_net, order=(9, 0, 5, 2))
+        spectra = mutant_spectra(ms, ds, sample, transform)
+        assert spectra.failed == (0,)
+        assert spectra.ids == (2, 5, 9)
+        rows = self.reference_rows(ms, ds, sample, transform)
+        expected = np.stack([rows[m] for m in (2, 5, 9)])
+        assert spectra.values.tobytes() == expected.tobytes()
+
+    def test_q_mismatch_after_quarantined_first_names_the_mutant(self):
+        sample = SampleSet(np.arange(4), 1, 0)
+        outputs = {0: np.full((4, 3), np.nan), 1: np.full((4, 3), 0.25), 6: np.full((4, 2), 0.5)}
+        with pytest.raises(ParameterError, match="^mutant 6: expected 3 outputs, got 2$"):
+            spectra_from_outputs(outputs, sample)
+
+    def test_all_quarantined_models_keep_shape(self, random_net):
+        from mutspect.mutants import MutantRecord, MutatorKind
+
+        ds = blob_dataset(dim=random_net.input_dim)
+        sample = stratified_sample(ds, 2, 0)
+        records = [MutantRecord(m, MutatorKind.GAUSSIAN_FUZZING, 0, 0, None, {}, 0,
+                                self.exploding(random_net)) for m in (4, 1)]
+        spectra = mutant_spectra(MutantSet(random_net, records, 0), ds, sample)
+        assert spectra.failed == (1, 4)
+        assert spectra.values.shape == (0, random_net.num_outputs, len(sample))
+
+    def test_graph_over_a_subset_reads_the_right_rows(self, random_net):
+        ds = blob_dataset(dim=random_net.input_dim)
+        sample = stratified_sample(ds, 3, 1)
+        ms = generate_mutant_set(random_net, 6, seed=12)
+        spectra = mutant_spectra(ms, ds, sample)
+        subset_ids = [ms.ids()[i] for i in (1, 3, 4)]
+        subset = MutantSet(random_net, [ms.by_id(m) for m in subset_ids], 0)
+        graph = build_similarity_graph(subset, spectra)
+        assert graph.ids == tuple(sorted(subset_ids))
+        for a in graph.ids:
+            for b in graph.ids:
+                if a != b:
+                    assert graph.weight(a, b) == pytest.approx(
+                        mutant_similarity(a, b, spectra), rel=1e-12, abs=0)
+
+    def test_peak_memory_is_one_values_array(self, random_net):
+        import tracemalloc
+
+        ds = blob_dataset(n=1200, dim=random_net.input_dim)
+        sample = stratified_sample(ds, 200, 0)
+        ms = generate_mutant_set(random_net, 60, seed=3)
+        tracemalloc.start()
+        try:
+            spectra = mutant_spectra(ms, ds, sample)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        one_mutant = len(sample) * random_net.num_outputs * 8
+        assert spectra.values.shape == (60, random_net.num_outputs, 600)
+        assert peak < 1.5 * spectra.values.nbytes + one_mutant
