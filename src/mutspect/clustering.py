@@ -66,7 +66,6 @@ class ClusterSet:
 
     clusters: tuple[tuple[int, ...], ...]
     tau: float
-    per_class_rate: int | None = None
 
     def __len__(self) -> int:
         return len(self.clusters)
@@ -233,7 +232,6 @@ def parameter_search(
                 tau_lo = tau
             else:
                 round_trace.stop_reason = "satisfied"
-                clusters = ClusterSet(clusters.clusters, tau, per_class_rate=x)
                 return SearchResult(
                     found=True,
                     clusters=clusters,

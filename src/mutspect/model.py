@@ -45,6 +45,8 @@ class DenseLayer:
             raise ValidationError(
                 f"layer shapes inconsistent: weights {w.shape}, biases {b.shape}"
             )
+        if 0 in w.shape:
+            raise ValidationError(f"layer dimensions must be positive, got weights {w.shape}")
         if self.activation not in (RELU, SOFTMAX):
             raise ValidationError(f"unknown activation {self.activation!r}")
         if not (np.isfinite(w).all() and np.isfinite(b).all()):

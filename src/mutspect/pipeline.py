@@ -1,9 +1,10 @@
 """End-to-end runs: vanilla, spectral acceleration, and the sweep experiment.
 
-The accelerated run wires together sampling, signature computation, graph
-construction, clustering with the x/tau parameter search, representative
-selection and propagated testing, accumulating per-phase wall-clock times
-along the way.  The no-transform variant reuses the identical pipeline with
+The accelerated run makes one pass per sampling rate: sample, signatures,
+similarity graph and clustering with the x/tau parameter search, then
+representative selection and propagated testing, accumulating per-phase
+wall-clock times along the way.  Each rate is built once and nothing is cached
+across rates.  The no-transform variant reuses the identical pipeline with
 raw sampled output columns as features.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from .clustering import (
     DEFAULT_REDUCTION,
@@ -53,41 +55,22 @@ class Seeds:
     representative: int = 0
 
 
-class SpectraFamily:
-    """Per-sampling-rate caches of (sample, quarantined ids, graph) with phase
-    timing.  The spectra themselves are dropped once their graph is built."""
+def _graph_at(mutants: MutantSet, dataset: LabeledDataset, transform: str, sampling_seed: int,
+              phases: dict, per_class: int) -> tuple[SampleSet, SimilarityGraph]:
+    """Sample, signatures and graph at one rate, timed into ``phases``."""
+    with phase_timer(phases, "sampling"):
+        sample = stratified_sample(dataset, per_class, sampling_seed)
+    with phase_timer(phases, "spectra"):
+        spectra = mutant_spectra(mutants, dataset, sample, transform)
+    with phase_timer(phases, "graph"):
+        graph = build_similarity_graph(mutants, spectra)
+    return sample, graph
 
-    def __init__(
-        self,
-        mutants: MutantSet,
-        dataset: LabeledDataset,
-        transform: str = TRANSFORM_DFT,
-        sampling_seed: int = 0,
-    ):
-        self.mutants = mutants
-        self.dataset = dataset
-        self.transform = transform
-        self.sampling_seed = sampling_seed
-        self.phases: dict[str, float] = {}
-        self._cache: dict[int, tuple] = {}
 
-    def entry(self, per_class: int):
-        if per_class not in self._cache:
-            with phase_timer(self.phases, "sampling"):
-                sample = stratified_sample(self.dataset, per_class, self.sampling_seed)
-            with phase_timer(self.phases, "spectra"):
-                spectra = mutant_spectra(self.mutants, self.dataset, sample, self.transform)
-            with phase_timer(self.phases, "graph"):
-                graph = build_similarity_graph(self.mutants, spectra)
-            self._cache[per_class] = (sample, spectra.failed, graph)
-        return self._cache[per_class]
-
-    def build(self, per_class: int) -> tuple[SampleSet, SimilarityGraph]:
-        sample, _, graph = self.entry(per_class)
-        return sample, graph
-
-    def quarantined(self, per_class: int) -> tuple[int, ...]:
-        return self.entry(per_class)[1]
+def _quarantined(mutants: MutantSet, held) -> tuple[int, ...]:
+    """Mutant ids, in id order, outside ``held``: exactly the quarantined ones a graph lacks."""
+    held = set(held)
+    return tuple(m for m in sorted(mutants.ids()) if m not in held)
 
 
 @dataclass
@@ -134,15 +117,15 @@ def run_accelerated(
     yields ``found=False`` with the not-satisfiable message; no testing runs.
     """
     mode = "spectral" if transform == TRANSFORM_DFT else "raw"
-    family = SpectraFamily(mutants, dataset, transform, seeds.sampling)
+    phases: dict[str, float] = {}
+    build = partial(_graph_at, mutants, dataset, transform, seeds.sampling, phases)
     search_rounds: list[XRound] = []
     if fixed_tau is not None:
         if fixed_per_class is None:
             raise ParameterError("a fixed tau requires a fixed sampling rate")
-        sample, graph = family.build(fixed_per_class)
-        with phase_timer(family.phases, "clustering"):
+        sample, graph = build(fixed_per_class)
+        with phase_timer(phases, "clustering"):
             clusters = hac_cluster(graph, fixed_tau)
-        clusters = ClusterSet(clusters.clusters, fixed_tau, fixed_per_class)
         per_class, tau = fixed_per_class, fixed_tau
     else:
         grid = X_GRID if fixed_per_class is None else (fixed_per_class,)
@@ -150,13 +133,8 @@ def run_accelerated(
         # into their own phases; "search" keeps only the residual so the
         # phase breakdown stays disjoint and sums to the true wall clock
         start = time.perf_counter()
-        inner_before = sum(family.phases.values())
-        result: SearchResult = parameter_search(
-            family.build, constraint, grid, phases=family.phases
-        )
-        wall = time.perf_counter() - start
-        inner = sum(family.phases.values()) - inner_before
-        family.phases["search"] = family.phases.get("search", 0.0) + max(wall - inner, 0.0)
+        result: SearchResult = parameter_search(build, constraint, grid, phases=phases)
+        phases["search"] = max(time.perf_counter() - start - sum(phases.values()), 0.0)
         search_rounds = result.rounds
         if not result.found:
             return PipelineResult(
@@ -170,14 +148,14 @@ def run_accelerated(
         clusters = result.clusters
         per_class, tau = result.per_class_rate, result.tau
     representatives = select_representatives(clusters, seeds.representative)
-    quarantined = family.quarantined(per_class)
+    quarantined = _quarantined(mutants, (m for cluster in clusters.clusters for m in cluster))
     table = accelerated_test(
         original,
         mutants,
         dataset,
         representatives,
         quarantined,
-        overhead=family.phases,
+        overhead=phases,
         mode=mode,
     )
     return PipelineResult(
@@ -259,25 +237,18 @@ def run_sweep(
 
     for repeat in range(spec.repeats):
         sampling_seed = derived_seed(seeds.sampling, repeat)
-        family = SpectraFamily(mutants, dataset, TRANSFORM_DFT, sampling_seed)
         for x in spec.x_grid:
-            _, graph = family.build(x)
-            quarantined = family.quarantined(x)
-            usable = graph.n_nodes
+            _, graph = _graph_at(mutants, dataset, TRANSFORM_DFT, sampling_seed, {}, x)
+            q_total = sum(counts[m] for m in _quarantined(mutants, graph.ids))
             rates = []
             for k, tau in enumerate(spec.tau_grid):
                 start = time.perf_counter()
                 clusters = hac_cluster(graph, tau)
-                rate = mutant_reduction_rate(usable, clusters)
+                rate = mutant_reduction_rate(graph.n_nodes, clusters)
                 rep_seed = derived_seed(seeds.representative, repeat, x, k)
                 reps = select_representatives(clusters, rep_seed)
-                propagated = {}
-                for rep, members in reps.pairs:
-                    for member in members:
-                        propagated[member] = counts[rep]
-                for q_id in quarantined:
-                    propagated[q_id] = counts[q_id]
-                ms_cell = sum(propagated.values()) / (n_total * len(labels))
+                killed = q_total + sum(counts[rep] * len(members) for rep, members in reps.pairs)
+                ms_cell = killed / (n_total * len(labels))
                 err = None if ms_vanilla == 0 else abs(ms_vanilla - ms_cell) / ms_vanilla
                 seconds = time.perf_counter() - start
                 cells.append(

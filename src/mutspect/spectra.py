@@ -12,6 +12,7 @@ graph reads them one output at a time, so neither step copies the whole set.
 
 from __future__ import annotations
 
+import os
 import zipfile
 from dataclasses import dataclass, field
 
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .model import batch_outputs
 from .mutants import MutantSet
-from .util import philox_rng, readonly, sha256_bytes
+from .util import open_fresh, philox_rng, readonly, sha256_bytes
 
 TRANSFORM_DFT = "dft-magnitude"
 TRANSFORM_RAW = "raw-output"
@@ -288,18 +289,20 @@ SPECTRA_FORMAT_VERSION = 1
 
 
 def save_spectra(spectra: SpectraSet, path) -> None:
-    np.savez(
-        path,
-        version=np.int64(SPECTRA_FORMAT_VERSION),
-        ids=np.asarray(spectra.ids, dtype=np.int64),
-        values=spectra.values,
-        failed=np.asarray(spectra.failed, dtype=np.int64),
-        transform=np.asarray(spectra.transform),
-        sample_indices=spectra.sample.indices,
-        sample_rate=np.int64(spectra.sample.per_class_rate),
-        sample_seed=np.int64(spectra.sample.seed),
-        sample_truncated=np.asarray(spectra.sample.truncated_classes, dtype=np.int64),
-    )
+    path = os.fspath(path)  # np.savez appends ".npz" to a path, not to an open file
+    with open_fresh(path if path.endswith(".npz") else path + ".npz", "wb") as f:
+        np.savez(
+            f,
+            version=np.int64(SPECTRA_FORMAT_VERSION),
+            ids=np.asarray(spectra.ids, dtype=np.int64),
+            values=spectra.values,
+            failed=np.asarray(spectra.failed, dtype=np.int64),
+            transform=np.asarray(spectra.transform),
+            sample_indices=spectra.sample.indices,
+            sample_rate=np.int64(spectra.sample.per_class_rate),
+            sample_seed=np.int64(spectra.sample.seed),
+            sample_truncated=np.asarray(spectra.sample.truncated_classes, dtype=np.int64),
+        )
 
 
 def load_spectra(path) -> SpectraSet:

@@ -42,3 +42,19 @@ def small_stack(seed: int = 0, input_dim: int = 4, hidden=(6, 5), outputs: int =
 @pytest.fixture
 def random_net() -> FcnnClassifier:
     return small_stack(seed=42)
+
+
+def exploding_mutant(model: FcnnClassifier, mutant_id: int, scale: float = 1e200):
+    """A mutant record of ``model`` (two or more layers) whose outputs are
+    non-finite on every point: its first layer emits ``scale`` whatever the
+    input, and its second multiplies that by ``scale`` again, overflowing."""
+    from mutspect.mutants import MutantRecord, MutatorKind
+
+    first, second, *rest = model.layers
+    layers = (
+        DenseLayer(np.zeros_like(first.weights), np.full_like(first.biases, scale), RELU),
+        DenseLayer(np.full_like(second.weights, scale), second.biases, second.activation),
+        *rest,
+    )
+    return MutantRecord(mutant_id, MutatorKind.GAUSSIAN_FUZZING, 0, 0, None, {}, 0,
+                        FcnnClassifier(layers))

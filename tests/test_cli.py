@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 
 import pytest
 
@@ -8,6 +9,8 @@ from mutspect.dataset import save_dataset
 from mutspect.model import save_model
 from mutspect.reports import load_json, strip_timing
 from mutspect.synth import fitted_classifier, gaussian_blobs
+
+from conftest import exploding_mutant
 
 
 @pytest.fixture(scope="module")
@@ -331,3 +334,32 @@ def test_bad_sweep_grid_is_exit_2(workdir, tmp_path, capsys, grid):
                "--manifest", str(manifest), "--out", str(tmp_path), *grid])
     assert rc == 2
     assert "comma lists of numbers" in capsys.readouterr().err
+
+
+def test_report_names_quarantined_mutants(workdir, monkeypatch):
+    # a manifest rebuilds operator mutants only, so the manifest loader is
+    # wrapped to add the two exploding mutants to the loaded set
+    import mutspect.cli as cli
+    from mutspect.mutants import MutantSet, load_manifest
+
+    def with_exploding(path, original):
+        loaded = load_manifest(path, original)
+        records = [*loaded.mutants, exploding_mutant(original, 31), exploding_mutant(original, 30)]
+        return MutantSet(original, records, loaded.generation_seed)
+
+    monkeypatch.setattr(cli, "load_manifest", with_exploding)
+    for extra in ((), ("--x", "3", "--tau", "0.5")):
+        rc, out = run_mode(workdir, "spectral", f"quarantine{len(extra)}", extra)
+        assert rc == 0
+        assert load_json(out / "report_spectral_r0.json")["quarantined"] == [30, 31]
+
+
+def test_zero_width_layer_is_exit_2(workdir, tmp_path, capsys):
+    root, model_path, data_path, manifest = workdir
+    bad = tmp_path / "zero.fcnn"
+    # one softmax layer of out_dim 0 over 8 inputs: no weights, no biases
+    bad.write_bytes(b"FCNN" + struct.pack("<BI", 1, 1) + struct.pack("<III", 0, 8, 1))
+    rc = main(["run", "--model", str(bad), "--dataset", str(data_path),
+               "--manifest", str(manifest), "--mode", "vanilla", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "layer 0:" in capsys.readouterr().err

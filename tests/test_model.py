@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mutspect.errors import FormatError, NumericError, ShapeError, ValidationError
 from mutspect.model import (
@@ -161,6 +165,9 @@ def test_invalid_architectures_rejected():
         )
     with pytest.raises(ValidationError):
         DenseLayer(np.array([[np.inf, 0.0]]), np.zeros(1), RELU)
+    for shape in ((0, 3), (3, 0), (0, 0)):  # zero-width layers
+        with pytest.raises(ValidationError, match="dimensions must be positive"):
+            DenseLayer(np.zeros(shape), np.zeros(shape[0]), SOFTMAX)
 
 
 class TestModelFormat:
@@ -195,6 +202,93 @@ class TestModelFormat:
     def test_trailing_bytes(self, random_net):
         with pytest.raises(FormatError, match="trailing"):
             deserialize_model(serialize_model(random_net) + b"\x00")
+
+
+def test_zero_width_layer_file_rejected():
+    # one softmax layer of out_dim 0 over 3 inputs: it used to load and then
+    # fail inside batch_outputs with a bare numpy ValueError
+    data = b"FCNN" + struct.pack("<BI", 1, 1) + struct.pack("<III", 0, 3, 1)
+    with pytest.raises(ValidationError, match="^layer 0: layer dimensions must be positive"):
+        deserialize_model(data)
+
+
+# ---------------------------------------------------------------------------
+# .fcnn properties, in memory: the encoding, round trips, every truncation.
+# ---------------------------------------------------------------------------
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def stack_of(dims):
+    """Strategy: a classifier with layer widths ``dims`` (input width first)."""
+    layers = []
+    for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
+        act = SOFTMAX if i == len(dims) - 2 else RELU
+        layers.append(
+            st.tuples(st.lists(finite, min_size=d_in * d_out, max_size=d_in * d_out),
+                      st.lists(finite, min_size=d_out, max_size=d_out))
+            .map(lambda wb, shape=(d_out, d_in), act=act:
+                 DenseLayer(np.array(wb[0]).reshape(shape), np.array(wb[1]), act))
+        )
+    return st.tuples(*layers).map(FcnnClassifier)
+
+
+models = st.lists(st.integers(1, 4), min_size=2, max_size=5).flatmap(stack_of)
+
+
+def reference_model_bytes(model: FcnnClassifier) -> bytes:
+    """Reference encoding, field by field, as the format describes it."""
+    codes = {RELU: 0, SOFTMAX: 1}
+    head = b"FCNN" + struct.pack("<BI", 1, len(model.layers))
+    head += b"".join(struct.pack("<III", *layer.weights.shape, codes[layer.activation])
+                     for layer in model.layers)
+    return head + b"".join(
+        struct.pack(f"<{layer.weights.size}d", *layer.weights.ravel())
+        + struct.pack(f"<{layer.biases.size}d", *layer.biases)
+        for layer in model.layers
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=models)
+def test_model_round_trip_matches_reference_encoding(model):
+    data = serialize_model(model)
+    assert data == reference_model_bytes(model)
+    loaded = deserialize_model(data)
+    assert len(loaded.layers) == len(model.layers)
+    for a, b in zip(loaded.layers, model.layers):
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.biases.tobytes() == b.biases.tobytes()
+        assert a.activation == b.activation
+    assert serialize_model(loaded) == data
+
+
+def first_missing_model_part(length: int, model: FcnnClassifier) -> tuple[str, int]:
+    """Reference: walk the parts in file order; the first one cut short."""
+    parts = [("magic", 4), ("version", 1), ("layer count", 4)]
+    parts += [(f"layer {i} shape", 12) for i in range(len(model.layers))]
+    for i, layer in enumerate(model.layers):
+        parts += [(f"layer {i} weights", 8 * layer.weights.size),
+                  (f"layer {i} biases", 8 * layer.biases.size)]
+    offset = 0
+    for what, size in parts:
+        if offset + size > length:
+            return what, offset
+        offset += size
+    raise AssertionError("nothing is missing")
+
+
+def test_every_model_truncation_raises_format_error(random_net):
+    assert len(random_net.layers) == 3
+    data = serialize_model(random_net)
+    for cut in range(len(data)):
+        what, offset = first_missing_model_part(cut, random_net)
+        with pytest.raises(FormatError) as err:
+            deserialize_model(data[:cut])
+        assert str(err.value) == f"truncated model file: need {what} at byte {offset}"
+    with pytest.raises(FormatError) as err:
+        deserialize_model(data + b"\x00")
+    assert str(err.value) == f"trailing bytes at offset {len(data)}"
 
 
 # ---------------------------------------------------------------------------

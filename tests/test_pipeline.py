@@ -1,12 +1,16 @@
 import pytest
 
-from mutspect.clustering import ReductionConstraint
+from mutspect.clustering import X_GRID, ReductionConstraint, hac_cluster, select_representatives
 from mutspect.errors import ParameterError
 from mutspect.metrics import measures
 from mutspect.mutants import MutantSet, gaussian_fuzz
 from mutspect.pipeline import Seeds, SweepSpec, run_accelerated, run_sweep, run_vanilla
+from mutspect.spectra import build_similarity_graph, mutant_spectra, stratified_sample
 from mutspect.synth import diverse_mutant_set, fitted_classifier, gaussian_blobs
-from mutspect.testing import vanilla_test
+from mutspect.testing import TESTED, mutation_score, vanilla_test
+from mutspect.util import derived_seed
+
+from conftest import exploding_mutant
 
 
 @pytest.fixture(scope="module")
@@ -107,25 +111,89 @@ def test_sweep_identical_mutants_constant_rate(world):
         assert cell.score_error in (0.0, None)
 
 
-def test_sweep_cell_scores_match_direct_propagation(world):
+@pytest.fixture(scope="module")
+def exploding_world(world):
+    """The world's pool plus two mutants whose outputs are non-finite on
+    every point (ids 40 and 41, listed out of id order)."""
     ds, model, mutants = world
-    vanilla = vanilla_test(model, mutants, ds)
-    spec = SweepSpec(x_grid=(2,), tau_grid=(0.4,), repeats=1)
-    sweep = run_sweep(model, mutants, ds, spec, Seeds(9, 10), vanilla=vanilla)
-    cell = sweep.cells[0]
-    if cell.score_error is not None:
-        assert 0.0 <= cell.score_error
-    assert cell.n_clusters >= 1
+    records = [exploding_mutant(model, 41, 1e250), *mutants.mutants, exploding_mutant(model, 40)]
+    pool = MutantSet(model, records, 0)
+    return ds, model, pool, vanilla_test(model, pool, ds)
 
 
-def test_spectra_family_keeps_graphs_not_spectra(world):
-    from mutspect.pipeline import SpectraFamily
-    from mutspect.spectra import SimilarityGraph, SpectraSet, mutant_spectra
+@pytest.mark.parametrize("fixed", [False, True], ids=["searched", "fixed-tau"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_quarantine_equals_failed_spectra(exploding_world, fixed, seed):
+    ds, model, pool, vanilla = exploding_world
+    fixed_args = {"fixed_per_class": 3, "fixed_tau": 0.5} if fixed else {}
+    res = run_accelerated(model, pool, ds, seeds=Seeds(seed, seed + 7), **fixed_args)
+    assert res.found
+    spectra = mutant_spectra(pool, ds, stratified_sample(ds, res.per_class_rate, seed))
+    assert spectra.failed == (40, 41)
+    assert res.quarantined == spectra.failed
+    clustered = sorted(m for cluster in res.clusters.clusters for m in cluster)
+    assert clustered == list(spectra.ids)
+    for m in res.quarantined:
+        verdict = res.table.verdict(m)
+        assert verdict.provenance == TESTED
+        assert verdict.killing_count == vanilla.verdict(m).killing_count
 
-    ds, _, mutants = world
-    family = SpectraFamily(mutants, ds, sampling_seed=4)
-    sample, failed, graph = family.entry(3)
-    assert not any(isinstance(part, SpectraSet) for part in family.entry(3))
-    assert isinstance(graph, SimilarityGraph)
-    assert failed == family.quarantined(3) == mutant_spectra(mutants, ds, sample).failed
-    assert family.build(3) == (sample, graph)
+
+def test_sweep_cell_scores_match_direct_propagation(exploding_world):
+    # each cell recomputed test-side: its sample, graph and clusters, the
+    # representatives drawn from the cell's seed, each member scored with
+    # its representative's vanilla count and each quarantined mutant with
+    # its own
+    ds, model, pool, vanilla = exploding_world
+    spec = SweepSpec(x_grid=(1, 3), tau_grid=(0.3, 0.6, 0.9), repeats=2)
+    seeds = Seeds(9, 10)
+    sweep = run_sweep(model, pool, ds, spec, seeds, vanilla=vanilla)
+    counts = vanilla.counts()
+    ms_vanilla = mutation_score(vanilla)
+    cells = iter(sweep.cells)
+    for repeat in range(spec.repeats):
+        for x in spec.x_grid:
+            sample = stratified_sample(ds, x, derived_seed(seeds.sampling, repeat))
+            spectra = mutant_spectra(pool, ds, sample)
+            assert spectra.failed == (40, 41)
+            graph = build_similarity_graph(pool, spectra)
+            for k, tau in enumerate(spec.tau_grid):
+                clusters = hac_cluster(graph, tau)
+                reps = select_representatives(
+                    clusters, derived_seed(seeds.representative, repeat, x, k)
+                )
+                killed = sum(counts[m] for m in spectra.failed)
+                killed += sum(counts[rep] for rep, members in reps.pairs for _ in members)
+                ms_cell = killed / (len(pool) * len(vanilla.labels))
+                cell = next(cells)
+                assert (cell.per_class_rate, cell.tau, cell.repeat) == (x, tau, repeat)
+                assert cell.n_clusters == len(clusters)
+                assert cell.score_error == abs(ms_vanilla - ms_cell) / ms_vanilla
+    assert next(cells, None) is None
+
+
+def test_one_graph_per_round_and_per_sweep_rate(exploding_world, monkeypatch):
+    import mutspect.pipeline as pipeline
+
+    ds, model, pool, vanilla = exploding_world
+    calls = []
+    real = pipeline.build_similarity_graph
+
+    def counted(mutants, spectra):
+        calls.append(spectra.sample.per_class_rate)
+        return real(mutants, spectra)
+
+    monkeypatch.setattr(pipeline, "build_similarity_graph", counted)
+    res = run_accelerated(model, pool, ds, seeds=Seeds(1, 2))
+    assert calls == [r.per_class_rate for r in res.search_rounds]
+    calls.clear()
+    # unsatisfiable: every rate of the grid gets its round and its one graph
+    res = run_accelerated(model, pool, ds, constraint=ReductionConstraint(0.99, 0.999))
+    assert not res.found and calls == list(X_GRID)
+    calls.clear()
+    run_accelerated(model, pool, ds, seeds=Seeds(1, 2), fixed_per_class=3, fixed_tau=0.5)
+    assert calls == [3]
+    calls.clear()
+    spec = SweepSpec(x_grid=(1, 3, 5), tau_grid=(0.3, 0.6), repeats=2)
+    run_sweep(model, pool, ds, spec, Seeds(5, 6), vanilla=vanilla)
+    assert calls == list(spec.x_grid) * spec.repeats
