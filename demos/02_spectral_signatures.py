@@ -34,8 +34,10 @@ print(f"distance({a},{b}) = {ms.mutant_distance(a, b, spectra):.4f}  "
       f"similarity = {ms.mutant_similarity(a, b, spectra):.4f}")
 
 graph = ms.build_similarity_graph(mutants, spectra)
-weights = [w for _, _, w in graph.edges()]
+rows, cols = np.triu_indices(graph.n_nodes, k=1)  # one edge per unordered pair
+weights = graph.weights[rows, cols]
 print(f"\nsimilarity graph: {graph.n_nodes} nodes, {len(weights)} edges, "
-      f"weights in [{min(weights):.4f}, {max(weights):.4f}]")
-closest = max(graph.edges(), key=lambda e: e[2])
-print(f"most similar pair: {closest[0]} and {closest[1]} at {closest[2]:.4f}")
+      f"weights in [{weights.min():.4f}, {weights.max():.4f}]")
+top = int(np.argmax(weights))
+closest = graph.ids[rows[top]], graph.ids[cols[top]]
+print(f"most similar pair: {closest[0]} and {closest[1]} at {weights[top]:.4f}")

@@ -9,8 +9,6 @@ with its verdict propagated to the rest.
 __version__ = "0.1.0"
 
 from .baselines import (
-    BaselineConfig,
-    baseline_test,
     bss_select,
     bss_test,
     raw_cluster_test,
@@ -40,7 +38,6 @@ from .model import (
     forward,
     load_model,
     model_hash,
-    predict,
     save_model,
 )
 from .mutants import (
@@ -73,12 +70,9 @@ from .spectra import (
     TRANSFORM_RAW,
     build_similarity_graph,
     dft_magnitude,
-    load_spectra,
     mutant_distance,
     mutant_similarity,
     mutant_spectra,
-    save_spectra,
-    spectra_from_outputs,
     stratified_sample,
 )
 from .synth import diverse_mutant_set, fitted_classifier, gaussian_blobs
@@ -88,7 +82,6 @@ from .testing import (
     VerdictTable,
     accelerated_test,
     accuracy,
-    kill,
     killing_labels,
     mutation_score,
     vanilla_test,

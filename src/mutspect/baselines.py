@@ -17,7 +17,6 @@ Every baseline collapses to vanilla at its degenerate parameter
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,21 +29,6 @@ from .pipeline import PipelineResult, Seeds, run_accelerated
 from .spectra import TRANSFORM_RAW, stratified_sample
 from .testing import UNTESTED, MutantVerdict, VerdictTable, vanilla_test
 from .util import phase_timer, philox_rng
-
-
-@dataclass(frozen=True)
-class BaselineConfig:
-    kind: str  # rms | bss | rss | raw
-    rms_fraction: float = 0.75
-    bss_threshold: int = 10
-    per_class_rate: int | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.rms_fraction <= 1.0:
-            raise ParameterError("rms fraction must lie in (0, 1]")
-        if self.bss_threshold < 1:
-            raise ParameterError("bss threshold must be at least 1")
 
 
 def rms_test(
@@ -148,21 +132,3 @@ def raw_cluster_test(
         fixed_per_class=fixed_per_class,
         fixed_tau=fixed_tau,
     )
-
-
-def baseline_test(
-    original: FcnnClassifier,
-    mutants: MutantSet,
-    dataset: LabeledDataset,
-    config: BaselineConfig,
-) -> VerdictTable:
-    """Dispatch a subset baseline (rms/bss/rss) from its config record."""
-    if config.kind == "rms":
-        return rms_test(original, mutants, dataset, config.rms_fraction, config.seed)
-    if config.kind == "bss":
-        return bss_test(original, mutants, dataset, config.bss_threshold)
-    if config.kind == "rss":
-        if config.per_class_rate is None:
-            raise ParameterError("rss needs per_class_rate (the rate the spectral run used)")
-        return rss_test(original, mutants, dataset, config.per_class_rate, config.seed)
-    raise ParameterError(f"unknown baseline kind {config.kind!r}")

@@ -14,7 +14,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .baselines import BaselineConfig, baseline_test, raw_cluster_test
+from .baselines import bss_test, raw_cluster_test, rms_test, rss_test
 from .clustering import NOT_SATISFIABLE_MESSAGE
 from .config import (
     RunConfig,
@@ -111,11 +111,15 @@ def _run_one(config: RunConfig, model, dataset, mutants, repeat: int) -> Pipelin
         runner = run_accelerated if config.mode == "spectral" else raw_cluster_test
         return runner(model, mutants, dataset, config.constraint(), seeds,
                       fixed_per_class=config.per_class_rate, fixed_tau=config.tau)
-    if config.mode == "rss" and config.per_class_rate is None:
+    seed = derived_seed(config.baseline_seed, repeat)
+    if config.mode == "rms":
+        table = rms_test(model, mutants, dataset, config.rms_fraction, seed)
+    elif config.mode == "bss":
+        table = bss_test(model, mutants, dataset, config.bss_threshold)
+    elif config.per_class_rate is None:
         raise MutspectError("--x is required for rss (same sample size as spectral)")
-    baseline = BaselineConfig(config.mode, config.rms_fraction, config.bss_threshold,
-                              config.per_class_rate, derived_seed(config.baseline_seed, repeat))
-    table = baseline_test(model, mutants, dataset, baseline)
+    else:
+        table = rss_test(model, mutants, dataset, config.per_class_rate, seed)
     return PipelineResult(mode=config.mode, found=True, table=table)
 
 
@@ -132,7 +136,7 @@ def cmd_generate(args) -> int:
     else:
         kinds = ALL_KINDS
     mutant_set = generate_mutant_set(
-        model, args.count, kinds, args.generation_seed, args.sigma
+        model, args.count, kinds, config.generation_seed, args.sigma
     )
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -195,17 +199,18 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _config_from_args(args)
-    model, dataset, mutants, hashes = _load_inputs(config)
     spec_kwargs = {}
     try:
-        if args.x_grid:
+        # an empty grid is an error, not a request for the default one
+        if args.x_grid is not None:
             spec_kwargs["x_grid"] = tuple(int(v) for v in args.x_grid.split(","))
-        if args.tau_grid:
+        if args.tau_grid is not None:
             spec_kwargs["tau_grid"] = tuple(float(v) for v in args.tau_grid.split(","))
     except ValueError as exc:
         raise ParameterError(f"grids must be comma lists of numbers: {exc}") from None
     spec_kwargs["repeats"] = config.repeats
     spec = SweepSpec(**spec_kwargs)
+    model, dataset, mutants, hashes = _load_inputs(config)
     seeds = Seeds(config.sampling_seed, config.representative_seed)
     sweep = run_sweep(model, mutants, dataset, spec, seeds)
     out_dir = Path(config.out)
@@ -245,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--kinds", help="comma list of GF,WS,NEB,NAI,NS (default all)")
     p_gen.add_argument("--sigma", type=float, default=0.5,
                        help="gaussian fuzz std relative to layer weight std")
-    p_gen.add_argument("--seed", type=int, default=0, dest="generation_seed")
+    p_gen.add_argument("--seed", type=int, dest="generation_seed")
     p_gen.add_argument("--store-models", action="store_true",
                        help="also write each mutant as a model file")
     p_gen.set_defaults(func=cmd_generate)

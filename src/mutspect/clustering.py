@@ -243,21 +243,16 @@ def parameter_search(
     return SearchResult(found=False, rounds=rounds)
 
 
-def select_representatives(
-    clusters: ClusterSet, seed: int, deterministic: bool = False
-) -> RepresentativeMap:
+def select_representatives(clusters: ClusterSet, seed: int) -> RepresentativeMap:
     """One representative per cluster.
 
     Clusters are visited sorted by smallest member id; the pick is uniform
     via one ``integers(len(cluster))`` draw per cluster from
-    ``philox_rng(seed)``, or the lowest member id in deterministic mode.
+    ``philox_rng(seed)``.
     """
     rng = philox_rng(seed)
     pairs = []
     for cluster in sorted(clusters.clusters, key=lambda c: c[0]):
-        if deterministic:
-            rep = cluster[0]
-        else:
-            rep = cluster[int(rng.integers(len(cluster)))]
+        rep = cluster[int(rng.integers(len(cluster)))]
         pairs.append((rep, tuple(cluster)))
     return RepresentativeMap(tuple(pairs), seed)

@@ -34,6 +34,10 @@ class RunConfig:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.repeats < 1:
             raise ParameterError("repeats must be at least 1")
+        if not 0.0 < self.rms_fraction <= 1.0:
+            raise ParameterError("rms fraction must lie in (0, 1]")
+        if self.bss_threshold < 1:
+            raise ParameterError("bss threshold must be at least 1")
         self.constraint()  # validates the interval
 
     def constraint(self) -> ReductionConstraint:

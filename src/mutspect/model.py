@@ -3,10 +3,10 @@
 A model is a stack of fully-connected layers, ReLU activations on every
 hidden layer and softmax on the last one.  All parameters are float64 and
 arrays are frozen after construction, so every forward pass is a pure
-function of (model, input).  There is one forward engine, batch_outputs;
-forward and predict evaluate a single point through it.  It allocates one
-array per layer (the product with the weights) and applies the bias, ReLU
-and softmax to that array in place.
+function of (model, input).  There is one forward engine, batch_outputs: it
+allocates one array per layer (the product with the weights) and applies the
+bias, ReLU and softmax to that array in place.  forward evaluates a single
+point through it, and predictions_with_flags reads predicted classes off it.
 """
 
 from __future__ import annotations
@@ -138,11 +138,6 @@ def forward(model: FcnnClassifier, features) -> np.ndarray:
     return batch_outputs(model, x[None, :])[0]
 
 
-def predict(model: FcnnClassifier, features) -> int:
-    """Predicted class index; ties resolved to the lowest index."""
-    return int(np.argmax(forward(model, features)))
-
-
 def batch_outputs(model: FcnnClassifier, points, check: bool = True) -> np.ndarray:
     """Softmax outputs for an ordered batch of points, one row per point.
 
@@ -180,7 +175,8 @@ def batch_outputs(model: FcnnClassifier, points, check: bool = True) -> np.ndarr
 
 
 def predictions_with_flags(model: FcnnClassifier, points) -> np.ndarray:
-    """Predicted class per point; -1 marks rows with non-finite outputs."""
+    """Predicted class per point, ties to the lowest index; -1 marks rows
+    with non-finite outputs."""
     out = batch_outputs(model, points, check=False)
     preds = np.argmax(out, axis=1).astype(np.int64)
     preds[~np.isfinite(out).all(axis=1)] = -1

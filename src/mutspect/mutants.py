@@ -305,23 +305,31 @@ def _manifest_entry(kind: MutatorKind, mutant_id: int, target: tuple, seed: int,
             "seed": seed, "params": params, "partner": target[2] if len(target) > 2 else None}
 
 
+def _integer(entry: dict, key: str) -> int:
+    # JSON 1.5, "1" and true would otherwise be coerced to a different target
+    value = entry[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"manifest field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def rebuild_mutant(original: FcnnClassifier, entry: dict) -> MutantRecord:
     """The one operator dispatch: a manifest entry (or a fresh draw) -> mutant."""
     kind = MutatorKind(entry["kind"])
-    mid = int(entry["id"])
-    layer = int(entry["layer"])
-    neuron = int(entry["neuron"])
+    mid = _integer(entry, "id")
+    layer = _integer(entry, "layer")
+    neuron = _integer(entry, "neuron")
     if kind is MutatorKind.GAUSSIAN_FUZZING:
         return gaussian_fuzz(
-            original, layer, neuron, float(entry["params"]["sigma"]), int(entry["seed"]), mid
+            original, layer, neuron, float(entry["params"]["sigma"]), _integer(entry, "seed"), mid
         )
     if kind is MutatorKind.WEIGHT_SHUFFLE:
-        return weight_shuffle(original, layer, neuron, int(entry["seed"]), mid)
+        return weight_shuffle(original, layer, neuron, _integer(entry, "seed"), mid)
     if kind is MutatorKind.NEURON_EFFECT_BLOCK:
         return neuron_effect_block(original, layer, neuron, mid)
     if kind is MutatorKind.NEURON_ACTIVATION_INVERSE:
         return neuron_activation_inverse(original, layer, neuron, mid)
-    return neuron_switch(original, layer, neuron, int(entry["partner"]), mid)
+    return neuron_switch(original, layer, neuron, _integer(entry, "partner"), mid)
 
 
 def save_manifest(mutant_set: MutantSet, path) -> None:

@@ -6,14 +6,13 @@ behavioural signature.  The distance between two mutants is the maximum over
 outputs of the Euclidean distance between their signatures, and similarity is
 exp(-distance), giving edge weights in [0, 1] for a complete graph.
 
-Signatures are written mutant by mutant into one (|M|, q, |S|) array, and the
-graph reads them one output at a time, so neither step copies the whole set.
+Signatures are written mutant by mutant into one (|M|, q, |S|) array, trimmed
+to the mutants with finite outputs; the graph reads it one output at a time,
+so neither step copies the whole set.
 """
 
 from __future__ import annotations
 
-import os
-import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,6 @@ from scipy.spatial.distance import cdist
 from .dataset import LabeledDataset
 from .errors import (
     DegenerateGraphError,
-    FormatError,
     MissingMutantError,
     NumericError,
     ParameterError,
@@ -31,7 +29,7 @@ from .errors import (
 )
 from .model import batch_outputs
 from .mutants import MutantSet
-from .util import open_fresh, philox_rng, readonly, sha256_bytes
+from .util import philox_rng, readonly, sha256_bytes
 
 TRANSFORM_DFT = "dft-magnitude"
 TRANSFORM_RAW = "raw-output"
@@ -108,7 +106,6 @@ class SpectraSet:
     sample: SampleSet
     transform: str
     failed: tuple[int, ...] = ()
-    sample_hash: str = ""
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
@@ -116,8 +113,6 @@ class SpectraSet:
             raise ValidationError(f"spectra values {vals.shape} do not fit "
                                   f"({len(self.ids)}, q, {len(self.sample)})")
         object.__setattr__(self, "values", readonly(vals))
-        if not self.sample_hash:
-            object.__setattr__(self, "sample_hash", self.sample.content_hash())
 
     def index_of(self, mutant_id: int) -> int:
         if mutant_id in self.failed:
@@ -146,55 +141,22 @@ def mutant_spectra(
     non-finite outputs are quarantined, not raised.  Mutants are evaluated
     one at a time in id order, so only one output matrix is alive at once.
     """
+    if transform not in (TRANSFORM_DFT, TRANSFORM_RAW):
+        raise ParameterError(f"unknown transform {transform!r}")
     points = dataset.features[sample.indices]
-    records = sorted(mutants.mutants, key=lambda m: m.mutant_id)
-    outputs = ((r.mutant_id, batch_outputs(r.model, points, check=False)) for r in records)
-    return _assemble(len(records), outputs, sample, transform)
-
-
-def spectra_from_outputs(
-    outputs_by_id: dict[int, np.ndarray],
-    sample: SampleSet,
-    transform: str = TRANSFORM_DFT,
-) -> SpectraSet:
-    """Build a SpectraSet from output matrices (|S| x q each), keyed by mutant id.
-
-    Mutants whose matrix holds a non-finite value are quarantined in
-    ``failed``; q comes from the matrices given, quarantined ones included.
-    """
-    outputs = ((m, outputs_by_id[m]) for m in sorted(outputs_by_id))
-    return _assemble(len(outputs_by_id), outputs, sample, transform)
-
-
-def _assemble(count: int, outputs, sample: SampleSet, transform: str) -> SpectraSet:
-    # ``outputs`` yields (id, (|S|, q) matrix) in id order; each feature block
-    # goes into one preallocated (count, q, |S|) array, trimmed at the end
-    ids, failed, values = [], [], None
-    for mutant_id, out in outputs:
-        out = np.asarray(out, dtype=np.float64)
-        if out.ndim != 2 or out.shape[0] != len(sample):
-            raise ParameterError(
-                f"mutant {mutant_id}: output matrix must be (|S|, q), got {out.shape}"
-            )
-        if values is None:
-            values = np.empty((count, out.shape[1], len(sample)))
-        elif out.shape[1] != values.shape[1]:
-            raise ParameterError(
-                f"mutant {mutant_id}: expected {values.shape[1]} outputs, got {out.shape[1]}"
-            )
+    values = np.empty((len(mutants), mutants.original.num_outputs, len(sample)))
+    ids, failed = [], []
+    for record in sorted(mutants.mutants, key=lambda m: m.mutant_id):
+        out = batch_outputs(record.model, points, check=False)  # (|S|, q)
         if not np.isfinite(out).all():
-            failed.append(mutant_id)
+            failed.append(record.mutant_id)
             continue
         block = values[len(ids)]
         if transform == TRANSFORM_DFT:
             np.abs(np.fft.fft(out, axis=0).T, out=block)
-        elif transform == TRANSFORM_RAW:
-            block[...] = out.T
         else:
-            raise ParameterError(f"unknown transform {transform!r}")
-        ids.append(mutant_id)
-    if values is None:
-        values = np.empty((0, 0, len(sample)))
+            block[...] = out.T
+        ids.append(record.mutant_id)
     return SpectraSet(tuple(ids), values[: len(ids)], sample, transform, tuple(failed))
 
 
@@ -214,17 +176,15 @@ def mutant_similarity(a: int, b: int, spectra: SpectraSet) -> float:
 class SimilarityGraph:
     """Complete weighted undirected simple graph over usable mutant ids.
 
-    Weights live in [0, 1] (exp(-distance) may underflow to 0); exactly one
-    weight per unordered distinct pair.  Self-edges are not stored (the
-    diagonal of the internal table is a placeholder and not exposed).  The
-    table must be square, sized to ``ids``, finite, exactly symmetric and
-    inside [0, 1]; anything else raises ValidationError.
+    ``weights[i, j]`` is the edge between ``ids[i]`` and ``ids[j]``; it lies
+    in [0, 1] (exp(-distance) may underflow to 0).  The diagonal is a 1.0
+    placeholder, not a self-edge.  The table must be square, sized to
+    ``ids``, finite, exactly symmetric and inside [0, 1]; anything else
+    raises ValidationError.
     """
 
     ids: tuple[int, ...]
     weights: np.ndarray  # (n, n) symmetric, diagonal 1.0
-    sample_hash: str
-    transform: str
     _trajectory: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -239,20 +199,6 @@ class SimilarityGraph:
     @property
     def n_nodes(self) -> int:
         return len(self.ids)
-
-    def weight(self, a: int, b: int) -> float:
-        if a == b:
-            raise ParameterError("self-edges are not stored")
-        try:
-            i, j = self.ids.index(a), self.ids.index(b)
-        except ValueError as exc:
-            raise MissingMutantError(str(exc)) from None
-        return float(self.weights[i, j])
-
-    def edges(self):
-        for i in range(self.n_nodes):
-            for j in range(i + 1, self.n_nodes):
-                yield self.ids[i], self.ids[j], float(self.weights[i, j])
 
 
 def build_similarity_graph(mutants: MutantSet, spectra: SpectraSet) -> SimilarityGraph:
@@ -276,60 +222,4 @@ def build_similarity_graph(mutants: MutantSet, spectra: SpectraSet) -> Similarit
     upper = np.triu(np.exp(-delta), 1)
     weights = upper + upper.T
     np.fill_diagonal(weights, 1.0)
-    return SimilarityGraph(tuple(wanted), weights, spectra.sample_hash, spectra.transform)
-
-
-# ---------------------------------------------------------------------------
-# Columnar export of a SpectraSet (npz), keyed by mutant id and output index,
-# with the sample manifest embedded.  Enables the spectra-only workflow where
-# a host framework supplies precomputed output matrices instead of models.
-# ---------------------------------------------------------------------------
-
-SPECTRA_FORMAT_VERSION = 1
-
-
-def save_spectra(spectra: SpectraSet, path) -> None:
-    path = os.fspath(path)  # np.savez appends ".npz" to a path, not to an open file
-    with open_fresh(path if path.endswith(".npz") else path + ".npz", "wb") as f:
-        np.savez(
-            f,
-            version=np.int64(SPECTRA_FORMAT_VERSION),
-            ids=np.asarray(spectra.ids, dtype=np.int64),
-            values=spectra.values,
-            failed=np.asarray(spectra.failed, dtype=np.int64),
-            transform=np.asarray(spectra.transform),
-            sample_indices=spectra.sample.indices,
-            sample_rate=np.int64(spectra.sample.per_class_rate),
-            sample_seed=np.int64(spectra.sample.seed),
-            sample_truncated=np.asarray(spectra.sample.truncated_classes, dtype=np.int64),
-        )
-
-
-def load_spectra(path) -> SpectraSet:
-    """Read a file written by save_spectra.
-
-    A file that is not an npz archive, or lacks a key, or holds a key of the
-    wrong type or shape, raises FormatError.
-    """
-    try:
-        with np.load(path) as data:
-            if int(data["version"]) != SPECTRA_FORMAT_VERSION:
-                raise ParameterError(
-                    f"unsupported spectra format version {int(data['version'])}"
-                )
-            sample = SampleSet(
-                data["sample_indices"],
-                int(data["sample_rate"]),
-                int(data["sample_seed"]),
-                tuple(int(c) for c in data["sample_truncated"]),
-            )
-            return SpectraSet(
-                tuple(int(i) for i in data["ids"]),
-                data["values"],
-                sample,
-                str(data["transform"]),
-                tuple(int(i) for i in data["failed"]),
-            )
-    except (KeyError, TypeError, ValueError, AttributeError, EOFError,
-            zipfile.BadZipFile) as exc:
-        raise FormatError(f"{path}: not a readable spectra file: {exc}") from None
+    return SimilarityGraph(tuple(wanted), weights)

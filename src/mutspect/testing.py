@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .errors import UndefinedScoreError, ValidationError
-from .model import FcnnClassifier, predict, predictions_with_flags
+from .model import FcnnClassifier, predictions_with_flags
 from .mutants import MutantSet
 from .util import phase_timer
 
@@ -45,11 +45,6 @@ class MutantVerdict:
     def __post_init__(self):
         if self.provenance == PROPAGATED and self.representative_id is None:
             raise ValidationError("propagated verdicts must cite a representative")
-
-    @property
-    def killed_by_count(self) -> bool | None:
-        """Boolean form of the scoring semantics: at least one killing label."""
-        return None if self.killing_count is None else self.killing_count >= 1
 
 
 @dataclass
@@ -85,17 +80,6 @@ class VerdictTable:
             for m, v in sorted(self.verdicts.items())
             if v.killing_count is not None
         }
-
-
-def kill(original: FcnnClassifier, mutant: FcnnClassifier, features, label: int) -> bool:
-    """True iff the original predicts ``label`` and the mutant does not."""
-    if predict(original, features) != int(label):
-        return False
-    out = predictions_with_flags(mutant, np.asarray(features)[None, :])
-    if out[0] == -1:
-        log.warning("mutant produced non-finite output; counted as misprediction")
-        return True
-    return int(out[0]) != int(label)
 
 
 def _verdict_from_predictions(

@@ -11,7 +11,8 @@ from mutspect.spectra import (
     SampleSet,
     TRANSFORM_DFT,
     TRANSFORM_RAW,
-    spectra_from_outputs,
+    SpectraSet,
+    dft_magnitude,
     mutant_similarity,
 )
 from mutspect.synth import diverse_mutant_set, fitted_classifier, gaussian_blobs
@@ -154,9 +155,10 @@ class TestRawClusterVariant:
         rolled = np.roll(base, 2, axis=0)
         far = rng.uniform(0.1, 0.9, size=(6, 1))
         sample = SampleSet(np.arange(6), 2, 0)
-        outputs = {0: base, 1: rolled, 2: far}
-        dft = spectra_from_outputs(outputs, sample, TRANSFORM_DFT)
-        raw = spectra_from_outputs(outputs, sample, TRANSFORM_RAW)
+        outputs = [base, rolled, far]  # (|S|, q) each
+        dft = SpectraSet((0, 1, 2), [[dft_magnitude(col) for col in out.T] for out in outputs],
+                         sample, TRANSFORM_DFT)
+        raw = SpectraSet((0, 1, 2), [out.T for out in outputs], sample, TRANSFORM_RAW)
         assert mutant_similarity(0, 1, dft) == pytest.approx(1.0, abs=1e-12)
         assert mutant_similarity(0, 1, raw) < 1.0
         # DC bin (sum of the series) is permutation-invariant

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import struct
 
 import pytest
@@ -327,13 +328,60 @@ def test_bad_config_value_is_exit_2(workdir, tmp_path, capsys, line):
     assert "run.cfg:2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("grid", [["--x-grid", "a,b"], ["--tau-grid", "0.5,x"]])
+@pytest.mark.parametrize("grid", [["--x-grid", "a,b"], ["--tau-grid", "0.5,x"],
+                                  ["--x-grid", ""], ["--tau-grid", ""]])
 def test_bad_sweep_grid_is_exit_2(workdir, tmp_path, capsys, grid):
     root, model_path, data_path, manifest = workdir
     rc = main(["sweep", "--model", str(model_path), "--dataset", str(data_path),
                "--manifest", str(manifest), "--out", str(tmp_path), *grid])
     assert rc == 2
     assert "comma lists of numbers" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def generate_manifest(model_path, out, *extra) -> bytes:
+    assert main(["generate", "--model", str(model_path), "--count", "8",
+                 "--out", str(out), *extra]) == 0
+    return (out / "manifest.json").read_bytes()
+
+
+def test_generate_reads_generation_seed_from_config(workdir, tmp_path):
+    root, model_path, _, _ = workdir
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("generation_seed=7\n")
+    from_file = generate_manifest(model_path, tmp_path / "file", "--config", str(cfg))
+    from_flag = generate_manifest(model_path, tmp_path / "flag", "--seed", "7")
+    assert from_file == from_flag
+    assert json.loads(from_file)["generation_seed"] == 7
+    # an explicit --seed still overrides the file
+    overridden = generate_manifest(model_path, tmp_path / "both", "--config", str(cfg),
+                                   "--seed", "3")
+    assert overridden == generate_manifest(model_path, tmp_path / "three", "--seed", "3")
+    assert overridden != from_file
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("rms_fraction", 0.0, "rms fraction must lie in (0, 1]"),
+    ("rms_fraction", 1.5, "rms fraction must lie in (0, 1]"),
+    ("bss_threshold", 0, "bss threshold must be at least 1"),
+], ids=["rms-zero", "rms-above-one", "bss-zero"])
+def test_out_of_range_baseline_parameter(tmp_path, capsys, key, value, message):
+    from mutspect.config import build_config, parse_config_file
+    from mutspect.errors import ParameterError
+
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        build_config(**{key: value})
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        build_config(parse_config_file(cfg))
+    # rejected before any input is loaded: the input paths do not exist
+    missing = ["--model", str(tmp_path / "nope.fcnn"), "--dataset", str(tmp_path / "nope.fdst"),
+               "--manifest", str(tmp_path / "nope.json"), "--out", str(tmp_path)]
+    flag = "--" + key.replace("_", "-")
+    for argv in (["--config", str(cfg)], [flag, str(value)]):
+        assert main(["run", "--mode", "vanilla", *argv, *missing]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_report_names_quarantined_mutants(workdir, monkeypatch):

@@ -21,7 +21,7 @@ def graph_from_weights(weights, ids=None):
     w = np.asarray(weights, dtype=np.float64)
     n = w.shape[0]
     ids = tuple(range(n)) if ids is None else tuple(ids)
-    return SimilarityGraph(ids, w, sample_hash="test", transform="dft-magnitude")
+    return SimilarityGraph(ids, w)
 
 
 def random_weight_table(n, rng):
@@ -368,11 +368,6 @@ class TestRepresentatives:
         a = select_representatives(cs, seed=9)
         b = select_representatives(cs, seed=9)
         assert a == b
-
-    def test_deterministic_mode(self):
-        cs = ClusterSet(((3, 7, 9), (1, 2)), tau=0.5)
-        reps = select_representatives(cs, seed=0, deterministic=True)
-        assert reps.representatives() == [1, 3]
 
     def test_uniform_pick_frequencies(self):
         cs = ClusterSet(((0, 1, 2, 3),), tau=0.5)

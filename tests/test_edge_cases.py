@@ -1,4 +1,4 @@
-"""Edge-case coverage: label gaps, single-class scoring, ragged host inputs."""
+"""Edge-case coverage: label gaps, single-class scoring, sampling and seeding."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,7 @@ from mutspect.dataset import LabeledDataset
 from mutspect.errors import ParameterError
 from mutspect.mutants import MutatorKind, generate_mutant_set
 from mutspect.pipeline import Seeds, run_accelerated
-from mutspect.spectra import (
-    SampleSet,
-    spectra_from_outputs,
-    stratified_sample,
-)
+from mutspect.spectra import stratified_sample
 from mutspect.synth import fitted_classifier
 from mutspect.testing import mutation_score, vanilla_test
 from mutspect.util import philox_rng
@@ -48,19 +44,6 @@ def test_single_class_dataset_scores():
     assert table.labels == (0,)
     score = mutation_score(table)
     assert 0.0 <= score <= 1.0  # counts are 0 or 1 with a single label
-
-
-def test_host_outputs_must_agree_on_output_count():
-    sample = SampleSet(np.arange(4), 1, 0)
-    outputs = {0: np.full((4, 3), 0.25), 1: np.full((4, 2), 0.5)}
-    with pytest.raises(ParameterError, match="expected 3 outputs"):
-        spectra_from_outputs(outputs, sample)
-
-
-def test_host_outputs_wrong_sample_length():
-    sample = SampleSet(np.arange(4), 1, 0)
-    with pytest.raises(ParameterError, match="must be"):
-        spectra_from_outputs({0: np.full((3, 2), 0.5)}, sample)
 
 
 def test_sampling_rejects_nonpositive_rate():

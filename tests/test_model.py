@@ -17,7 +17,7 @@ from mutspect.model import (
     forward,
     load_model,
     model_hash,
-    predict,
+    predictions_with_flags,
     save_model,
     serialize_model,
 )
@@ -77,11 +77,13 @@ def test_softmax_rows_valid(random_net):
 
 def test_predict_tie_breaks_to_lowest_index():
     net = FcnnClassifier((DenseLayer(np.zeros((2, 2)), np.zeros(2), SOFTMAX),))
-    assert predict(net, [1.0, 2.0]) == 0
+    assert predictions_with_flags(net, [[1.0, 2.0]]).tolist() == [0]
 
 
 def test_predict_unique_max(fixture_net):
-    assert predict(fixture_net, HAND_INPUT) == int(np.argmax(HAND_OUTPUT))
+    assert predictions_with_flags(fixture_net, HAND_INPUT[None, :]).tolist() == [
+        int(np.argmax(HAND_OUTPUT))
+    ]
 
 
 def test_predict_invariant_under_logit_rescaling(random_net):
@@ -93,9 +95,10 @@ def test_predict_invariant_under_logit_rescaling(random_net):
             random_net.layers[:-1]
             + (DenseLayer(c * last.weights, c * last.biases, SOFTMAX),)
         )
-        for _ in range(20):
-            x = rng.normal(size=random_net.input_dim)
-            assert predict(random_net, x) == predict(scaled, x)
+        x = rng.normal(size=(20, random_net.input_dim))
+        np.testing.assert_array_equal(
+            predictions_with_flags(random_net, x), predictions_with_flags(scaled, x)
+        )
 
 
 def test_batch_outputs_empty(random_net):

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from mutspect.errors import TargetError, UnsupportedTargetError, ValidationError
+from mutspect.errors import MutspectError, TargetError, UnsupportedTargetError, ValidationError
 from mutspect.model import batch_outputs, model_hash
 from mutspect.mutants import (
     ALL_KINDS,
@@ -278,6 +280,56 @@ class TestManifest:
         assert [model_hash(m.model) for m in loaded.mutants] == [
             model_hash(m.model) for m in ms.mutants
         ]
+
+    def test_save_load_save_is_byte_identical(self, tmp_path, random_net):
+        ms = diverse_mutant_set(random_net, 12, seed=5)  # every operator kind
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_manifest(ms, first)
+        loaded = load_manifest(first, random_net)
+        save_manifest(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+        assert [model_hash(m.model) for m in loaded.mutants] == [
+            model_hash(m.model) for m in ms.mutants
+        ]
+
+    def test_every_truncated_prefix_raises(self, tmp_path, random_net):
+        ms = diverse_mutant_set(random_net, 6, seed=5)
+        path = tmp_path / "manifest.json"
+        save_manifest(ms, path)
+        data = path.read_bytes()
+        assert data.endswith(b"\n")
+        for n in range(len(data)):
+            prefix = tmp_path / f"prefix_{n}.json"  # a fresh path each time
+            prefix.write_bytes(data[:n])
+            if n == len(data) - 1:
+                loaded = load_manifest(prefix, random_net)
+                assert [model_hash(m.model) for m in loaded.mutants] == [
+                    model_hash(m.model) for m in ms.mutants
+                ]
+            else:
+                with pytest.raises(MutspectError):
+                    load_manifest(prefix, random_net)
+
+    @pytest.mark.parametrize("mutant_id, key, value", [
+        (0, "layer", 1.5),
+        (0, "layer", "0"),
+        (0, "id", True),
+        (0, "neuron", 0.0),
+        (0, "seed", "5"),  # gaussian fuzzing reads its seed
+        (1, "seed", 2.0),  # so does weight shuffle
+        (7, "partner", 1.5),  # neuron switch
+    ])
+    def test_non_integer_field_rejected(self, tmp_path, random_net, mutant_id, key, value):
+        ms = diverse_mutant_set(random_net, 8, seed=5)
+        path = tmp_path / "manifest.json"
+        save_manifest(ms, path)
+        payload = json.loads(path.read_text())
+        entry = payload["mutants"][mutant_id]
+        assert entry["id"] == mutant_id and isinstance(entry[key], int)
+        entry[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=f"'{key}' must be an integer"):
+            load_manifest(path, random_net)
 
     def test_wrong_original_rejected(self, tmp_path, random_net):
         ms = generate_mutant_set(random_net, 3, seed=1)

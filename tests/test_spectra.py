@@ -1,14 +1,10 @@
-import io
-
 import numpy as np
 import pytest
 
 from mutspect.dataset import LabeledDataset
 from mutspect.errors import (
     DegenerateGraphError,
-    FormatError,
     MissingMutantError,
-    MutspectError,
     NumericError,
     ParameterError,
     SpectraFailureError,
@@ -24,12 +20,9 @@ from mutspect.spectra import (
     SpectraSet,
     build_similarity_graph,
     dft_magnitude,
-    load_spectra,
     mutant_distance,
     mutant_similarity,
     mutant_spectra,
-    save_spectra,
-    spectra_from_outputs,
     stratified_sample,
 )
 from mutspect.util import philox_rng
@@ -193,12 +186,13 @@ class TestMutantSpectra:
         graph = build_similarity_graph(ms, spectra)
         assert graph.ids == (0, 2)
 
-    def test_all_quarantined_keeps_output_count(self):
-        sample = SampleSet(np.arange(3), 1, 0)
-        outputs = {7: np.full((3, 4), np.nan), 9: np.full((3, 4), np.inf)}
-        spectra = spectra_from_outputs(outputs, sample)
-        assert spectra.failed == (7, 9)
-        assert spectra.values.shape == (0, 4, 3)
+    def test_unknown_transform_raises_before_any_forward_pass(self, random_net):
+        ds = blob_dataset(dim=random_net.input_dim)
+        ms = generate_mutant_set(random_net, 2, seed=8)
+        with count_forward_passes() as counter:
+            with pytest.raises(ParameterError, match="unknown transform 'fft'"):
+                mutant_spectra(ms, ds, stratified_sample(ds, 1, 0), "fft")
+        assert counter.count == 0
 
     def test_vector_length_is_sample_size(self, random_net):
         ds = blob_dataset(dim=random_net.input_dim)
@@ -270,28 +264,23 @@ class TestSimilarityGraph:
         ms = MutantSet(random_net, [a, b], 0)
         spectra = mutant_spectra(ms, ds, stratified_sample(ds, 1, 0))
         graph = build_similarity_graph(ms, spectra)
-        assert list(graph.edges()) == [(0, 1, 1.0)]
+        assert graph.ids == (0, 1) and graph.weights[0, 1] == 1.0
 
     def test_completeness_and_symmetry(self, random_net):
         ds = blob_dataset(dim=random_net.input_dim)
         ms = generate_mutant_set(random_net, 6, seed=6)
         spectra = mutant_spectra(ms, ds, stratified_sample(ds, 2, 3))
         graph = build_similarity_graph(ms, spectra)
-        edges = list(graph.edges())
-        assert len(edges) == 15  # C(6, 2)
-        for a, b, w in edges:
+        assert graph.ids == tuple(sorted(ms.ids()))
+        rows, cols = np.triu_indices(graph.n_nodes, k=1)
+        assert len(rows) == 15  # C(6, 2)
+        for i, j in zip(rows, cols):
+            w = graph.weights[i, j]
             assert 0 < w <= 1
-            assert graph.weight(a, b) == graph.weight(b, a) == w
+            assert graph.weights[j, i] == w
             # brute-force pairwise recomputation
+            a, b = graph.ids[i], graph.ids[j]
             assert w == pytest.approx(mutant_similarity(a, b, spectra), abs=1e-12)
-
-    def test_self_edge_rejected(self, random_net):
-        ds = blob_dataset(dim=random_net.input_dim)
-        ms = generate_mutant_set(random_net, 3, seed=1)
-        spectra = mutant_spectra(ms, ds, stratified_sample(ds, 1, 0))
-        graph = build_similarity_graph(ms, spectra)
-        with pytest.raises(ParameterError):
-            graph.weight(0, 0)
 
     def test_degenerate_graph(self, random_net):
         ds = blob_dataset(dim=random_net.input_dim)
@@ -301,20 +290,12 @@ class TestSimilarityGraph:
         with pytest.raises(DegenerateGraphError):
             build_similarity_graph(ms, spectra)
 
-    def test_sample_hash_propagates(self, random_net):
-        ds = blob_dataset(dim=random_net.input_dim)
-        ms = generate_mutant_set(random_net, 3, seed=1)
-        sample = stratified_sample(ds, 1, 0)
-        spectra = mutant_spectra(ms, ds, sample)
-        graph = build_similarity_graph(ms, spectra)
-        assert graph.sample_hash == sample.content_hash() == spectra.sample_hash
-
 
 class TestSimilarityGraphValidation:
     def make(self, weights, ids=None):
         w = np.asarray(weights, dtype=np.float64)
         ids = tuple(range(w.shape[0])) if ids is None else ids
-        return SimilarityGraph(ids, w, sample_hash="test", transform=TRANSFORM_DFT)
+        return SimilarityGraph(ids, w)
 
     def test_nan_weight(self):
         with pytest.raises(ValidationError):
@@ -339,105 +320,15 @@ class TestSimilarityGraphValidation:
 
     def test_zero_weight_accepted(self):
         # exp(-distance) underflows to exactly 0 for very distant mutants
-        assert self.make([[1.0, 0.0], [0.0, 1.0]]).weight(0, 1) == 0.0
+        assert self.make([[1.0, 0.0], [0.0, 1.0]]).weights[0, 1] == 0.0
 
 
 class TestSpectraIO:
-    def test_round_trip(self, tmp_path, random_net):
-        ds = blob_dataset(dim=random_net.input_dim)
-        ms = generate_mutant_set(random_net, 4, seed=9)
-        spectra = mutant_spectra(ms, ds, stratified_sample(ds, 2, 7))
-        path = tmp_path / "spectra.npz"
-        save_spectra(spectra, path)
-        loaded = load_spectra(path)
-        assert loaded.ids == spectra.ids
-        assert loaded.transform == spectra.transform
-        assert loaded.values.tobytes() == spectra.values.tobytes()
-        assert loaded.sample.content_hash() == spectra.sample.content_hash()
-
     def test_misshaped_values_rejected(self):
         sample = SampleSet(np.arange(3), 1, 0)
         for shape in ((2, 4, 3), (3, 4, 2), (3, 3), (3, 4, 3, 1)):
             with pytest.raises(ValidationError):
                 SpectraSet((0, 1, 2), np.zeros(shape), sample, TRANSFORM_DFT)
-
-    def test_load_misshaped_npz(self, tmp_path):
-        path = tmp_path / "bad.npz"
-        np.savez(
-            path,
-            version=np.int64(1),
-            ids=np.arange(3, dtype=np.int64),
-            values=np.zeros((2, 4, 5)),  # two rows for three ids
-            failed=np.zeros(0, dtype=np.int64),
-            transform=np.asarray(TRANSFORM_DFT),
-            sample_indices=np.arange(5, dtype=np.int64),
-            sample_rate=np.int64(1),
-            sample_seed=np.int64(0),
-            sample_truncated=np.zeros(0, dtype=np.int64),
-        )
-        with pytest.raises(MutspectError):
-            load_spectra(path)
-
-    @staticmethod
-    def npz_bytes(**overrides) -> io.BytesIO:
-        """A spectra npz in memory, with keys replaced (None drops the key)."""
-        keys = dict(
-            version=np.int64(1),
-            ids=np.arange(2, dtype=np.int64),
-            values=np.zeros((2, 4, 3)),
-            failed=np.zeros(0, dtype=np.int64),
-            transform=np.asarray(TRANSFORM_DFT),
-            sample_indices=np.arange(3, dtype=np.int64),
-            sample_rate=np.int64(1),
-            sample_seed=np.int64(0),
-            sample_truncated=np.zeros(0, dtype=np.int64),
-        )
-        keys.update(overrides)
-        buf = io.BytesIO()
-        np.savez(buf, **{k: v for k, v in keys.items() if v is not None})
-        buf.seek(0)
-        return buf
-
-    def test_load_in_memory_npz(self):
-        assert load_spectra(self.npz_bytes()).values.shape == (2, 4, 3)
-
-    @pytest.mark.parametrize("overrides", [
-        {"failed": None},
-        {"values": None},
-        {"values": np.array([["a", "b"]])},
-        {"version": np.arange(2)},
-        {"ids": np.int64(3)},
-    ], ids=["no-failed", "no-values", "string-values", "array-version", "scalar-ids"])
-    def test_missing_or_mistyped_key_is_format_error(self, overrides):
-        with pytest.raises(FormatError):
-            load_spectra(self.npz_bytes(**overrides))
-
-    @pytest.mark.parametrize("payload", [b"", b"not an npz at all", b"PK\x03\x04broken"],
-                             ids=["empty", "text", "broken-zip"])
-    def test_not_an_npz_is_format_error(self, payload):
-        with pytest.raises(FormatError):
-            load_spectra(io.BytesIO(payload))
-
-    def test_npy_is_format_error(self):
-        buf = io.BytesIO()
-        np.save(buf, np.zeros(3))
-        buf.seek(0)
-        with pytest.raises(FormatError):
-            load_spectra(buf)
-
-    def test_spectra_from_outputs_matches_model_path(self, random_net):
-        ds = blob_dataset(dim=random_net.input_dim)
-        ms = generate_mutant_set(random_net, 3, seed=5)
-        sample = stratified_sample(ds, 2, 1)
-        via_models = mutant_spectra(ms, ds, sample)
-        from mutspect.model import batch_outputs
-
-        outputs = {
-            rec.mutant_id: batch_outputs(rec.model, ds.features[sample.indices])
-            for rec in ms.mutants
-        }
-        via_outputs = spectra_from_outputs(outputs, sample)
-        assert via_outputs.values.tobytes() == via_models.values.tobytes()
 
     def test_raw_transform_uses_output_columns(self, random_net):
         ds = blob_dataset(dim=random_net.input_dim)
@@ -452,8 +343,9 @@ class TestSpectraIO:
 
 
 class TestStreamedAssembly:
-    """mutant_spectra and spectra_from_outputs write each mutant's features
-    into one preallocated array; pinned against per-mutant reference rows."""
+    """mutant_spectra writes each mutant's features into one preallocated
+    array and trims it to the usable rows; pinned against per-mutant
+    reference rows."""
 
     @staticmethod
     def exploding(net):
@@ -498,12 +390,6 @@ class TestStreamedAssembly:
         expected = np.stack([rows[m] for m in (2, 5, 9)])
         assert spectra.values.tobytes() == expected.tobytes()
 
-    def test_q_mismatch_after_quarantined_first_names_the_mutant(self):
-        sample = SampleSet(np.arange(4), 1, 0)
-        outputs = {0: np.full((4, 3), np.nan), 1: np.full((4, 3), 0.25), 6: np.full((4, 2), 0.5)}
-        with pytest.raises(ParameterError, match="^mutant 6: expected 3 outputs, got 2$"):
-            spectra_from_outputs(outputs, sample)
-
     def test_all_quarantined_models_keep_shape(self, random_net):
         from mutspect.mutants import MutantRecord, MutatorKind
 
@@ -524,10 +410,10 @@ class TestStreamedAssembly:
         subset = MutantSet(random_net, [ms.by_id(m) for m in subset_ids], 0)
         graph = build_similarity_graph(subset, spectra)
         assert graph.ids == tuple(sorted(subset_ids))
-        for a in graph.ids:
-            for b in graph.ids:
+        for i, a in enumerate(graph.ids):
+            for j, b in enumerate(graph.ids):
                 if a != b:
-                    assert graph.weight(a, b) == pytest.approx(
+                    assert graph.weights[i, j] == pytest.approx(
                         mutant_similarity(a, b, spectra), rel=1e-12, abs=0)
 
     def test_peak_memory_is_one_values_array(self, random_net):

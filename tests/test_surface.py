@@ -1,16 +1,13 @@
-"""Interface-level checks: stored mutant models, baseline dispatch, margin
-tie handling."""
+"""Interface-level checks: stored mutant models, margin tie handling."""
 
 import numpy as np
 import pytest
 
-from mutspect.baselines import BaselineConfig, baseline_test, bss_select
+from mutspect.baselines import bss_select
 from mutspect.dataset import LabeledDataset
-from mutspect.errors import ParameterError
 from mutspect.model import SOFTMAX, DenseLayer, FcnnClassifier, load_model
 from mutspect.mutants import generate_mutant_set
 from mutspect.synth import fitted_classifier, gaussian_blobs
-from mutspect.testing import mutation_score, vanilla_test
 
 
 @pytest.fixture(scope="module")
@@ -54,19 +51,3 @@ def test_bss_zero_margin_ties_by_index():
     sel = bss_select(net, ds, threshold=5)
     assert sel.tolist() == [0, 1]
 
-
-def test_baseline_dispatch(world):
-    ds, model, mutants = world
-    vanilla = vanilla_test(model, mutants, ds)
-    table = baseline_test(model, mutants, ds, BaselineConfig("rms", rms_fraction=1.0))
-    assert mutation_score(table) == mutation_score(vanilla)
-    table = baseline_test(model, mutants, ds, BaselineConfig("bss", bss_threshold=1))
-    assert mutation_score(table) == mutation_score(vanilla)
-    table = baseline_test(
-        model, mutants, ds, BaselineConfig("rss", per_class_rate=1000)
-    )
-    assert mutation_score(table) == mutation_score(vanilla)
-    with pytest.raises(ParameterError):
-        baseline_test(model, mutants, ds, BaselineConfig("rss"))
-    with pytest.raises(ParameterError):
-        BaselineConfig("rms", rms_fraction=0.0)

@@ -3,7 +3,7 @@ import pytest
 
 from mutspect.clustering import ClusterSet, select_representatives
 from mutspect.errors import UndefinedScoreError
-from mutspect.model import predict
+from mutspect.model import predictions_with_flags
 from mutspect.mutants import MutantSet, gaussian_fuzz, generate_mutant_set
 from mutspect.testing import (
     PROPAGATED,
@@ -12,7 +12,6 @@ from mutspect.testing import (
     TimingRecord,
     VerdictTable,
     accelerated_test,
-    kill,
     killing_labels,
     mutation_score,
     vanilla_test,
@@ -25,41 +24,6 @@ def blob_world():
     ds = gaussian_blobs(60, 3, 6, seed=5, spread=0.25)
     model = fitted_classifier(ds, hidden=(8,), seed=3, margin=5.0, bias_shift=2.0)
     return ds, model
-
-
-class TestKill:
-    def test_original_wrong_never_kills(self, blob_world):
-        ds, model = blob_world
-        # probe labeled with a class the original does not predict for it
-        x = ds.features[0]
-        wrong_label = (predict(model, x) + 1) % ds.class_count
-        mutant = gaussian_fuzz(model, 0, 0, 2.0, seed=1).model
-        assert not kill(model, mutant, x, wrong_label)
-
-    def test_identical_mutant_never_kills(self, blob_world):
-        ds, model = blob_world
-        for i in range(10):
-            assert not kill(model, model, ds.features[i], int(ds.labels[i]))
-
-    def test_constructed_flip_kills(self, blob_world):
-        import mutspect.model as mm
-
-        ds, model = blob_world
-        # constant-class-0 mutant flips every correctly predicted non-0 point
-        layers = list(model.layers)
-        b = layers[-1].biases.copy()
-        b[0] += 1e6
-        layers[-1] = mm.DenseLayer(layers[-1].weights.copy(), b, mm.SOFTMAX)
-        constant = mm.FcnnClassifier(tuple(layers))
-        idx = next(
-            i
-            for i in range(len(ds))
-            if ds.labels[i] != 0 and predict(model, ds.features[i]) == ds.labels[i]
-        )
-        assert kill(model, constant, ds.features[idx], int(ds.labels[idx]))
-        # verified by two predict calls
-        assert predict(model, ds.features[idx]) == ds.labels[idx]
-        assert predict(constant, ds.features[idx]) != ds.labels[idx]
 
 
 class TestKillingLabels:
@@ -78,7 +42,7 @@ class TestKillingLabels:
         layers[-1] = mm.DenseLayer(layers[-1].weights.copy(), b, mm.SOFTMAX)
         constant = mm.FcnnClassifier(tuple(layers))
         labels = killing_labels(model, constant, ds)
-        preds = np.array([predict(model, x) for x in ds.features])
+        preds = predictions_with_flags(model, ds.features)
         expected = {
             int(l)
             for l in np.unique(ds.labels[(preds == ds.labels) & (ds.labels != 0)])
@@ -91,8 +55,9 @@ class TestKillingLabels:
         got = killing_labels(model, mutant, ds)
         want = set()
         for i in range(len(ds)):
-            x, label = ds.features[i], int(ds.labels[i])
-            if predict(model, x) == label and predict(mutant, x) != label:
+            x, label = ds.features[i : i + 1], int(ds.labels[i])
+            if (predictions_with_flags(model, x)[0] == label
+                    and predictions_with_flags(mutant, x)[0] != label):
                 want.add(label)
         assert got == want
 
@@ -178,10 +143,9 @@ class TestAccelerated:
         rep = reps.representatives()[0]
         base = table.verdicts[rep]
         for m, verdict in table.verdicts.items():
-            # count, count-based boolean and classical status travel together
+            # count and classical status travel together
             assert verdict.killing_count == base.killing_count
             assert verdict.killed == base.killed
-            assert verdict.killed_by_count == (verdict.killing_count >= 1)
 
     def test_duplicate_cluster_propagates_exactly(self, blob_world):
         ds, model = blob_world

@@ -1,7 +1,6 @@
 """Every file writer replaces an existing regular file by a new one (see
 util.open_fresh): a rewrite must give the same bytes as a fresh write, and a
-symlink or hard link must be written through.  Spectra archives carry member
-timestamps, so they are compared by their loaded contents."""
+symlink or hard link must be written through."""
 
 import os
 
@@ -19,7 +18,6 @@ from mutspect.reports import (
     write_sweep_csv,
     write_verdict_csv,
 )
-from mutspect.spectra import load_spectra, mutant_spectra, save_spectra, stratified_sample
 from mutspect.synth import fitted_classifier, gaussian_blobs
 from mutspect.testing import vanilla_test
 
@@ -43,9 +41,6 @@ def world():
         "write_compare_csv": (write_compare_csv, [row, row], [row]),
         "write_sweep_csv": (write_sweep_csv, sweep, SweepResult([], {}, {}, 0.0)),
         "write_rho_csv": (write_rho_csv, sweep, SweepResult([], {}, {}, 0.0)),
-        "save_spectra": (lambda p, s: save_spectra(s, p),
-                         mutant_spectra(mutants, ds, stratified_sample(ds, 2, 1)),
-                         mutant_spectra(few, ds, stratified_sample(ds, 3, 2))),
     }
 
 
@@ -83,51 +78,3 @@ def test_hard_link_is_written_through(world, tmp_path):
     writer(tmp_path / "b", second)
     assert (tmp_path / "a").read_bytes() == (tmp_path / "fresh").read_bytes()
 
-
-def loaded(path):
-    s = load_spectra(path)
-    return (s.ids, s.values.tobytes(), s.failed, s.transform, s.sample.content_hash(),
-            s.sample.truncated_classes)
-
-
-def test_spectra_rewrite_replaces_the_file(world, tmp_path):
-    writer, first, second = world["save_spectra"]
-    writer(tmp_path / "fresh.npz", second)
-    out = tmp_path / "out.npz"
-    writer(out, first)
-    assert loaded(out) != loaded(tmp_path / "fresh.npz")
-    with open(out, "rb") as old:
-        before = old.read()
-        writer(out, second)
-        old.seek(0)
-        assert old.read() == before  # the old file was replaced, not truncated
-    assert loaded(out) == loaded(tmp_path / "fresh.npz")
-
-
-def test_spectra_symlink_is_written_through_and_kept(world, tmp_path):
-    writer, first, second = world["save_spectra"]
-    writer(tmp_path / "fresh.npz", second)
-    target, link = tmp_path / "target.npz", tmp_path / "link.npz"
-    writer(target, first)
-    link.symlink_to(target)
-    writer(link, second)
-    assert link.is_symlink() and os.readlink(link) == str(target)
-    assert loaded(target) == loaded(tmp_path / "fresh.npz")
-
-
-def test_spectra_hard_link_is_written_through(world, tmp_path):
-    writer, first, second = world["save_spectra"]
-    writer(tmp_path / "fresh.npz", second)
-    writer(tmp_path / "a.npz", first)
-    os.link(tmp_path / "a.npz", tmp_path / "b.npz")
-    writer(tmp_path / "b.npz", second)
-    assert loaded(tmp_path / "a.npz") == loaded(tmp_path / "fresh.npz")
-
-
-@pytest.mark.parametrize("as_str", [False, True], ids=["path", "str"])
-def test_spectra_suffix_is_appended(world, tmp_path, as_str):
-    writer, first, _ = world["save_spectra"]
-    writer(tmp_path / "fresh.npz", first)
-    writer(str(tmp_path / "plain") if as_str else tmp_path / "plain", first)
-    assert not (tmp_path / "plain").exists()
-    assert loaded(tmp_path / "plain.npz") == loaded(tmp_path / "fresh.npz")
