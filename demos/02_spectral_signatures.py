@@ -33,7 +33,7 @@ a, b = spectra.ids[0], spectra.ids[1]
 print(f"distance({a},{b}) = {ms.mutant_distance(a, b, spectra):.4f}  "
       f"similarity = {ms.mutant_similarity(a, b, spectra):.4f}")
 
-graph = ms.build_similarity_graph(mutants, spectra)
+graph = ms.build_similarity_graph(spectra)
 rows, cols = np.triu_indices(graph.n_nodes, k=1)  # one edge per unordered pair
 weights = graph.weights[rows, cols]
 print(f"\nsimilarity graph: {graph.n_nodes} nodes, {len(weights)} edges, "

@@ -13,7 +13,7 @@ mutants = ms.diverse_mutant_set(model, 60, seed=13)
 
 sample = ms.stratified_sample(dataset, per_class=2, seed=21)
 spectra = ms.mutant_spectra(mutants, dataset, sample)
-graph = ms.build_similarity_graph(mutants, spectra)
+graph = ms.build_similarity_graph(spectra)
 
 print("partition size as the threshold rises (monotone, never decreasing):")
 for tau in (0.05, 0.2, 0.4, 0.6, 0.8, 0.95):
@@ -29,7 +29,7 @@ constraint = ms.ReductionConstraint(0.26, 0.56)
 def build(per_class):
     s = ms.stratified_sample(dataset, per_class, seed=21)
     sp = ms.mutant_spectra(mutants, dataset, s)
-    return s, ms.build_similarity_graph(mutants, sp)
+    return s, ms.build_similarity_graph(sp)
 
 
 result = parameter_search(build, constraint)

@@ -18,7 +18,9 @@ print(f"vanilla: score={vanilla.score:.4f}, "
 rows = []
 spectral = ms.run_accelerated(model, mutants, dataset, seeds=ms.Seeds(1, 2))
 rows.append(("spectral", spectral.table))
-raw = ms.raw_cluster_test(model, mutants, dataset, seeds=ms.Seeds(1, 2))
+# the no-transform variant: the same pipeline clustering raw output columns
+raw = ms.run_accelerated(model, mutants, dataset, seeds=ms.Seeds(1, 2),
+                         transform=ms.TRANSFORM_RAW)
 rows.append(("raw-cluster", raw.table))
 rows.append(("rms 75%", ms.rms_test(model, mutants, dataset, 0.75, seed=3)))
 rows.append(("bss 10", ms.bss_test(model, mutants, dataset, threshold=10)))

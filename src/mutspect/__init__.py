@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .baselines import (
     bss_select,
     bss_test,
-    raw_cluster_test,
     rms_test,
     rss_test,
 )
@@ -35,7 +34,6 @@ from .model import (
     FcnnClassifier,
     batch_outputs,
     count_forward_passes,
-    forward,
     load_model,
     model_hash,
     save_model,

@@ -1,4 +1,4 @@
-"""Comparison techniques: RMS, BSS, RSS and the no-transform clustering variant.
+"""Comparison techniques: RMS, BSS and RSS.
 
 * RMS (random mutant selection): vanilla-test a random fraction of the
   mutants on the full dataset; score over the tested subset only.
@@ -7,8 +7,8 @@
   under the original model.
 * RSS (random sample selection): vanilla-test all mutants on a stratified
   sample of the same size the spectral pipeline uses.
-* raw clustering: the spectral pipeline with raw sampled output columns as
-  feature vectors instead of DFT magnitudes.
+The no-transform clustering variant is not a baseline of its own: it is
+``pipeline.run_accelerated`` with ``transform=TRANSFORM_RAW``.
 
 Every baseline collapses to vanilla at its degenerate parameter
 (fraction 1, threshold 1, per-class rate >= class population).
@@ -20,13 +20,11 @@ import math
 
 import numpy as np
 
-from .clustering import DEFAULT_REDUCTION, ReductionConstraint
 from .dataset import LabeledDataset
-from .errors import ParameterError
+from .errors import ParameterError, ValidationError
 from .model import FcnnClassifier, batch_outputs
 from .mutants import MutantSet
-from .pipeline import PipelineResult, Seeds, run_accelerated
-from .spectra import TRANSFORM_RAW, stratified_sample
+from .spectra import stratified_sample
 from .testing import UNTESTED, MutantVerdict, VerdictTable, vanilla_test
 from .util import phase_timer, philox_rng
 
@@ -74,11 +72,14 @@ def bss_select(
 
     Margin of a point is (largest - second largest) softmax entry under the
     original model; ties resolve by dataset index.  The result is ordered by
-    (margin, index).
+    (margin, index).  An original with non-finite outputs raises
+    ValidationError, as it does in vanilla_test.
     """
     if threshold < 1:
         raise ParameterError("threshold must be at least 1")
     outputs = batch_outputs(original, dataset.features)
+    if not np.isfinite(outputs).all():
+        raise ValidationError("original model produced non-finite outputs")
     if outputs.shape[1] < 2:
         margins = np.ones(len(dataset))
     else:
@@ -111,24 +112,3 @@ def rss_test(
     return _test_on_subset(original, mutants, dataset, "rss",
                            lambda: stratified_sample(dataset, per_class, seed).indices)
 
-
-def raw_cluster_test(
-    original: FcnnClassifier,
-    mutants: MutantSet,
-    dataset: LabeledDataset,
-    constraint: ReductionConstraint = DEFAULT_REDUCTION,
-    seeds: Seeds = Seeds(),
-    fixed_per_class: int | None = None,
-    fixed_tau: float | None = None,
-) -> PipelineResult:
-    """The spectral pipeline minus the transform: cluster raw output columns."""
-    return run_accelerated(
-        original,
-        mutants,
-        dataset,
-        constraint,
-        seeds,
-        transform=TRANSFORM_RAW,
-        fixed_per_class=fixed_per_class,
-        fixed_tau=fixed_tau,
-    )

@@ -14,7 +14,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .baselines import bss_test, raw_cluster_test, rms_test, rss_test
+from .baselines import bss_test, rms_test, rss_test
 from .clustering import NOT_SATISFIABLE_MESSAGE
 from .config import (
     RunConfig,
@@ -26,7 +26,14 @@ from .config import (
 from .dataset import load_dataset
 from .errors import MutspectError, ParameterError
 from .model import load_model, save_model
-from .mutants import ALL_KINDS, MutatorKind, generate_mutant_set, load_manifest, save_manifest
+from .mutants import (
+    ALL_KINDS,
+    DEFAULT_GF_SIGMA,
+    MutatorKind,
+    generate_mutant_set,
+    load_manifest,
+    save_manifest,
+)
 from .pipeline import (
     PipelineResult,
     Seeds,
@@ -46,6 +53,7 @@ from .reports import (
     write_sweep_csv,
     write_verdict_csv,
 )
+from .spectra import TRANSFORM_DFT, TRANSFORM_RAW
 from .util import derived_seed, sha256_file
 
 EXIT_OK = 0
@@ -108,9 +116,9 @@ def _run_one(config: RunConfig, model, dataset, mutants, repeat: int) -> Pipelin
     if config.mode == "vanilla":
         return run_vanilla(model, mutants, dataset)
     if config.mode in ("spectral", "raw"):
-        runner = run_accelerated if config.mode == "spectral" else raw_cluster_test
-        return runner(model, mutants, dataset, config.constraint(), seeds,
-                      fixed_per_class=config.per_class_rate, fixed_tau=config.tau)
+        transform = TRANSFORM_DFT if config.mode == "spectral" else TRANSFORM_RAW
+        return run_accelerated(model, mutants, dataset, config.constraint(), seeds, transform,
+                               fixed_per_class=config.per_class_rate, fixed_tau=config.tau)
     seed = derived_seed(config.baseline_seed, repeat)
     if config.mode == "rms":
         table = rms_test(model, mutants, dataset, config.rms_fraction, seed)
@@ -248,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p_gen)
     p_gen.add_argument("--count", type=int, required=True)
     p_gen.add_argument("--kinds", help="comma list of GF,WS,NEB,NAI,NS (default all)")
-    p_gen.add_argument("--sigma", type=float, default=0.5,
+    p_gen.add_argument("--sigma", type=float, default=DEFAULT_GF_SIGMA,
                        help="gaussian fuzz std relative to layer weight std")
     p_gen.add_argument("--seed", type=int, dest="generation_seed")
     p_gen.add_argument("--store-models", action="store_true",

@@ -38,6 +38,13 @@ class RunConfig:
             raise ParameterError("rms fraction must lie in (0, 1]")
         if self.bss_threshold < 1:
             raise ParameterError("bss threshold must be at least 1")
+        if self.per_class_rate is not None and self.per_class_rate < 1:
+            raise ParameterError("per-class sampling rate must be at least 1")
+        if self.tau is not None:
+            if not 0.0 < self.tau < 1.0:
+                raise ParameterError(f"tau must lie in (0, 1), got {self.tau}")
+            if self.per_class_rate is None:
+                raise ParameterError("a fixed tau requires a fixed sampling rate")
         self.constraint()  # validates the interval
 
     def constraint(self) -> ReductionConstraint:

@@ -17,6 +17,16 @@ from .errors import ValidationError
 from .testing import VerdictTable, mutation_score
 
 
+def score_error(ms_vanilla: float, ms: float) -> float | None:
+    """The paper's score error |MS_V - MS| / MS_V; None when MS_V == 0."""
+    return None if ms_vanilla == 0 else abs(ms_vanilla - ms) / ms_vanilla
+
+
+def speed_up(t_vanilla: float, t: float) -> float:
+    """The paper's speed-up (T_V - T_0) / T_V; 0.0 when T_V is not positive."""
+    return (t_vanilla - t) / t_vanilla if t_vanilla > 0 else 0.0
+
+
 @dataclass(frozen=True)
 class MeasureReport:
     score_vanilla: float
@@ -41,8 +51,8 @@ def measures(accel: VerdictTable, vanilla: VerdictTable) -> MeasureReport:
     return MeasureReport(
         score_vanilla=ms_v,
         score_accel=ms_0,
-        score_error=None if ms_v == 0 else abs(ms_v - ms_0) / ms_v,
-        speed_up=(t_v - t_0) / t_v if t_v > 0 else 0.0,
+        score_error=score_error(ms_v, ms_0),
+        speed_up=speed_up(t_v, t_0),
         mutant_reduction=(n_mutants - accel.timing.tested_count) / n_mutants,
         tested_vanilla=vanilla.timing.tested_count,
         tested_accel=accel.timing.tested_count,

@@ -5,8 +5,9 @@ hidden layer and softmax on the last one.  All parameters are float64 and
 arrays are frozen after construction, so every forward pass is a pure
 function of (model, input).  There is one forward engine, batch_outputs: it
 allocates one array per layer (the product with the weights) and applies the
-bias, ReLU and softmax to that array in place.  forward evaluates a single
-point through it, and predictions_with_flags reads predicted classes off it.
+bias, ReLU and softmax to that array in place.  It never raises on overflow:
+rows may carry NaN/Inf, and each caller decides what a non-finite row means.
+predictions_with_flags reads predicted classes off it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, NumericError, ShapeError, ValidationError
+from .errors import FormatError, ShapeError, ValidationError
 from .util import ByteReader, open_fresh, readonly, sha256_bytes
 
 RELU = "relu"
@@ -128,22 +129,11 @@ def _tally(n: int):
             counter.count += n
 
 
-def forward(model: FcnnClassifier, features) -> np.ndarray:
-    """Softmax output vector (length num_outputs) for one data point."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.input_dim:
-        raise ShapeError(
-            f"expected feature vector of length {model.input_dim}, got shape {x.shape}"
-        )
-    return batch_outputs(model, x[None, :])[0]
-
-
-def batch_outputs(model: FcnnClassifier, points, check: bool = True) -> np.ndarray:
+def batch_outputs(model: FcnnClassifier, points) -> np.ndarray:
     """Softmax outputs for an ordered batch of points, one row per point.
 
-    With ``check=True`` a non-finite intermediate raises NumericError naming
-    the layer and the offending point index.  ``check=False`` returns the raw
-    matrix (rows may carry NaN/Inf) so callers can quarantine bad mutants.
+    Rows whose computation overflowed carry NaN/Inf; callers check
+    ``np.isfinite`` themselves (quarantine, a -1 flag or ValidationError).
     """
     x = np.asarray(points, dtype=np.float64)
     if x.size == 0:
@@ -155,7 +145,7 @@ def batch_outputs(model: FcnnClassifier, points, check: bool = True) -> np.ndarr
     _tally(x.shape[0])
     a = x
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, layer in enumerate(model.layers):
+        for layer in model.layers:
             # one new array per layer; bias and activation update it in place
             a = a @ layer.weights.T
             a += layer.biases
@@ -166,18 +156,13 @@ def batch_outputs(model: FcnnClassifier, points, check: bool = True) -> np.ndarr
                 a /= np.sum(a, axis=-1, keepdims=True)
             else:
                 np.maximum(a, 0.0, out=a)
-            if check:
-                finite = np.isfinite(a).all(axis=1)
-                if not finite.all():
-                    bad = int(np.argmin(finite))
-                    raise NumericError(f"non-finite activation in layer {i} for point {bad}")
     return a
 
 
 def predictions_with_flags(model: FcnnClassifier, points) -> np.ndarray:
     """Predicted class per point, ties to the lowest index; -1 marks rows
     with non-finite outputs."""
-    out = batch_outputs(model, points, check=False)
+    out = batch_outputs(model, points)
     preds = np.argmax(out, axis=1).astype(np.int64)
     preds[~np.isfinite(out).all(axis=1)] = -1
     return preds

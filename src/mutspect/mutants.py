@@ -119,8 +119,8 @@ def gaussian_fuzz(
     of the layer's weight matrix; every other parameter is bit-identical.
     """
     _check_target(model, layer, neuron)
-    if sigma < 0:
-        raise TargetError("sigma must be nonnegative")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise TargetError(f"sigma must be finite and nonnegative, got {sigma!r}")
     target_layer = model.layers[layer]
     scale = float(sigma * target_layer.weights.std())
     noise = philox_rng(seed).normal(0.0, scale, size=target_layer.in_dim)

@@ -4,8 +4,8 @@ The accelerated run makes one pass per sampling rate: sample, signatures,
 similarity graph and clustering with the x/tau parameter search, then
 representative selection and propagated testing, accumulating per-phase
 wall-clock times along the way.  Each rate is built once and nothing is cached
-across rates.  The no-transform variant reuses the identical pipeline with
-raw sampled output columns as features.
+across rates.  The no-transform variant ("raw" mode) is the same call with
+``transform=TRANSFORM_RAW``: raw sampled output columns as features.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .clustering import (
 )
 from .dataset import LabeledDataset
 from .errors import ParameterError
-from .metrics import spearman_rho
+from .metrics import score_error, spearman_rho
 from .model import FcnnClassifier
 from .mutants import MutantSet
 from .spectra import (
@@ -63,7 +63,7 @@ def _graph_at(mutants: MutantSet, dataset: LabeledDataset, transform: str, sampl
     with phase_timer(phases, "spectra"):
         spectra = mutant_spectra(mutants, dataset, sample, transform)
     with phase_timer(phases, "graph"):
-        graph = build_similarity_graph(mutants, spectra)
+        graph = build_similarity_graph(spectra)
     return sample, graph
 
 
@@ -188,6 +188,8 @@ class SweepSpec:
     def __post_init__(self):
         if not self.x_grid or not self.tau_grid or self.repeats < 1:
             raise ParameterError("sweep grids must be nonempty and repeats >= 1")
+        if any(x < 1 for x in self.x_grid):
+            raise ParameterError("x grid values must be at least 1")
         if any(not 0 < t < 1 for t in self.tau_grid):
             raise ParameterError("tau grid values must lie in (0, 1)")
 
@@ -249,7 +251,7 @@ def run_sweep(
                 reps = select_representatives(clusters, rep_seed)
                 killed = q_total + sum(counts[rep] * len(members) for rep, members in reps.pairs)
                 ms_cell = killed / (n_total * len(labels))
-                err = None if ms_vanilla == 0 else abs(ms_vanilla - ms_cell) / ms_vanilla
+                err = score_error(ms_vanilla, ms_cell)
                 seconds = time.perf_counter() - start
                 cells.append(
                     SweepCell(x, tau, repeat, rate, len(clusters), err, seconds)

@@ -11,6 +11,7 @@ import csv
 import json
 
 from .errors import ReportMismatchError
+from .metrics import score_error, speed_up
 from .mutants import MutantSet
 from .pipeline import PipelineResult, SweepResult
 from .testing import VerdictTable, mutation_score
@@ -162,11 +163,9 @@ def compare_rows(vanilla: dict, accelerated: list[dict]) -> list[dict]:
     for technique in sorted(by_technique):
         losses, reductions, speedups = [], [], []
         for report in by_technique[technique]:
-            ms = report["mutation_score"]
-            losses.append(abs(ms_v - ms) / ms_v if ms_v else None)
+            losses.append(score_error(ms_v, report["mutation_score"]))
             reductions.append((n - report["tested_count"]) / n)
-            t_0 = report["timing"]["total_seconds"]
-            speedups.append((t_v - t_0) / t_v if t_v > 0 else 0.0)
+            speedups.append(speed_up(t_v, report["timing"]["total_seconds"]))
         row = {"technique": technique, "runs": len(by_technique[technique])}
         for name, values in (
             ("loss", losses),

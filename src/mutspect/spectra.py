@@ -7,8 +7,9 @@ outputs of the Euclidean distance between their signatures, and similarity is
 exp(-distance), giving edge weights in [0, 1] for a complete graph.
 
 Signatures are written mutant by mutant into one (|M|, q, |S|) array, trimmed
-to the mutants with finite outputs; the graph reads it one output at a time,
-so neither step copies the whole set.
+to the mutants with finite outputs, so ``SpectraSet.ids`` lists exactly the
+graph's nodes in id order.  The graph reads that array one output at a time
+through views, so neither step copies the whole set.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ def mutant_spectra(
     values = np.empty((len(mutants), mutants.original.num_outputs, len(sample)))
     ids, failed = [], []
     for record in sorted(mutants.mutants, key=lambda m: m.mutant_id):
-        out = batch_outputs(record.model, points, check=False)  # (|S|, q)
+        out = batch_outputs(record.model, points)  # (|S|, q)
         if not np.isfinite(out).all():
             failed.append(record.mutant_id)
             continue
@@ -201,25 +202,22 @@ class SimilarityGraph:
         return len(self.ids)
 
 
-def build_similarity_graph(mutants: MutantSet, spectra: SpectraSet) -> SimilarityGraph:
-    """Pairwise similarities for all usable mutants of the set.
+def build_similarity_graph(spectra: SpectraSet) -> SimilarityGraph:
+    """Pairwise similarities over every mutant with spectra, in ``spectra.ids`` order.
 
-    Quarantined mutants are excluded.  The distance matrix is computed per
-    output with a fixed reduction order and mirrored from the upper triangle,
-    so the result is exactly symmetric and scheduling-independent.
+    Quarantined mutants have no rows, so they are not nodes.  The distance
+    matrix is computed per output with a fixed reduction order and mirrored
+    from the upper triangle, so the result is exactly symmetric and
+    scheduling-independent.
     """
-    wanted = [m for m in sorted(mutants.ids()) if m not in spectra.failed]
-    idx = [spectra.index_of(m) for m in wanted]
-    if len(idx) < 2:
-        raise DegenerateGraphError(
-            f"need at least 2 usable mutants, have {len(idx)}"
-        )
-    n, q = len(idx), spectra.values.shape[1]
+    n, q = spectra.values.shape[:2]
+    if n < 2:
+        raise DegenerateGraphError(f"need at least 2 usable mutants, have {n}")
     delta = np.zeros((n, n))
     for output in range(q):
-        feats = spectra.values[idx, output]  # (n, |S|): one output at a time
+        feats = spectra.values[:, output]  # (n, |S|) view: one output at a time
         np.maximum(delta, cdist(feats, feats), out=delta)
     upper = np.triu(np.exp(-delta), 1)
     weights = upper + upper.T
     np.fill_diagonal(weights, 1.0)
-    return SimilarityGraph(tuple(wanted), weights)
+    return SimilarityGraph(spectra.ids, weights)

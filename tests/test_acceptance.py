@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from mutspect.baselines import bss_test, raw_cluster_test, rms_test, rss_test
+from mutspect.baselines import bss_test, rms_test, rss_test
 from mutspect.cli import main as cli_main
 from mutspect.clustering import hac_cluster
 from mutspect.dataset import LabeledDataset, save_dataset
@@ -29,6 +29,7 @@ from mutspect.spectra import (
     SampleSet,
     SpectraSet,
     TRANSFORM_DFT,
+    TRANSFORM_RAW,
     dft_magnitude,
     mutant_distance,
     mutant_similarity,
@@ -295,8 +296,9 @@ def test_criterion_08_transform_ablation():
         spectral = run_accelerated(
             original, pool, dataset, seeds=Seeds(0, seed), fixed_per_class=4
         )
-        raw = raw_cluster_test(
-            original, pool, dataset, seeds=Seeds(0, seed), fixed_per_class=4
+        raw = run_accelerated(
+            original, pool, dataset, seeds=Seeds(0, seed), transform=TRANSFORM_RAW,
+            fixed_per_class=4,
         )
         if not (spectral.found and raw.found):
             ok = False

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mutspect.baselines import bss_select, bss_test, raw_cluster_test, rms_test, rss_test
+from mutspect.baselines import bss_select, bss_test, rms_test, rss_test
 from mutspect.clustering import ReductionConstraint
+from mutspect.errors import ValidationError
 from mutspect.metrics import measures
 from mutspect.model import batch_outputs
 from mutspect.mutants import generate_mutant_set
@@ -17,6 +18,8 @@ from mutspect.spectra import (
 )
 from mutspect.synth import diverse_mutant_set, fitted_classifier, gaussian_blobs
 from mutspect.testing import UNTESTED, mutation_score, vanilla_test
+
+from conftest import exploding_mutant
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +100,15 @@ class TestBss:
         killed_van = {m for m, v in vanilla.verdicts.items() if v.killed}
         assert killed_bss <= killed_van  # fewer points can only lose kills
 
+    def test_overflowing_original_is_a_validation_error(self, world):
+        ds, model, mutants, _ = world
+        original = exploding_mutant(model, 0).model
+        message = "^original model produced non-finite outputs$"
+        with pytest.raises(ValidationError, match=message):
+            bss_select(original, ds)
+        with pytest.raises(ValidationError, match=message):
+            bss_test(original, mutants, ds)
+
 
 class TestRss:
     def test_rate_above_population_equals_vanilla(self, world):
@@ -172,7 +184,7 @@ class TestRawClusterVariant:
         v = vanilla_test(model, mutants, ds)
         constraint = ReductionConstraint(0.2, 0.6)
         spectral = run_accelerated(model, mutants, ds, constraint, Seeds(3, 4))
-        raw = raw_cluster_test(model, mutants, ds, constraint, Seeds(3, 4))
+        raw = run_accelerated(model, mutants, ds, constraint, Seeds(3, 4), TRANSFORM_RAW)
         assert spectral.found and raw.found
         for result in (spectral, raw):
             rep = measures(result.table, v)

@@ -411,3 +411,48 @@ def test_zero_width_layer_is_exit_2(workdir, tmp_path, capsys):
                "--manifest", str(manifest), "--mode", "vanilla", "--out", str(tmp_path)])
     assert rc == 2
     assert "layer 0:" in capsys.readouterr().err
+
+
+def test_nan_sigma_is_exit_2_and_writes_no_manifest(workdir, tmp_path, capsys):
+    root, model_path, _, _ = workdir
+    out = tmp_path / "gen"
+    rc = main(["generate", "--model", str(model_path), "--count", "5", "--kinds", "GF",
+               "--sigma", "nan", "--out", str(out)])
+    assert rc == 2
+    assert "sigma must be finite" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_manifest_entry_with_nan_sigma_is_exit_2(workdir, tmp_path, capsys):
+    root, model_path, data_path, manifest = workdir
+    payload = json.loads(manifest.read_text())
+    entry = next(e for e in payload["mutants"] if e["kind"] == "GF")
+    entry["params"]["sigma"] = float("nan")
+    bad = tmp_path / "nan-sigma.json"
+    bad.write_text(json.dumps(payload))  # writes a bare NaN token
+    rc = main(["run", "--model", str(model_path), "--dataset", str(data_path),
+               "--manifest", str(bad), "--mode", "vanilla", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "sigma must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("sweep", ["--x-grid", "0"], "x grid values must be at least 1"),
+    ("run", ["--x", "3", "--tau", "1.5"], "tau must lie in (0, 1), got 1.5"),
+    ("run", ["--x", "3", "--tau", "0"], "tau must lie in (0, 1), got 0.0"),
+    ("run", ["--x", "0"], "per-class sampling rate must be at least 1"),
+    ("run", ["--tau", "0.5"], "a fixed tau requires a fixed sampling rate"),
+], ids=["sweep-x-zero", "run-tau-above-one", "run-tau-zero", "run-x-zero", "run-tau-without-x"])
+def test_bad_run_parameter_is_exit_2_before_any_forward_pass(workdir, tmp_path, capsys,
+                                                             command, extra, message):
+    from mutspect.model import count_forward_passes
+
+    root, model_path, data_path, manifest = workdir
+    out = tmp_path / "out"
+    with count_forward_passes() as counter:
+        rc = main([command, "--model", str(model_path), "--dataset", str(data_path),
+                   "--manifest", str(manifest), "--out", str(out), *extra])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert counter.count == 0
+    assert not out.exists()

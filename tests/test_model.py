@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mutspect.errors import FormatError, NumericError, ShapeError, ValidationError
+from mutspect.errors import FormatError, ShapeError, ValidationError
 from mutspect.model import (
     RELU,
     SOFTMAX,
@@ -14,7 +14,6 @@ from mutspect.model import (
     batch_outputs,
     count_forward_passes,
     deserialize_model,
-    forward,
     load_model,
     model_hash,
     predictions_with_flags,
@@ -31,39 +30,28 @@ HAND_OUTPUT = np.array([0.5099986668799654, 0.4900013331200346])
 
 
 def test_forward_zero_weights_uniform(zero_net):
-    out = forward(zero_net, np.zeros(4))
+    out = batch_outputs(zero_net, np.zeros((1, 4)))[0]
     np.testing.assert_allclose(out, np.full(3, 1 / 3), atol=1e-12)
 
 
 def test_forward_identity_symmetry():
     net = FcnnClassifier((DenseLayer(np.eye(2), np.zeros(2), SOFTMAX),))
-    np.testing.assert_allclose(forward(net, [0.0, 0.0]), [0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(batch_outputs(net, [[0.0, 0.0]])[0], [0.5, 0.5], atol=1e-12)
 
 
 def test_forward_matches_hand_computation(fixture_net):
-    out = forward(fixture_net, HAND_INPUT)
+    out = batch_outputs(fixture_net, HAND_INPUT[None, :])[0]
     np.testing.assert_allclose(out, HAND_OUTPUT, atol=1e-9)
 
 
 def test_forward_shape_error(fixture_net):
     with pytest.raises(ShapeError):
-        forward(fixture_net, np.zeros(3))
-
-
-def test_forward_overflow_names_layer():
-    net = FcnnClassifier(
-        (
-            DenseLayer(np.full((2, 2), 1e300), np.zeros(2), RELU),
-            DenseLayer(np.full((2, 2), 1e300), np.zeros(2), SOFTMAX),
-        )
-    )
-    with pytest.raises(NumericError, match="layer 0"):
-        forward(net, np.array([1e200, 1e200]))
+        batch_outputs(fixture_net, np.zeros((1, 3)))
 
 
 def test_forward_pure(fixture_net):
-    a = forward(fixture_net, HAND_INPUT)
-    b = forward(fixture_net, HAND_INPUT)
+    a = batch_outputs(fixture_net, HAND_INPUT[None, :])
+    b = batch_outputs(fixture_net, HAND_INPUT[None, :])
     assert a.tobytes() == b.tobytes()
 
 
@@ -107,8 +95,8 @@ def test_batch_outputs_empty(random_net):
 
 
 def test_batch_outputs_single_point_matches_forward(random_net):
-    x = np.linspace(-1, 1, random_net.input_dim)
-    np.testing.assert_array_equal(batch_outputs(random_net, x[None, :])[0], forward(random_net, x))
+    x = np.linspace(-1, 1, random_net.input_dim)[None, :]
+    np.testing.assert_array_equal(batch_outputs(random_net, x), reference_outputs(random_net, x))
 
 
 def test_batch_outputs_matches_per_point_forward(fixture_net):
@@ -116,20 +104,30 @@ def test_batch_outputs_matches_per_point_forward(fixture_net):
     points = rng.normal(size=(5, 2))
     out = batch_outputs(fixture_net, points)
     for i in range(5):
-        np.testing.assert_allclose(out[i], forward(fixture_net, points[i]), atol=1e-12)
+        np.testing.assert_allclose(out[i], batch_outputs(fixture_net, points[i : i + 1])[0],
+                                   atol=1e-12)
 
 
-def test_batch_outputs_reports_point_index():
-    net = FcnnClassifier((DenseLayer(np.full((2, 2), 1e300), np.zeros(2), SOFTMAX),))
+def test_overflow_gives_a_non_finite_row_instead_of_raising():
+    # a hidden layer that overflows on the second point only; the first row
+    # stays the uniform softmax and predictions flag the second with -1
+    net = FcnnClassifier(
+        (
+            DenseLayer(np.full((2, 2), 1e300), np.zeros(2), RELU),
+            DenseLayer(np.full((2, 2), 1e300), np.zeros(2), SOFTMAX),
+        )
+    )
     points = np.array([[0.0, 0.0], [1e200, 1e200]])
-    with pytest.raises(NumericError, match="point 1"):
-        batch_outputs(net, points)
+    out = batch_outputs(net, points)
+    np.testing.assert_array_equal(out[0], [0.5, 0.5])
+    assert not np.isfinite(out[1]).any()
+    assert predictions_with_flags(net, points).tolist() == [0, -1]
 
 
 def test_forward_pass_counter(random_net):
     points = np.zeros((7, random_net.input_dim))
     with count_forward_passes() as counter:
-        forward(random_net, points[0])
+        batch_outputs(random_net, points[:1])
         batch_outputs(random_net, points)
     assert counter.count == 8
 
@@ -335,23 +333,7 @@ def test_batch_outputs_bitwise_matches_allocating_reference(seed, hidden):
     assert np.abs(logits).max() > 710  # exp() would overflow without the shift
     expected = reference_outputs(net, points)
     assert np.isfinite(expected[:26]).all() and not np.isfinite(expected[26:28]).any()
-    assert batch_outputs(net, points, check=False).tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("layer, point", [(0, 3), (1, 2), (2, 0)])
-def test_check_names_first_non_finite_layer_and_point(layer, point):
-    # three layers of identity weights; a huge scale on ``layer`` overflows
-    # only the chosen point, whose input is 1e200 (the others are 1)
-    layers = []
-    for i, act in enumerate((RELU, RELU, SOFTMAX)):
-        scale = 1e200 if i == layer else 1.0
-        layers.append(DenseLayer(np.eye(2) * scale, np.zeros(2), act))
-    net = FcnnClassifier(tuple(layers))
-    points = np.ones((5, 2))
-    points[point] = 1e200
-    message = f"^non-finite activation in layer {layer} for point {point}$"
-    with pytest.raises(NumericError, match=message):
-        batch_outputs(net, points)
+    assert batch_outputs(net, points).tobytes() == expected.tobytes()
 
 
 def test_batch_outputs_never_writes_the_points(random_net):

@@ -59,6 +59,12 @@ class TestGaussianFuzz:
         with pytest.raises(TargetError):
             gaussian_fuzz(random_net, 0, 99, 1.0, seed=0)
 
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf"), float("-inf")])
+    def test_negative_or_non_finite_sigma_is_a_target_error(self, random_net, sigma):
+        # NaN fails every comparison, so a bare ``sigma < 0`` would let it through
+        with pytest.raises(TargetError, match="sigma must be finite and nonnegative"):
+            gaussian_fuzz(random_net, 0, 0, sigma, seed=0)
+
 
 class TestWeightShuffle:
     def test_singleton_row_identity(self):

@@ -156,7 +156,7 @@ def test_sweep_cell_scores_match_direct_propagation(exploding_world):
             sample = stratified_sample(ds, x, derived_seed(seeds.sampling, repeat))
             spectra = mutant_spectra(pool, ds, sample)
             assert spectra.failed == (40, 41)
-            graph = build_similarity_graph(pool, spectra)
+            graph = build_similarity_graph(spectra)
             for k, tau in enumerate(spec.tau_grid):
                 clusters = hac_cluster(graph, tau)
                 reps = select_representatives(
@@ -179,9 +179,9 @@ def test_one_graph_per_round_and_per_sweep_rate(exploding_world, monkeypatch):
     calls = []
     real = pipeline.build_similarity_graph
 
-    def counted(mutants, spectra):
+    def counted(spectra):
         calls.append(spectra.sample.per_class_rate)
-        return real(mutants, spectra)
+        return real(spectra)
 
     monkeypatch.setattr(pipeline, "build_similarity_graph", counted)
     res = run_accelerated(model, pool, ds, seeds=Seeds(1, 2))
