@@ -45,7 +45,7 @@ from .pipeline import (
 from .reports import (
     compare_rows,
     format_compare_table,
-    load_json,
+    load_scored_report,
     run_report_payload,
     write_compare_csv,
     write_json,
@@ -192,8 +192,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    vanilla = load_json(args.vanilla)
-    accelerated = [load_json(p) for p in args.reports]
+    vanilla = load_scored_report(args.vanilla)
+    accelerated = [load_scored_report(p) for p in args.reports]
     rows = compare_rows(vanilla, accelerated)
     print(format_compare_table(rows))
     if args.out:

@@ -3,11 +3,16 @@
 A model is a stack of fully-connected layers, ReLU activations on every
 hidden layer and softmax on the last one.  All parameters are float64 and
 arrays are frozen after construction, so every forward pass is a pure
-function of (model, input).  There is one forward engine, batch_outputs: it
-allocates one array per layer (the product with the weights) and applies the
-bias, ReLU and softmax to that array in place.  It never raises on overflow:
-rows may carry NaN/Inf, and each caller decides what a non-finite row means.
-predictions_with_flags reads predicted classes off it.
+function of (model, input).  There is one forward engine, forward_blocks: it
+splits the points into row blocks sized so that the original's widest
+activation fits BLOCK_BYTES, runs the original once per block, keeping its
+activation at every depth where another model first differs from it, and
+resumes each other model there.  Each layer allocates one array (the product
+with the weights) and applies the bias, ReLU and softmax to it in place.  The
+engine never raises on overflow: rows may carry NaN/Inf, and each caller
+decides what a non-finite row means.  batch_outputs is the engine with no
+other models, and predicted_classes reads predicted classes off any block of
+outputs.
 """
 
 from __future__ import annotations
@@ -129,43 +134,124 @@ def _tally(n: int):
             counter.count += n
 
 
+# Byte budget on one block's widest activation (rows x width float64).  At
+# half of a 1 MiB per-core L2 cache, a layer's input block and its product
+# fit in that cache together.  Rows are assumed not to depend on the block
+# they are computed in.  That held for blocks of 255 rows or more on every
+# shape tried, not for much shorter ones (BLAS sends small products to other
+# kernels), so a block of |T| > R rows is never shorter than R/2.
+BLOCK_BYTES = 512 * 1024
+
+
+def _block_rows(width: int) -> int:
+    """R: the rows of one block whose ``width``-wide activation fits BLOCK_BYTES."""
+    return max(1, BLOCK_BYTES // (8 * width))
+
+
+def _row_blocks(n: int, rows: int) -> list[slice]:
+    """ceil(n / rows) contiguous blocks covering range(n), sizes within one row."""
+    k = -(-n // rows)
+    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
+def _activate(layer: DenseLayer, a: np.ndarray):
+    """Bias and activation of ``layer``, applied to the product ``a`` in place."""
+    a += layer.biases
+    if layer.activation == SOFTMAX:
+        # max-subtraction: fuzzed weights can push logits beyond exp()
+        a -= a.max(axis=-1, keepdims=True)
+        np.exp(a, out=a)
+        a /= a.sum(axis=-1, keepdims=True)
+    else:
+        np.maximum(a, 0.0, out=a)
+
+
+def _resume(layers, a: np.ndarray) -> np.ndarray:
+    """``layers`` applied to the activation ``a``, which is not written."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layer in layers:
+            a = a @ layer.weights.T
+            _activate(layer, a)
+    return a
+
+
+def _first_change(original: FcnnClassifier, model: FcnnClassifier) -> int:
+    """Depth of the first layer of ``model`` that differs from the original's.
+
+    A layer differs in its activation, its shape or the bytes of its weights
+    or biases (so -0.0 differs from 0.0); a layer object shared by identity
+    is equal.  Models with different layer counts differ within the shorter
+    stack, where one has its softmax layer and the other a ReLU layer.
+    """
+    for depth, (mine, theirs) in enumerate(zip(original.layers, model.layers)):
+        if theirs is mine:
+            continue
+        if (
+            theirs.activation != mine.activation
+            or theirs.weights.shape != mine.weights.shape
+            or not np.array_equal(theirs.weights.view(np.int64), mine.weights.view(np.int64))
+            or not np.array_equal(theirs.biases.view(np.int64), mine.biases.view(np.int64))
+        ):
+            return depth
+    return len(original.layers)
+
+
+def forward_blocks(original: FcnnClassifier, models, points):
+    """Softmax outputs of ``original`` and each of ``models``, block by block.
+
+    Yields ``(rows, outputs, model_outputs)`` per row block in order: ``rows``
+    is the block's slice of the points, ``outputs`` the original's softmax
+    rows and ``model_outputs`` a generator of each model's rows, in the order
+    of ``models``, each computed when it is drawn.  A model equal to the
+    original yields the original's array itself.  Every block counts
+    (|models| + 1) forward passes per row.
+    """
+    x = np.asarray(points, dtype=np.float64)
+    if x.size == 0:
+        return
+    if x.ndim != 2 or x.shape[1] != original.input_dim:
+        raise ShapeError(
+            f"expected points of shape (n, {original.input_dim}), got {x.shape}"
+        )
+    models = tuple(models)
+    starts = [_first_change(original, model) for model in models]
+    # the original's activations are kept only at the depths a model resumes from
+    depths = sorted({0, len(original.layers), *starts})
+    # blocks depend on the original alone, so its rows are batch_outputs' rows
+    width = max(layer.out_dim for layer in original.layers)
+    for rows in _row_blocks(x.shape[0], _block_rows(width)):
+        _tally((len(models) + 1) * (rows.stop - rows.start))
+        acts = {0: x[rows]}  # acts[d]: the original's input to layer d
+        for lo, hi in zip(depths, depths[1:]):
+            acts[hi] = _resume(original.layers[lo:hi], acts[lo])
+        yield rows, acts[depths[-1]], (
+            _resume(model.layers[d:], acts[d]) for model, d in zip(models, starts)
+        )
+
+
 def batch_outputs(model: FcnnClassifier, points) -> np.ndarray:
     """Softmax outputs for an ordered batch of points, one row per point.
 
     Rows whose computation overflowed carry NaN/Inf; callers check
     ``np.isfinite`` themselves (quarantine, a -1 flag or ValidationError).
     """
-    x = np.asarray(points, dtype=np.float64)
-    if x.size == 0:
+    parts = [outputs for _, outputs, _ in forward_blocks(model, (), points)]
+    if not parts:
         return np.empty((0, model.num_outputs))
-    if x.ndim != 2 or x.shape[1] != model.input_dim:
-        raise ShapeError(
-            f"expected points of shape (n, {model.input_dim}), got {x.shape}"
-        )
-    _tally(x.shape[0])
-    a = x
-    with np.errstate(over="ignore", invalid="ignore"):
-        for layer in model.layers:
-            # one new array per layer; bias and activation update it in place
-            a = a @ layer.weights.T
-            a += layer.biases
-            if layer.activation == SOFTMAX:
-                # max-subtraction: fuzzed weights can push logits beyond exp()
-                a -= np.max(a, axis=-1, keepdims=True)
-                np.exp(a, out=a)
-                a /= np.sum(a, axis=-1, keepdims=True)
-            else:
-                np.maximum(a, 0.0, out=a)
-    return a
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def predicted_classes(outputs: np.ndarray) -> np.ndarray:
+    """Predicted class per row of softmax outputs, ties to the lowest index;
+    -1 marks rows with non-finite outputs."""
+    preds = outputs.argmax(axis=1).astype(np.int64)
+    preds[~np.isfinite(outputs).all(axis=1)] = -1
+    return preds
 
 
 def predictions_with_flags(model: FcnnClassifier, points) -> np.ndarray:
-    """Predicted class per point, ties to the lowest index; -1 marks rows
-    with non-finite outputs."""
-    out = batch_outputs(model, points)
-    preds = np.argmax(out, axis=1).astype(np.int64)
-    preds[~np.isfinite(out).all(axis=1)] = -1
-    return preds
+    """Predicted classes of ``model`` on ``points`` (see predicted_classes)."""
+    return predicted_classes(batch_outputs(model, points))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 
-from .errors import ReportMismatchError
+from .errors import FormatError, ReportMismatchError, ValidationError
 from .metrics import score_error, speed_up
 from .mutants import MutantSet
 from .pipeline import PipelineResult, SweepResult
@@ -129,7 +129,10 @@ def write_json(path, payload: dict) -> None:
 
 def load_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise FormatError(f"{path} is not JSON: {exc}") from None
 
 
 def strip_timing(payload: dict) -> dict:
@@ -140,6 +143,40 @@ def strip_timing(payload: dict) -> dict:
 # ---------------------------------------------------------------------------
 # Comparison of accelerated reports against a vanilla reference.
 # ---------------------------------------------------------------------------
+
+
+# the fields compare_rows reads from each report, with their JSON types
+_COMPARED_FIELDS = {
+    "technique": str,
+    "inputs_sha256": dict,
+    "mutation_score": (int, float),
+    "mutant_count": int,
+    "tested_count": int,
+    "timing": dict,
+}
+
+
+def load_scored_report(path) -> dict:
+    """A run report that compare_rows can read.
+
+    A file that is not JSON, not a run report, or a report from a run whose
+    reduction goal was not satisfiable (it carries no score) raises a
+    MutspectError naming the file.
+    """
+    report = load_json(path)
+    if not isinstance(report, dict):
+        raise FormatError(f"{path} is not a run report: not a JSON object")
+    if report.get("satisfied") is False:
+        raise ValidationError(
+            f"{path} has no mutation score: its run's reduction goal was not satisfiable"
+        )
+    fields = [(name, report.get(name), kind) for name, kind in _COMPARED_FIELDS.items()]
+    if isinstance(report.get("timing"), dict):
+        fields.append(("timing.total_seconds", report["timing"].get("total_seconds"), (int, float)))
+    for name, value, kind in fields:
+        if not isinstance(value, kind):
+            raise FormatError(f"{path} is not a run report: {name!r} is missing or mistyped")
+    return report
 
 
 def compare_rows(vanilla: dict, accelerated: list[dict]) -> list[dict]:

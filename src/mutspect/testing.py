@@ -12,6 +12,12 @@ Two kill semantics coexist and are computed in one pass per mutant:
 Mutants whose outputs go non-finite on a point are treated as mispredicting
 that point (an exploded mutant is maximally different) and the event is
 logged.
+
+vanilla_test walks the test set in row blocks (model.forward_blocks): the
+original runs once per block, and each mutant resumes from the original's
+cached activation at its first changed layer.  Per mutant it accumulates the
+killed labels, whether any prediction differs from the original's, and the
+count of non-finite rows; verdicts and warnings follow in id order.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .errors import UndefinedScoreError, ValidationError
-from .model import FcnnClassifier, predictions_with_flags
+from .model import FcnnClassifier, forward_blocks, predicted_classes, predictions_with_flags
 from .mutants import MutantSet
 from .util import phase_timer
 
@@ -82,24 +88,10 @@ class VerdictTable:
         }
 
 
-def _verdict_from_predictions(
-    mutant_id: int,
-    mutant_preds: np.ndarray,
-    original_preds: np.ndarray,
-    labels: np.ndarray,
-) -> MutantVerdict:
-    # -1 rows (non-finite outputs) mispredict everything by policy
-    if (mutant_preds == -1).any():
-        log.warning(
-            "mutant %d produced non-finite outputs on %d points; "
-            "counted as mispredictions",
-            mutant_id,
-            int((mutant_preds == -1).sum()),
-        )
-    kills = (original_preds == labels) & (mutant_preds != labels)
-    count = int(np.unique(labels[kills]).size)
-    differs = bool((mutant_preds != original_preds).any())
-    return MutantVerdict(mutant_id, count, differs, TESTED)
+def _kills(original_preds, mutant_preds, labels) -> np.ndarray:
+    """The kill rule: a point kills the mutant iff the original predicts its
+    label and the mutant does not (a -1 row mispredicts every label)."""
+    return (original_preds == labels) & (mutant_preds != labels)
 
 
 def killing_labels(
@@ -108,7 +100,7 @@ def killing_labels(
     """Ground-truth labels of the points that kill the mutant."""
     original_preds = predictions_with_flags(original, dataset.features)
     mutant_preds = predictions_with_flags(mutant, dataset.features)
-    kills = (original_preds == dataset.labels) & (mutant_preds != dataset.labels)
+    kills = _kills(original_preds, mutant_preds, dataset.labels)
     return {int(label) for label in np.unique(dataset.labels[kills])}
 
 
@@ -137,17 +129,39 @@ def vanilla_test(
     """
     phases: dict[str, float] = {}
     with phase_timer(phases, "testing"):
-        original_preds = predictions_with_flags(original, dataset.features)
-        if (original_preds == -1).any():
-            raise ValidationError("original model produced non-finite outputs")
+        records = sorted(mutants.mutants, key=lambda m: m.mutant_id)
+        present = dataset.labels_present()
+        label_index = np.searchsorted(present, dataset.labels)
+        killed = np.zeros((len(records), len(present)), dtype=bool)
+        differs = np.zeros(len(records), dtype=bool)
+        non_finite = np.zeros(len(records), dtype=np.int64)
+        blocks = forward_blocks(original, [r.model for r in records], dataset.features)
+        for rows, outputs, mutant_outputs in blocks:
+            original_preds = predicted_classes(outputs)
+            if (original_preds == -1).any():
+                raise ValidationError("original model produced non-finite outputs")
+            labels = dataset.labels[rows]
+            block_labels = label_index[rows]
+            for k, out in enumerate(mutant_outputs):
+                preds = predicted_classes(out)
+                killed[k, block_labels[_kills(original_preds, preds, labels)]] = True
+                differs[k] |= (preds != original_preds).any()
+                non_finite[k] += np.count_nonzero(preds == -1)
         verdicts = {}
-        for record in sorted(mutants.mutants, key=lambda m: m.mutant_id):
-            mutant_preds = predictions_with_flags(record.model, dataset.features)
-            verdicts[record.mutant_id] = _verdict_from_predictions(
-                record.mutant_id, mutant_preds, original_preds, dataset.labels
+        for k, record in enumerate(records):
+            if non_finite[k]:
+                # -1 rows (non-finite outputs) mispredict everything by policy
+                log.warning(
+                    "mutant %d produced non-finite outputs on %d points; "
+                    "counted as mispredictions",
+                    record.mutant_id,
+                    int(non_finite[k]),
+                )
+            verdicts[record.mutant_id] = MutantVerdict(
+                record.mutant_id, int(killed[k].sum()), bool(differs[k]), TESTED
             )
     timing = TimingRecord(phases, tested_count=len(verdicts))
-    return VerdictTable(verdicts, timing, mode, tuple(int(l) for l in dataset.labels_present()))
+    return VerdictTable(verdicts, timing, mode, tuple(int(l) for l in present))
 
 
 def accelerated_test(

@@ -199,6 +199,29 @@ def test_compare_self_zero_loss(workdir, tmp_path):
     assert float(row["speed_up_avg"]) == 0.0
 
 
+@pytest.mark.parametrize("case", ["not-json", "not-a-report", "unsatisfied"])
+def test_compare_bad_report_is_exit_2(workdir, tmp_path, capsys, case):
+    rc, out_v = run_mode(workdir, "vanilla", "bad_cmp_vanilla")
+    assert rc == 0
+    bad = tmp_path / "bad.json"
+    if case == "not-json":
+        bad.write_text("{not json")
+    elif case == "not-a-report":
+        bad.write_text('{"a": 1}')
+    else:
+        rc, out_u = run_mode(workdir, "spectral", "bad_cmp_unsat",
+                             ("--reduction-lo", "0.99", "--reduction-hi", "0.999"))
+        assert rc == 3
+        bad = out_u / "report_spectral_r0.json"
+    capsys.readouterr()
+    rc = main(["compare", "--vanilla", str(out_v / "report_vanilla_r0.json"), str(bad),
+               "--out", str(tmp_path / "cmp")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad} ") and "Traceback" not in err
+    assert not (tmp_path / "cmp" / "compare.csv").exists()
+
+
 def test_report_score_recomputable_from_counts(workdir):
     rc, out = run_mode(workdir, "vanilla", "recompute_out")
     assert rc == 0

@@ -14,12 +14,16 @@ from mutspect.model import (
     batch_outputs,
     count_forward_passes,
     deserialize_model,
+    forward_blocks,
     load_model,
     model_hash,
     predictions_with_flags,
     save_model,
     serialize_model,
 )
+from mutspect.model import _block_rows, _first_change, _row_blocks
+
+from conftest import WALK_SIZES, reference_outputs, walk_world
 
 # Hand-computed oracle for the 2-2-2 fixture net on input [0.8, -0.4]:
 #   z0 = [0.6, 0.36], relu keeps both
@@ -294,22 +298,9 @@ def test_every_model_truncation_raises_format_error(random_net):
 
 # ---------------------------------------------------------------------------
 # batch_outputs works in place on one array per layer; these pin it against
-# a forward pass that allocates a new array at every step.
+# a forward pass that allocates a new array at every step (conftest's
+# reference_outputs).
 # ---------------------------------------------------------------------------
-
-
-def reference_outputs(model, points):
-    """Allocate-per-step forward pass, test-side oracle."""
-    a = np.asarray(points, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for layer in model.layers:
-            z = a @ layer.weights.T + layer.biases
-            if layer.activation == SOFTMAX:
-                e = np.exp(z - np.max(z, axis=-1, keepdims=True))
-                a = e / np.sum(e, axis=-1, keepdims=True)
-            else:
-                a = np.maximum(z, 0.0)
-    return a
 
 
 @pytest.mark.parametrize("seed, hidden", [(0, ()), (1, (6,)), (2, (9, 7)), (3, (16, 16, 8))])
@@ -348,3 +339,70 @@ def test_batch_outputs_never_writes_the_points(random_net):
     frozen.flags.writeable = False  # a read-only input must not be written to either
     np.testing.assert_array_equal(batch_outputs(single, frozen), reference_outputs(single, before))
     assert frozen.tobytes() == before.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The row-blocked walk.  Every model's rows must equal the test-side
+# reference over all points at once, bit for bit, at the default block
+# budget; CI runs these a second time with one BLAS thread.
+# ---------------------------------------------------------------------------
+
+
+class TestWalkOracle:
+    @pytest.fixture(scope="class")
+    def world(self):
+        return walk_world()
+
+    def test_first_changed_layer_of_each_mutant(self, world):
+        original, records, depths = world
+        assert [_first_change(original, r.model) for r in records] == depths
+
+    @pytest.mark.parametrize("size", WALK_SIZES.values(), ids=WALK_SIZES.keys())
+    def test_every_model_matches_the_full_product(self, world, size):
+        original, records, depths = world
+        rows_per_block = _block_rows(64)
+        n = size(rows_per_block)
+        points = np.random.default_rng(n).normal(size=(n, original.input_dim))
+        models = [r.model for r in records]
+        parts, covered = [[] for _ in range(len(models) + 1)], []
+        with count_forward_passes() as counter:
+            for rows, outputs, model_outputs in forward_blocks(original, models, points):
+                covered.append(rows)
+                parts[0].append(outputs)
+                for k, out in enumerate(model_outputs, 1):
+                    parts[k].append(out)
+                    if depths[k - 1] == len(original.layers):
+                        assert out is outputs  # nothing left to run
+        assert counter.count == (len(models) + 1) * n
+        assert covered == _row_blocks(n, rows_per_block)
+        assert len(covered) == -(-n // rows_per_block)
+        for model, blocks in zip([original, *models], parts):
+            got = np.concatenate(blocks)
+            assert got.tobytes() == reference_outputs(model, points).tobytes()
+        exploded = [reference_outputs(m, points) for m in models[-3:-1]]
+        assert not all(np.isfinite(out).all() for out in exploded)  # the inputs do explode
+
+    def test_batch_outputs_matches_the_full_product_across_blocks(self, world):
+        original = world[0]
+        n = 3 * _block_rows(64) + 1
+        points = np.random.default_rng(1).normal(size=(n, original.input_dim))
+        assert batch_outputs(original, points).tobytes() == \
+            reference_outputs(original, points).tobytes()
+
+    def test_budget_gives_the_documented_rows(self):
+        assert _block_rows(64) == 1024
+        assert _block_rows(16) >= 2000  # a 2k-point test set is one block
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 100_000), rows=st.integers(1, 5_000))
+def test_row_blocks_split_rule(n, rows):
+    blocks = _row_blocks(n, rows)
+    assert len(blocks) == -(-n // rows)
+    assert blocks[0].start == 0 and blocks[-1].stop == n
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    sizes = [b.stop - b.start for b in blocks]
+    assert max(sizes) <= rows and max(sizes) - min(sizes) <= 1
+    if n > rows:
+        # BLAS sends short products to other kernels, whose last bits differ
+        assert min(sizes) >= rows / 2

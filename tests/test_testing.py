@@ -1,9 +1,13 @@
+import logging
+
 import numpy as np
 import pytest
 
+import mutspect.model as mm
 from mutspect.clustering import ClusterSet, select_representatives
-from mutspect.errors import UndefinedScoreError
-from mutspect.model import predictions_with_flags
+from mutspect.dataset import LabeledDataset
+from mutspect.errors import UndefinedScoreError, ValidationError
+from mutspect.model import count_forward_passes, predictions_with_flags
 from mutspect.mutants import MutantSet, gaussian_fuzz, generate_mutant_set
 from mutspect.testing import (
     PROPAGATED,
@@ -17,6 +21,8 @@ from mutspect.testing import (
     vanilla_test,
 )
 from mutspect.synth import fitted_classifier, gaussian_blobs
+
+from conftest import WALK_SIZES, reference_outputs, walk_world
 
 
 @pytest.fixture(scope="module")
@@ -187,3 +193,112 @@ class TestAccelerated:
         assert at.timing.phases["spectra"] == 2.0
         assert "testing" in at.timing.phases
         assert at.timing.total_seconds > 3.0
+
+
+# ---------------------------------------------------------------------------
+# vanilla_test over the row-blocked walk, against verdicts built from the
+# full-product reference.  CI runs these a second time with one BLAS thread.
+# ---------------------------------------------------------------------------
+
+
+def reference_predictions(model, points):
+    out = reference_outputs(model, points)
+    preds = np.argmax(out, axis=1)
+    preds[~np.isfinite(out).all(axis=1)] = -1
+    return preds
+
+
+def reference_verdicts(original, records, dataset):
+    original_preds = reference_predictions(original, dataset.features)
+    verdicts = {}
+    for record in records:
+        preds = reference_predictions(record.model, dataset.features)
+        kills = (original_preds == dataset.labels) & (preds != dataset.labels)
+        verdicts[record.mutant_id] = MutantVerdict(
+            record.mutant_id, len(set(dataset.labels[kills].tolist())),
+            bool((preds != original_preds).any()), TESTED)
+    return verdicts
+
+
+def labelled(original, points, class_count=5, seed=0):
+    """Labels mostly equal to the original's predictions, so that mutants
+    can be killed, with every fifth point relabelled at random."""
+    labels = reference_predictions(original, points)
+    rng = np.random.default_rng(seed)
+    flip = np.arange(len(points)) % 5 == 4
+    labels[flip] = rng.integers(0, 5, size=flip.sum())
+    if class_count > 5:
+        labels[::7] = class_count - 1  # a label no output can predict
+    return LabeledDataset(points, labels, class_count)
+
+
+class TestWalkOracle:
+    @pytest.fixture(scope="class")
+    def world(self):
+        original, records, _ = walk_world()
+        return original, records
+
+    @pytest.mark.parametrize("size", WALK_SIZES.values(), ids=WALK_SIZES.keys())
+    def test_verdicts_match_the_full_product_reference(self, world, size):
+        original, records = world
+        n = size(mm._block_rows(64))
+        points = np.random.default_rng(n).normal(size=(n, original.input_dim))
+        dataset = labelled(original, points)
+        table = vanilla_test(original, MutantSet(original, records, 0), dataset)
+        assert table.verdicts == reference_verdicts(original, records, dataset)
+        assert list(table.verdicts) == sorted(table.verdicts)
+
+    def test_labels_indexed_over_the_labels_present(self, world):
+        original, records = world
+        n = 2 * mm._block_rows(64) + 1
+        points = np.random.default_rng(3).normal(size=(n, original.input_dim))
+        dataset = labelled(original, points, class_count=2**32 - 1)
+        table = vanilla_test(original, MutantSet(original, records, 0), dataset)
+        assert table.labels == (0, 1, 2, 3, 4, 2**32 - 2)
+        assert table.verdicts == reference_verdicts(original, records, dataset)
+
+
+class TestBlockedAccounting:
+    """vanilla_test over several row blocks of a shrunken budget."""
+
+    ROWS = 40  # rows per block at width 64
+
+    @pytest.fixture
+    def world(self, monkeypatch):
+        monkeypatch.setattr(mm, "BLOCK_BYTES", self.ROWS * 64 * 8)
+        original, records, _ = walk_world(seed=2)
+        points = np.random.default_rng(4).normal(size=(4 * self.ROWS + 3, original.input_dim))
+        assert len(mm._row_blocks(len(points), mm._block_rows(64))) == 5
+        return original, records, labelled(original, points)
+
+    def test_forward_passes_are_exact(self, world):
+        original, records, dataset = world
+        with count_forward_passes() as counter:
+            vanilla_test(original, MutantSet(original, records, 0), dataset)
+        assert counter.count == (len(records) + 1) * len(dataset)
+
+    def test_original_overflow_in_the_last_block_raises(self, world, caplog):
+        original, records, dataset = world
+        features = dataset.features.copy()
+        features[-1] = 1e308
+        assert reference_predictions(original, features)[:-1].min() >= 0
+        assert reference_predictions(original, features)[-1] == -1
+        bad = LabeledDataset(features, dataset.labels, dataset.class_count)
+        with caplog.at_level(logging.WARNING, logger="mutspect.testing"):
+            with pytest.raises(ValidationError, match="^original model produced non-finite outputs$"):
+                vanilla_test(original, MutantSet(original, records, 0), bad)
+        assert caplog.records == []
+
+    def test_mutant_warnings_keep_text_totals_and_id_order(self, world, caplog):
+        original, records, dataset = world
+        shuffled = [records[i] for i in np.random.default_rng(0).permutation(len(records))]
+        with caplog.at_level(logging.WARNING, logger="mutspect.testing"):
+            vanilla_test(original, MutantSet(original, shuffled, 0), dataset)
+        expected = []
+        for record in records:
+            bad = int((reference_predictions(record.model, dataset.features) == -1).sum())
+            if bad:
+                expected.append(f"mutant {record.mutant_id} produced non-finite outputs on "
+                                f"{bad} points; counted as mispredictions")
+        assert len(expected) == 2
+        assert [r.getMessage() for r in caplog.records] == expected
