@@ -13,6 +13,14 @@ engine never raises on overflow: rows may carry NaN/Inf, and each caller
 decides what a non-finite row means.  batch_outputs is the engine with no
 other models, and predicted_classes reads predicted classes off any block of
 outputs.
+
+Softmax and predicted_classes' finiteness test reduce over the class axis of
+a class-major copy of the block: numpy runs one inner loop per row when it
+reduces a row-major block over its classes, and one per class row over the
+copy, which is faster for few classes in long blocks and slower for short
+blocks or many classes (README, "Semantics worth knowing").  The class sums repeat numpy's own summation order, so the outputs
+equal row-major reductions bit for bit, apart from the sign bit of NaN
+entries (a row holding one is wholly NaN).
 """
 
 from __future__ import annotations
@@ -154,14 +162,41 @@ def _row_blocks(n: int, rows: int) -> list[slice]:
     return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
+def _class_sum(t: np.ndarray) -> np.ndarray:
+    """Sums over the classes (axis 0) of a class-major block, bit-equal to
+    numpy's ``sum(axis=-1)`` over the row-major block.
+
+    numpy sums a contiguous row pairwise: fewer than 8 values left to right;
+    up to 128 in 8 interleaved accumulators, combined as a fixed tree, then
+    the tail in order; more in two halves split at a multiple of 8.  Here
+    each step is one vector operation over all block rows: a reduction over
+    axis 0 adds the class rows left to right, starting, as numpy's row sum
+    does, from +0.0 (so a row of -0.0 sums to 0.0).
+    """
+    q = len(t)
+    if q < 8:
+        return t.sum(axis=0)
+    if q > 128:
+        half = q // 2 - q // 2 % 8
+        return _class_sum(t[:half]) + _class_sum(t[half:])
+    tail = q - q % 8
+    r = t[:tail].reshape(-1, 8, t.shape[1]).sum(axis=0)
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for row in t[tail:]:
+        s += row
+    return s
+
+
 def _activate(layer: DenseLayer, a: np.ndarray):
     """Bias and activation of ``layer``, applied to the product ``a`` in place."""
     a += layer.biases
     if layer.activation == SOFTMAX:
+        t = np.ascontiguousarray(a.T)  # class-major: see the module docstring
         # max-subtraction: fuzzed weights can push logits beyond exp()
-        a -= a.max(axis=-1, keepdims=True)
-        np.exp(a, out=a)
-        a /= a.sum(axis=-1, keepdims=True)
+        t -= t.max(axis=0)
+        np.exp(t, out=t)
+        t /= _class_sum(t)
+        a[...] = t.T
     else:
         np.maximum(a, 0.0, out=a)
 
@@ -207,8 +242,6 @@ def forward_blocks(original: FcnnClassifier, models, points):
     (|models| + 1) forward passes per row.
     """
     x = np.asarray(points, dtype=np.float64)
-    if x.size == 0:
-        return
     if x.ndim != 2 or x.shape[1] != original.input_dim:
         raise ShapeError(
             f"expected points of shape (n, {original.input_dim}), got {x.shape}"
@@ -245,7 +278,7 @@ def predicted_classes(outputs: np.ndarray) -> np.ndarray:
     """Predicted class per row of softmax outputs, ties to the lowest index;
     -1 marks rows with non-finite outputs."""
     preds = outputs.argmax(axis=1).astype(np.int64)
-    preds[~np.isfinite(outputs).all(axis=1)] = -1
+    preds[~np.isfinite(np.ascontiguousarray(outputs.T)).all(axis=0)] = -1
     return preds
 
 

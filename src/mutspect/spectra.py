@@ -9,7 +9,9 @@ exp(-distance), giving edge weights in [0, 1] for a complete graph.
 Signatures are written mutant by mutant into one (|M|, q, |S|) array, trimmed
 to the mutants with finite outputs, so ``SpectraSet.ids`` lists exactly the
 graph's nodes in id order.  The graph reads that array one output at a time
-through views, so neither step copies the whole set.
+through views, so neither step copies the whole set, and keeps its running
+maximum over outputs on condensed distances (``pdist``: each of the
+n(n-1)/2 pairs once), expanding to the square table only at the end.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import pdist, squareform
 
 from .dataset import LabeledDataset
 from .errors import (
@@ -205,19 +207,17 @@ class SimilarityGraph:
 def build_similarity_graph(spectra: SpectraSet) -> SimilarityGraph:
     """Pairwise similarities over every mutant with spectra, in ``spectra.ids`` order.
 
-    Quarantined mutants have no rows, so they are not nodes.  The distance
-    matrix is computed per output with a fixed reduction order and mirrored
-    from the upper triangle, so the result is exactly symmetric and
-    scheduling-independent.
+    Quarantined mutants have no rows, so they are not nodes.  Distances are
+    condensed (each pair once, in a fixed reduction order) and the maximum
+    over outputs is taken on them; the table mirrors them, so the result is
+    exactly symmetric and scheduling-independent.
     """
     n, q = spectra.values.shape[:2]
     if n < 2:
         raise DegenerateGraphError(f"need at least 2 usable mutants, have {n}")
-    delta = np.zeros((n, n))
-    for output in range(q):
-        feats = spectra.values[:, output]  # (n, |S|) view: one output at a time
-        np.maximum(delta, cdist(feats, feats), out=delta)
-    upper = np.triu(np.exp(-delta), 1)
-    weights = upper + upper.T
+    delta = pdist(spectra.values[:, 0])  # (n, |S|) view: one output at a time
+    for output in range(1, q):
+        np.maximum(delta, pdist(spectra.values[:, output]), out=delta)
+    weights = squareform(np.exp(-delta))
     np.fill_diagonal(weights, 1.0)
     return SimilarityGraph(spectra.ids, weights)

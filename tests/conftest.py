@@ -74,6 +74,14 @@ def reference_outputs(model, points):
     return a
 
 
+def reference_predictions(model, points):
+    """Predicted classes read off reference_outputs, -1 on non-finite rows."""
+    out = reference_outputs(model, points)
+    preds = np.argmax(out, axis=1)
+    preds[~np.isfinite(out).all(axis=1)] = -1
+    return preds
+
+
 def _replace_layer(model, depth, weights, biases):
     layers = list(model.layers)
     layers[depth] = DenseLayer(weights, biases, layers[depth].activation)

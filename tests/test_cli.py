@@ -289,6 +289,24 @@ def test_missing_input_is_exit_2(tmp_path):
     assert rc == 2
 
 
+def test_directory_as_input_file_is_exit_2(workdir, tmp_path, capsys):
+    rc, out_v = run_mode(workdir, "vanilla", "dir_input_vanilla")
+    assert rc == 0
+    root, _, data_path, manifest = workdir
+    capsys.readouterr()
+    rc = main(["run", "--model", str(tmp_path), "--dataset", str(data_path),
+               "--manifest", str(manifest), "--mode", "vanilla", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+    rc = main(["compare", "--vanilla", str(tmp_path), str(out_v / "report_vanilla_r0.json"),
+               "--out", str(tmp_path / "cmp")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+    assert not (tmp_path / "cmp" / "compare.csv").exists()
+
+
 def test_config_file_with_flag_override(workdir, tmp_path):
     root, model_path, data_path, manifest = workdir
     cfg = tmp_path / "run.cfg"

@@ -17,13 +17,14 @@ from mutspect.model import (
     forward_blocks,
     load_model,
     model_hash,
+    predicted_classes,
     predictions_with_flags,
     save_model,
     serialize_model,
 )
-from mutspect.model import _block_rows, _first_change, _row_blocks
+from mutspect.model import _block_rows, _class_sum, _first_change, _row_blocks
 
-from conftest import WALK_SIZES, reference_outputs, walk_world
+from conftest import WALK_SIZES, reference_outputs, reference_predictions, walk_world
 
 # Hand-computed oracle for the 2-2-2 fixture net on input [0.8, -0.4]:
 #   z0 = [0.6, 0.36], relu keeps both
@@ -96,6 +97,18 @@ def test_predict_invariant_under_logit_rescaling(random_net):
 def test_batch_outputs_empty(random_net):
     out = batch_outputs(random_net, np.empty((0, random_net.input_dim)))
     assert out.shape == (0, random_net.num_outputs)
+    with count_forward_passes() as counter:
+        points = np.empty((0, random_net.input_dim))
+        assert list(forward_blocks(random_net, [random_net], points)) == []
+    assert counter.count == 0
+
+
+def test_points_without_features_are_a_shape_error(random_net):
+    # n > 0 points of width 0 are misshaped, not an empty batch
+    with pytest.raises(ShapeError):
+        batch_outputs(random_net, np.zeros((3, 0)))
+    with pytest.raises(ShapeError):
+        next(forward_blocks(random_net, [random_net], np.zeros((3, 0))))
 
 
 def test_batch_outputs_single_point_matches_forward(random_net):
@@ -406,3 +419,93 @@ def test_row_blocks_split_rule(n, rows):
     if n > rows:
         # BLAS sends short products to other kernels, whose last bits differ
         assert min(sizes) >= rows / 2
+
+
+# ---------------------------------------------------------------------------
+# Softmax and predictions reduce over a class-major copy of each block.  Its
+# class sums must repeat numpy's own row-sum order, so these pin them against
+# numpy's reductions over the row-major block, bit for bit.  CI runs them on
+# the lowest supported numpy as well.
+# ---------------------------------------------------------------------------
+
+
+def nan_blind_bytes(a: np.ndarray) -> bytes:
+    """The bytes of ``a`` with every NaN replaced by one quiet NaN.  numpy's
+    row maximum may return a NaN of its own rather than the operand's, so
+    the sign bit of NaN entries is not pinned; a row holding a NaN is wholly
+    NaN, and every caller flags or quarantines such a row."""
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+class TestClassAxisOracle:
+    CLASS_COUNTS = (1, 2, 7, 8, 9, 16, 127, 128, 129, 300)
+
+    def test_class_sum_matches_numpy_row_sums(self):
+        rng = np.random.default_rng(0)
+        for q in range(1, 301):
+            for rows in (1, 37):
+                x = rng.normal(size=(rows, q)) * 10.0 ** rng.integers(-8, 8, size=(rows, q))
+                x[rng.random(x.shape) < 0.1] = -0.0
+                x[0, rng.random(q) < 0.1] = 0.0
+                if rows > 1:
+                    x[1] = -0.0  # sums to +0.0
+                    x[2, -1] = np.inf
+                    x[3, 0] = np.nan
+                got = _class_sum(np.ascontiguousarray(x.T))
+                assert got.tobytes() == np.sum(x, axis=-1).tobytes(), (q, rows)
+
+    @staticmethod
+    def softmax_layer(q: int, seed: int) -> FcnnClassifier:
+        """One softmax layer on 3 inputs; for q >= 2 its first and middle
+        classes are tied on every point, and for q >= 3 its last class has a
+        weight of 0 on the first input (so inf * 0 makes a NaN logit)."""
+        rng = np.random.default_rng(seed)
+        w, b = rng.normal(size=(q, 3)), rng.normal(size=q)
+        b[::3] = -0.0
+        w[q // 2], b[q // 2] = w[0], b[0]
+        if q >= 3:
+            w[-1, 0] = 0.0
+        return FcnnClassifier((DenseLayer(w, b, SOFTMAX),))
+
+    @staticmethod
+    def hard_points(seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        inf, nan = np.inf, np.nan
+        return np.vstack([
+            rng.normal(size=(40, 3)),
+            rng.normal(size=(10, 3)) * 1e3,  # logits beyond exp() range
+            [[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, -0.0, 1.0]],
+            [[nan, 0.0, 0.0], [0.0, 0.0, nan]],  # NaN logits
+            [[inf, 0.0, 0.0], [-inf, 0.0, 0.0], [0.0, inf, -inf]],  # +inf and -inf logits
+            [[1e306, 1e306, 1e306], [-1e306, 0.0, 1e306]],
+        ])
+
+    @pytest.mark.parametrize("q", CLASS_COUNTS)
+    def test_softmax_rows_match_the_reference(self, q):
+        model = self.softmax_layer(q, seed=q)
+        points = self.hard_points(seed=q)
+        expected = reference_outputs(model, points)
+        got = batch_outputs(model, points)
+        assert nan_blind_bytes(got) == nan_blind_bytes(expected)
+        finite = np.isfinite(expected).all(axis=1)
+        assert finite[:53].all() and not finite[53:58].any()  # the inputs are hard ones
+        if q >= 2:
+            assert (expected[finite, 0] == expected[finite, q // 2]).all()  # exact ties
+
+    def test_all_equal_logits_give_uniform_rows(self):
+        for q in self.CLASS_COUNTS:
+            model = FcnnClassifier((DenseLayer(np.ones((q, 2)), np.full(q, -0.0), SOFTMAX),))
+            points = np.array([[0.0, 0.0], [-0.0, -0.0], [2.5, -1.0], [1e308, 1e308]])
+            expected = reference_outputs(model, points)
+            assert nan_blind_bytes(batch_outputs(model, points)) == nan_blind_bytes(expected)
+            assert (expected[:3] == expected[0, 0]).all()
+
+    @pytest.mark.parametrize("q", CLASS_COUNTS)
+    def test_predicted_classes_match_the_reference(self, q):
+        model = self.softmax_layer(q, seed=q)
+        points = self.hard_points(seed=q)
+        got = predicted_classes(batch_outputs(model, points))
+        np.testing.assert_array_equal(got, reference_predictions(model, points))
+        assert (got[53:58] == -1).all()
+        if q >= 2:
+            assert not (got == q // 2).any()  # ties go to the lower index

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from mutspect.dataset import LabeledDataset
 from mutspect.errors import (
@@ -289,6 +290,70 @@ class TestSimilarityGraph:
         spectra = mutant_spectra(ms, ds, stratified_sample(ds, 1, 0))
         with pytest.raises(DegenerateGraphError):
             build_similarity_graph(spectra)
+
+
+def reference_weights(values: np.ndarray) -> np.ndarray:
+    """Square distance tables per output, their running maximum, and the
+    upper triangle of exp(-distance) mirrored: a test-side graph oracle."""
+    n = len(values)
+    delta = np.zeros((n, n))
+    for output in range(values.shape[1]):
+        feats = values[:, output]
+        np.maximum(delta, cdist(feats, feats), out=delta)
+    upper = np.triu(np.exp(-delta), 1)
+    weights = upper + upper.T
+    np.fill_diagonal(weights, 1.0)
+    return weights
+
+
+def graph_of(values: np.ndarray) -> SimilarityGraph:
+    n, _, s = values.shape
+    return build_similarity_graph(SpectraSet(tuple(range(n)), values, SampleSet(np.arange(s), 1, 0),
+                                             TRANSFORM_DFT))
+
+
+def random_shapes(count: int, seed: int = 0):
+    """(n, q, |S|) with n in 2..200, q in 1..10 and |S| in 1..1600, |S|
+    shrunk so that one graph stays below 2e7 squared-difference terms."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, q, s = int(rng.integers(2, 201)), int(rng.integers(1, 11)), int(rng.integers(1, 1601))
+        yield n, q, max(1, min(s, 20_000_000 // (n * n * q)))
+
+
+class TestGraphOracle:
+    """build_similarity_graph keeps its maximum over outputs on condensed
+    distances; its weights must equal square-table ones bit for bit.  CI
+    runs these on the lowest supported scipy as well."""
+
+    @pytest.mark.parametrize("shape", [(2, 1, 1), (2, 10, 1600), (200, 1, 1), (200, 10, 1600),
+                                       *random_shapes(25)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_weights_match_square_distance_tables(self, shape):
+        n, q, s = shape
+        rng = np.random.default_rng(n * 7919 + q * 31 + s)
+        values = rng.uniform(0, 2, size=shape) * 10.0 ** rng.integers(-3, 2, size=(n, 1, 1))
+        values[n - 1] = values[0]  # duplicate signatures
+        if n > 3:
+            values[2] += 1e3  # far from every other mutant: exp(-d) underflows to 0
+        graph = graph_of(values)
+        expected = reference_weights(values)
+        assert graph.weights.tobytes() == expected.tobytes()
+        assert graph.weights[0, n - 1] == 1.0
+        if n > 3:
+            assert graph.weights[2, 1] == 0.0
+
+    def test_non_contiguous_values_view(self):
+        rng = np.random.default_rng(5)
+        base = rng.uniform(0, 3, size=(40, 6, 50))
+        # strided along every axis (SpectraSet keeps a contiguous copy, whose
+        # per-output views the graph reads are strided in turn)
+        values = base[::-2, 1::2, ::3]
+        assert not values.flags.c_contiguous
+        values[7] = values[3]
+        graph = graph_of(values)
+        assert graph.weights.tobytes() == reference_weights(values).tobytes()
+        assert graph.weights[3, 7] == 1.0
 
 
 class TestSimilarityGraphValidation:

@@ -22,7 +22,7 @@ from mutspect.testing import (
 )
 from mutspect.synth import fitted_classifier, gaussian_blobs
 
-from conftest import WALK_SIZES, reference_outputs, walk_world
+from conftest import WALK_SIZES, reference_predictions, walk_world
 
 
 @pytest.fixture(scope="module")
@@ -199,13 +199,6 @@ class TestAccelerated:
 # vanilla_test over the row-blocked walk, against verdicts built from the
 # full-product reference.  CI runs these a second time with one BLAS thread.
 # ---------------------------------------------------------------------------
-
-
-def reference_predictions(model, points):
-    out = reference_outputs(model, points)
-    preds = np.argmax(out, axis=1)
-    preds[~np.isfinite(out).all(axis=1)] = -1
-    return preds
 
 
 def reference_verdicts(original, records, dataset):
