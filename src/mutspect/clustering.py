@@ -246,13 +246,12 @@ def parameter_search(
 def select_representatives(clusters: ClusterSet, seed: int) -> RepresentativeMap:
     """One representative per cluster.
 
-    Clusters are visited sorted by smallest member id; the pick is uniform
-    via one ``integers(len(cluster))`` draw per cluster from
-    ``philox_rng(seed)``.
+    Clusters are visited sorted by smallest member id; the picks are uniform,
+    drawn by one ``integers(sizes)`` call over the visited clusters' sizes
+    on ``philox_rng(seed)``, which gives the picks of one
+    ``integers(len(cluster))`` draw per cluster in that order.
     """
-    rng = philox_rng(seed)
-    pairs = []
-    for cluster in sorted(clusters.clusters, key=lambda c: c[0]):
-        rep = cluster[int(rng.integers(len(cluster)))]
-        pairs.append((rep, tuple(cluster)))
-    return RepresentativeMap(tuple(pairs), seed)
+    ordered = sorted(clusters.clusters, key=lambda c: c[0])
+    picks = philox_rng(seed).integers(np.array([len(c) for c in ordered], dtype=np.int64))
+    pairs = tuple((cluster[pick], tuple(cluster)) for cluster, pick in zip(ordered, picks.tolist()))
+    return RepresentativeMap(pairs, seed)

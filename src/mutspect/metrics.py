@@ -40,9 +40,13 @@ class MeasureReport:
     seconds_accel: float
 
 
-def measures(accel: VerdictTable, vanilla: VerdictTable) -> MeasureReport:
+def _check_same_mutants(accel: VerdictTable, vanilla: VerdictTable) -> None:
     if set(accel.verdicts) != set(vanilla.verdicts):
         raise ValidationError("verdict tables cover different mutant sets")
+
+
+def measures(accel: VerdictTable, vanilla: VerdictTable) -> MeasureReport:
+    _check_same_mutants(accel, vanilla)
     ms_v = mutation_score(vanilla)
     ms_0 = mutation_score(accel)
     t_v = vanilla.timing.total_seconds
@@ -81,8 +85,10 @@ def predictive_metrics(accel: VerdictTable, vanilla: VerdictTable) -> Predictive
     MAE/RMAE compare killing-label counts; the confusion matrix uses the
     classical killed/survived statuses (predicted = accelerated table,
     actual = vanilla table).  Mutants without an accelerated count (e.g.
-    unselected under subset baselines) are skipped.
+    unselected under subset baselines) are skipped.  Tables over different
+    mutant sets raise ValidationError.
     """
+    _check_same_mutants(accel, vanilla)
     ids = [
         m
         for m, v in sorted(accel.verdicts.items())

@@ -5,14 +5,15 @@ hidden layer and softmax on the last one.  All parameters are float64 and
 arrays are frozen after construction, so every forward pass is a pure
 function of (model, input).  There is one forward engine, forward_blocks: it
 splits the points into row blocks sized so that the original's widest
-activation fits BLOCK_BYTES, runs the original once per block, keeping its
-activation at every depth where another model first differs from it, and
-resumes each other model there.  Each layer allocates one array (the product
-with the weights) and applies the bias, ReLU and softmax to it in place.  The
-engine never raises on overflow: rows may carry NaN/Inf, and each caller
-decides what a non-finite row means.  batch_outputs is the engine with no
-other models, and predicted_classes reads predicted classes off any block of
-outputs.
+activation fits BLOCK_BYTES, runs the original once per block as far as
+some model needs it, keeping its activation only at the depths where a model
+first differs from it, and resumes each model there.  A model equal to the
+original (the original itself included) resumes after the last layer and
+costs nothing more.  Each layer allocates one array (the product with the
+weights) and applies the bias, ReLU and softmax to it in place.  The engine
+never raises on overflow: rows may carry NaN/Inf, and each caller decides
+what a non-finite row means.  batch_outputs is the engine over one model,
+and predicted_classes reads predicted classes off any block of outputs.
 
 Softmax and predicted_classes' finiteness test reduce over the class axis of
 a class-major copy of the block: numpy runs one inner loop per row when it
@@ -232,14 +233,15 @@ def _first_change(original: FcnnClassifier, model: FcnnClassifier) -> int:
 
 
 def forward_blocks(original: FcnnClassifier, models, points):
-    """Softmax outputs of ``original`` and each of ``models``, block by block.
+    """Softmax outputs of each of ``models``, block by block.
 
-    Yields ``(rows, outputs, model_outputs)`` per row block in order: ``rows``
-    is the block's slice of the points, ``outputs`` the original's softmax
-    rows and ``model_outputs`` a generator of each model's rows, in the order
-    of ``models``, each computed when it is drawn.  A model equal to the
-    original yields the original's array itself.  Every block counts
-    (|models| + 1) forward passes per row.
+    Yields ``(rows, model_outputs)`` per row block in order: ``rows`` is the
+    block's slice of the points and ``model_outputs`` a generator of each
+    model's rows, in the order of ``models``, each computed when it is
+    drawn.  Each model resumes from the original's activation at its first
+    changed layer, so a caller that needs the original's outputs passes the
+    original as a model; a model equal to the original yields the original's
+    array itself.  Every block counts |models| forward passes per row.
     """
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != original.input_dim:
@@ -249,17 +251,15 @@ def forward_blocks(original: FcnnClassifier, models, points):
     models = tuple(models)
     starts = [_first_change(original, model) for model in models]
     # the original's activations are kept only at the depths a model resumes from
-    depths = sorted({0, len(original.layers), *starts})
+    depths = sorted({0, *starts})
     # blocks depend on the original alone, so its rows are batch_outputs' rows
     width = max(layer.out_dim for layer in original.layers)
     for rows in _row_blocks(x.shape[0], _block_rows(width)):
-        _tally((len(models) + 1) * (rows.stop - rows.start))
+        _tally(len(models) * (rows.stop - rows.start))
         acts = {0: x[rows]}  # acts[d]: the original's input to layer d
         for lo, hi in zip(depths, depths[1:]):
             acts[hi] = _resume(original.layers[lo:hi], acts[lo])
-        yield rows, acts[depths[-1]], (
-            _resume(model.layers[d:], acts[d]) for model, d in zip(models, starts)
-        )
+        yield rows, (_resume(model.layers[d:], acts[d]) for model, d in zip(models, starts))
 
 
 def batch_outputs(model: FcnnClassifier, points) -> np.ndarray:
@@ -268,7 +268,7 @@ def batch_outputs(model: FcnnClassifier, points) -> np.ndarray:
     Rows whose computation overflowed carry NaN/Inf; callers check
     ``np.isfinite`` themselves (quarantine, a -1 flag or ValidationError).
     """
-    parts = [outputs for _, outputs, _ in forward_blocks(model, (), points)]
+    parts = [next(outputs) for _, outputs in forward_blocks(model, (model,), points)]
     if not parts:
         return np.empty((0, model.num_outputs))
     return parts[0] if len(parts) == 1 else np.concatenate(parts)

@@ -6,12 +6,17 @@ behavioural signature.  The distance between two mutants is the maximum over
 outputs of the Euclidean distance between their signatures, and similarity is
 exp(-distance), giving edge weights in [0, 1] for a complete graph.
 
-Signatures are written mutant by mutant into one (|M|, q, |S|) array, trimmed
-to the mutants with finite outputs, so ``SpectraSet.ids`` lists exactly the
-graph's nodes in id order.  The graph reads that array one output at a time
-through views, so neither step copies the whole set, and keeps its running
-maximum over outputs on condensed distances (``pdist``: each of the
-n(n-1)/2 pairs once), expanding to the square table only at the end.
+Signatures come from one walk of the forward engine over the sample with
+every mutant, each resuming from the original's activation at its first
+changed layer.  The walk writes each block's outputs class-major into one
+(|M|, q, |S|) array; one pass in id order then quarantines the mutants with
+non-finite outputs, compacts the array in place and, under DFT, replaces
+each mutant's outputs with their magnitude spectra, so ``SpectraSet.ids``
+lists exactly the graph's nodes in id order.  The graph reads that array one
+output at a time through views, so neither step copies the whole set, and
+keeps its running maximum over outputs on condensed distances (``pdist``:
+each of the n(n-1)/2 pairs once), expanding to the square table only at the
+end.
 """
 
 from __future__ import annotations
@@ -30,7 +35,11 @@ from .errors import (
     SpectraFailureError,
     ValidationError,
 )
-from .model import batch_outputs
+# perfbench's tracer wraps ``spectra.batch_outputs`` by name; keeping it bound
+# here keeps that trace target resolvable, though the signatures use
+# forward_blocks directly
+from .model import batch_outputs  # noqa: F401
+from .model import forward_blocks
 from .mutants import MutantSet
 from .util import philox_rng, readonly, sha256_bytes
 
@@ -52,7 +61,10 @@ class SampleSet:
     truncated_classes: tuple[int, ...] = ()  # classes with population < rate
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", readonly(np.asarray(self.indices, dtype=np.int64)))
+        indices = readonly(np.asarray(self.indices, dtype=np.int64))
+        if indices.size == 0:
+            raise ValidationError("a sample needs at least one point")
+        object.__setattr__(self, "indices", indices)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -137,28 +149,33 @@ def mutant_spectra(
 ) -> SpectraSet:
     """Signatures for every mutant over the shared sample.
 
-    Each mutant is applied to each sampled point exactly once (one batched
-    evaluation of |S| forward passes per mutant); the output matrix is then
-    reused for all of the mutant's outputs, so the total forward-pass count
-    is |M| * |S| regardless of the number of outputs.  Mutants producing
-    non-finite outputs are quarantined, not raised.  Mutants are evaluated
-    one at a time in id order, so only one output matrix is alive at once.
+    One walk of the forward engine applies each mutant to each sampled point
+    exactly once, resuming it at its first changed layer (a no-op mutant
+    reuses the original's outputs), so the forward-pass count is |M| * |S|
+    regardless of the number of outputs.  Each block's outputs land
+    class-major in one preallocated (|M|, q, |S|) array.  One pass in id
+    order then quarantines mutants producing non-finite outputs (they are
+    not raised), moves each kept mutant down to the next free row and, under
+    DFT, writes its magnitude spectra there.
     """
     if transform not in (TRANSFORM_DFT, TRANSFORM_RAW):
         raise ParameterError(f"unknown transform {transform!r}")
+    records = sorted(mutants.mutants, key=lambda m: m.mutant_id)
     points = dataset.features[sample.indices]
-    values = np.empty((len(mutants), mutants.original.num_outputs, len(sample)))
+    values = np.empty((len(records), mutants.original.num_outputs, len(sample)))
+    walk = forward_blocks(mutants.original, [r.model for r in records], points)
+    for rows, outputs in walk:
+        for series, out in zip(values, outputs):
+            series[:, rows] = out.T
     ids, failed = [], []
-    for record in sorted(mutants.mutants, key=lambda m: m.mutant_id):
-        out = batch_outputs(record.model, points)  # (|S|, q)
-        if not np.isfinite(out).all():
+    for k, record in enumerate(records):
+        if not np.isfinite(values[k]).all():
             failed.append(record.mutant_id)
             continue
-        block = values[len(ids)]
         if transform == TRANSFORM_DFT:
-            np.abs(np.fft.fft(out, axis=0).T, out=block)
-        else:
-            block[...] = out.T
+            np.abs(np.fft.fft(values[k], axis=1), out=values[len(ids)])
+        elif len(ids) < k:
+            values[len(ids)] = values[k]
         ids.append(record.mutant_id)
     return SpectraSet(tuple(ids), values[: len(ids)], sample, transform, tuple(failed))
 

@@ -13,11 +13,12 @@ Mutants whose outputs go non-finite on a point are treated as mispredicting
 that point (an exploded mutant is maximally different) and the event is
 logged.
 
-vanilla_test walks the test set in row blocks (model.forward_blocks): the
-original runs once per block, and each mutant resumes from the original's
-cached activation at its first changed layer.  Per mutant it accumulates the
-killed labels, whether any prediction differs from the original's, and the
-count of non-finite rows; verdicts and warnings follow in id order.
+vanilla_test walks the test set in row blocks (model.forward_blocks) with the
+original as the first model: the original runs once per block, and each
+mutant resumes from the original's cached activation at its first changed
+layer.  Per mutant it accumulates the killed labels, whether any prediction
+differs from the original's, and the count of non-finite rows; verdicts and
+warnings follow in id order.
 """
 
 from __future__ import annotations
@@ -135,14 +136,15 @@ def vanilla_test(
         killed = np.zeros((len(records), len(present)), dtype=bool)
         differs = np.zeros(len(records), dtype=bool)
         non_finite = np.zeros(len(records), dtype=np.int64)
-        blocks = forward_blocks(original, [r.model for r in records], dataset.features)
-        for rows, outputs, mutant_outputs in blocks:
-            original_preds = predicted_classes(outputs)
+        # the original runs as the first model: its outputs lead each block
+        models = [original, *(r.model for r in records)]
+        for rows, outputs in forward_blocks(original, models, dataset.features):
+            original_preds = predicted_classes(next(outputs))
             if (original_preds == -1).any():
                 raise ValidationError("original model produced non-finite outputs")
             labels = dataset.labels[rows]
             block_labels = label_index[rows]
-            for k, out in enumerate(mutant_outputs):
+            for k, out in enumerate(outputs):
                 preds = predicted_classes(out)
                 killed[k, block_labels[_kills(original_preds, preds, labels)]] = True
                 differs[k] |= (preds != original_preds).any()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mutspect.clustering import (
     DEFAULT_REDUCTION,
@@ -15,6 +17,7 @@ from mutspect.clustering import (
 from mutspect.errors import ParameterError, ValidationError
 from mutspect.pipeline import TAU_SWEEP_GRID
 from mutspect.spectra import SimilarityGraph
+from mutspect.util import philox_rng
 
 
 def graph_from_weights(weights, ids=None):
@@ -378,3 +381,36 @@ class TestRepresentatives:
         # binomial(1000, 1/4): 3 sigma ~= 41
         for m in range(4):
             assert abs(counts[m] - 250) <= 41
+
+
+def sequential_representatives(clusters, seed):
+    """One ``integers(len(cluster))`` draw per cluster, in order of smallest
+    member, on one generator: test-side reference for the single draw."""
+    rng = philox_rng(seed)
+    ordered = sorted(clusters.clusters, key=lambda c: c[0])
+    return tuple((c[int(rng.integers(len(c)))], tuple(c)) for c in ordered)
+
+
+class TestDrawOracle:
+    """select_representatives draws every pick in one call over the cluster
+    sizes; it must give the picks of one draw per cluster.  This rests on
+    numpy's broadcast path of ``integers``, so CI also runs it on the lowest
+    supported numpy."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sizes=st.lists(st.one_of(st.just(1), st.integers(1, 9), st.integers(1, 3000)),
+                       min_size=1, max_size=48),
+        order=st.randoms(use_true_random=False),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_single_draw_equals_sequential_draws(self, sizes, order, seed):
+        bounds = np.cumsum([0, *sizes])
+        clusters = [tuple(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+        order.shuffle(clusters)  # the function sorts them itself
+        cs = ClusterSet(tuple(clusters), tau=0.5)
+        reps = select_representatives(cs, seed)
+        assert reps.pairs == sequential_representatives(cs, seed)
+
+    def test_no_clusters_no_picks(self):
+        assert select_representatives(ClusterSet((), tau=0.5), seed=3).pairs == ()

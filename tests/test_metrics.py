@@ -84,6 +84,14 @@ class TestPredictiveMetrics:
         assert rep.mcc is None
         assert rep.precision == 1.0 and rep.recall == 1.0
 
+    def test_mismatched_sets_rejected(self):
+        # an accelerated table with a mutant the vanilla one lacks, and one
+        # missing a mutant the vanilla one has
+        three, two = table([(1, True)] * 3), table([(1, True)] * 2)
+        for accel, vanilla in ((three, two), (two, three)):
+            with pytest.raises(ValidationError, match="different mutant sets"):
+                predictive_metrics(accel, vanilla)
+
     def test_rmae_undefined_when_actual_mean_zero(self):
         actual = [(0, False)] * 3
         predicted = [(1, True), (0, False), (0, False)]

@@ -379,8 +379,10 @@ class TestWalkOracle:
         models = [r.model for r in records]
         parts, covered = [[] for _ in range(len(models) + 1)], []
         with count_forward_passes() as counter:
-            for rows, outputs, model_outputs in forward_blocks(original, models, points):
+            # the original runs as the first model, as vanilla_test runs it
+            for rows, model_outputs in forward_blocks(original, [original, *models], points):
                 covered.append(rows)
+                outputs = next(model_outputs)
                 parts[0].append(outputs)
                 for k, out in enumerate(model_outputs, 1):
                     parts[k].append(out)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -11,7 +13,7 @@ from mutspect.errors import (
     SpectraFailureError,
     ValidationError,
 )
-from mutspect.model import count_forward_passes
+from mutspect.model import _block_rows, count_forward_passes
 from mutspect.mutants import gaussian_fuzz, generate_mutant_set, MutantSet
 from mutspect.spectra import (
     TRANSFORM_DFT,
@@ -27,6 +29,8 @@ from mutspect.spectra import (
     stratified_sample,
 )
 from mutspect.util import philox_rng
+
+from conftest import exploding_mutant, reference_outputs, walk_world
 
 
 def naive_dft_magnitude(series):
@@ -186,6 +190,14 @@ class TestMutantSpectra:
             mutant_distance(0, 1, spectra)
         graph = build_similarity_graph(spectra)
         assert graph.ids == (0, 2)
+
+    def test_empty_sample_raises_before_any_forward_pass(self, random_net):
+        ds = blob_dataset(dim=random_net.input_dim)
+        ms = generate_mutant_set(random_net, 2, seed=8)
+        with count_forward_passes() as counter:
+            with pytest.raises(ValidationError, match="at least one point"):
+                mutant_spectra(ms, ds, SampleSet(np.array([], dtype=np.int64), 1, 0))
+        assert counter.count == 0
 
     def test_unknown_transform_raises_before_any_forward_pass(self, random_net):
         ds = blob_dataset(dim=random_net.input_dim)
@@ -495,3 +507,69 @@ class TestStreamedAssembly:
         one_mutant = len(sample) * random_net.num_outputs * 8
         assert spectra.values.shape == (60, random_net.num_outputs, 600)
         assert peak < 1.5 * spectra.values.nbytes + one_mutant
+
+
+# ---------------------------------------------------------------------------
+# The signature walk.  mutant_spectra runs every mutant through one walk of
+# the forward engine, each resuming at its first changed layer; its spectra
+# must equal a full-set reference per mutant (reference_outputs, then one FFT
+# per output) bit for bit.  CI runs these a second time with one BLAS thread.
+# ---------------------------------------------------------------------------
+
+
+class TestSpectraWalkOracle:
+    @pytest.fixture(scope="class")
+    def world(self):
+        original, records, _ = walk_world()
+        # walk_world's records (a no-op, the original itself, a -0.0-only
+        # change, explosions at layer 0 and at the output) between mutants
+        # that explode on every point: quarantine first and last
+        shifted = [dataclasses.replace(r, mutant_id=r.mutant_id + 1) for r in records]
+        ends = [exploding_mutant(original, 0), exploding_mutant(original, len(records) + 1)]
+        sets = {
+            "mixed": MutantSet(original, [ends[1], *shifted[::-1], ends[0]], 0),
+            "all-quarantined": MutantSet(original, ends, 0),
+        }
+        rows = _block_rows(64)
+        points = np.random.default_rng(7).normal(size=(rows + 1, original.input_dim))
+        ds = LabeledDataset(points, np.zeros(rows + 1, dtype=np.int64), 1)
+        return sets, ds, rows
+
+    @staticmethod
+    def reference(mutant_set, points, transform):
+        ids, failed, rows = [], [], []
+        for record in sorted(mutant_set.mutants, key=lambda m: m.mutant_id):
+            out = reference_outputs(record.model, points)
+            if not np.isfinite(out).all():
+                failed.append(record.mutant_id)
+                continue
+            ids.append(record.mutant_id)
+            if transform == TRANSFORM_DFT:
+                rows.append([np.abs(np.fft.fft(column)) for column in out.T])
+            else:
+                rows.append(out.T)
+        values = np.array(rows).reshape(len(ids), mutant_set.original.num_outputs, len(points))
+        return tuple(ids), tuple(failed), values
+
+    @pytest.mark.parametrize("transform", [TRANSFORM_DFT, TRANSFORM_RAW])
+    @pytest.mark.parametrize("size", ["1", "R", "R+1"])
+    @pytest.mark.parametrize("which", ["mixed", "all-quarantined"])
+    def test_spectra_match_the_full_set_reference(self, world, which, size, transform):
+        sets, ds, rows = world
+        mutant_set = sets[which]
+        n = {"1": 1, "R": rows, "R+1": rows + 1}[size]
+        sample = SampleSet(np.arange(n), n, 0)
+        with count_forward_passes() as counter:
+            spectra = mutant_spectra(mutant_set, ds, sample, transform)
+        assert counter.count == len(mutant_set) * n
+        ids, failed, values = self.reference(mutant_set, ds.features[:n], transform)
+        assert spectra.ids == ids
+        assert spectra.failed == failed
+        assert spectra.values.tobytes() == values.tobytes()
+        first, last = min(mutant_set.ids()), max(mutant_set.ids())
+        assert failed[0] == first and failed[-1] == last  # quarantined first and last
+        if which == "all-quarantined":
+            assert ids == ()
+        elif n > 1:
+            # walk_world's explosions at layer 0 and at the output reach the sample
+            assert {last - 3, last - 2} <= set(failed)
