@@ -8,6 +8,8 @@ from .clustering import DEFAULT_REDUCTION, ReductionConstraint
 from .errors import ParameterError
 
 MODES = ("vanilla", "spectral", "raw", "rms", "bss", "rss")
+# numpy's Philox and SeedSequence take non-negative integers only
+SEED_FIELDS = ("sampling_seed", "generation_seed", "representative_seed", "baseline_seed")
 
 
 @dataclass
@@ -32,6 +34,9 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in SEED_FIELDS:
+            if getattr(self, name) < 0:
+                raise ParameterError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.repeats < 1:
             raise ParameterError("repeats must be at least 1")
         if not 0.0 < self.rms_fraction <= 1.0:

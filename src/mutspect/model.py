@@ -10,18 +10,24 @@ some model needs it, keeping its activation only at the depths where a model
 first differs from it, and resumes each model there.  A model equal to the
 original (the original itself included) resumes after the last layer and
 costs nothing more.  Each layer allocates one array (the product with the
-weights) and applies the bias, ReLU and softmax to it in place.  The engine
-never raises on overflow: rows may carry NaN/Inf, and each caller decides
-what a non-finite row means.  batch_outputs is the engine over one model,
-and predicted_classes reads predicted classes off any block of outputs.
+weights) and applies the bias and ReLU to it in place.  The engine stops at
+the output layer's logits and never raises on overflow: rows may carry
+NaN/Inf, and each caller decides what a non-finite row means.
 
-Softmax and predicted_classes' finiteness test reduce over the class axis of
-a class-major copy of the block: numpy runs one inner loop per row when it
-reduces a row-major block over its classes, and one per class row over the
-copy, which is faster for few classes in long blocks and slower for short
-blocks or many classes (README, "Semantics worth knowing").  The class sums repeat numpy's own summation order, so the outputs
-equal row-major reductions bit for bit, apart from the sign bit of NaN
-entries (a row holding one is wholly NaN).
+Softmax runs only where its values are read: in batch_outputs (the engine
+over one model, then softmax) and over chunks of signatures in
+``spectra.mutant_spectra``.  predicted_classes reads the softmax argmax off
+the logits without computing it, apart from the rare rows with a near-tie
+within NEAR_TIE of their maximum.
+
+Softmax and predicted_classes reduce over the class axis of a class-major
+copy of the block: numpy runs one inner loop per row when it reduces a
+row-major block over its classes, and one per class row over the copy,
+which is faster for few classes in long blocks and slower for short blocks
+or many classes (README, "Semantics worth knowing").  The class sums repeat
+numpy's own summation order, so the outputs equal row-major reductions bit
+for bit, apart from the sign bit of NaN entries (a row holding one is
+wholly NaN).
 """
 
 from __future__ import annotations
@@ -164,41 +170,54 @@ def _row_blocks(n: int, rows: int) -> list[slice]:
 
 
 def _class_sum(t: np.ndarray) -> np.ndarray:
-    """Sums over the classes (axis 0) of a class-major block, bit-equal to
-    numpy's ``sum(axis=-1)`` over the row-major block.
+    """Sums over the classes (axis -2) of class-major blocks, bit-equal to
+    numpy's ``sum(axis=-1)`` over each row-major block.
 
     numpy sums a contiguous row pairwise: fewer than 8 values left to right;
     up to 128 in 8 interleaved accumulators, combined as a fixed tree, then
     the tail in order; more in two halves split at a multiple of 8.  Here
-    each step is one vector operation over all block rows: a reduction over
-    axis 0 adds the class rows left to right, starting, as numpy's row sum
-    does, from +0.0 (so a row of -0.0 sums to 0.0).
+    each step is one vector operation over all block rows (of every block,
+    for a stack of blocks): a reduction over the class axis adds the class
+    rows left to right, starting, as numpy's row sum does, from +0.0 (so a
+    row of -0.0 sums to 0.0).
     """
-    q = len(t)
+    q, n = t.shape[-2:]
     if q < 8:
-        return t.sum(axis=0)
+        return t.sum(axis=-2)
     if q > 128:
         half = q // 2 - q // 2 % 8
-        return _class_sum(t[:half]) + _class_sum(t[half:])
+        return _class_sum(t[..., :half, :]) + _class_sum(t[..., half:, :])
     tail = q - q % 8
-    r = t[:tail].reshape(-1, 8, t.shape[1]).sum(axis=0)
+    r = t[..., :tail, :].reshape(*t.shape[:-2], -1, 8, n).sum(axis=-3)
+    r = [r[..., j, :] for j in range(8)]
     s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for row in t[tail:]:
-        s += row
+    for k in range(tail, q):
+        s += t[..., k, :]
     return s
 
 
-def _activate(layer: DenseLayer, a: np.ndarray):
-    """Bias and activation of ``layer``, applied to the product ``a`` in place."""
-    a += layer.biases
-    if layer.activation == SOFTMAX:
-        t = np.ascontiguousarray(a.T)  # class-major: see the module docstring
+def class_softmax(t: np.ndarray) -> np.ndarray:
+    """Softmax over the classes (axis -2) of class-major logits, in place.
+
+    Returns each row's maximum logit.  A row's outputs are all finite iff
+    that maximum is: a finite maximum leaves shifted logits in [-inf, 0]
+    with one 0, so the class sum lies in [1, q]; a NaN or infinite maximum
+    makes every output of the row NaN.
+    """
+    top = t.max(axis=-2, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
         # max-subtraction: fuzzed weights can push logits beyond exp()
-        t -= t.max(axis=0)
+        t -= top
         np.exp(t, out=t)
-        t /= _class_sum(t)
-        a[...] = t.T
-    else:
+        t /= _class_sum(t)[..., None, :]
+    return top[..., 0, :]
+
+
+def _activate(layer: DenseLayer, a: np.ndarray):
+    """Bias and ReLU of ``layer``, applied to the product ``a`` in place; the
+    output layer adds its bias only, leaving logits."""
+    a += layer.biases
+    if layer.activation == RELU:
         np.maximum(a, 0.0, out=a)
 
 
@@ -225,23 +244,24 @@ def _first_change(original: FcnnClassifier, model: FcnnClassifier) -> int:
         if (
             theirs.activation != mine.activation
             or theirs.weights.shape != mine.weights.shape
-            or not np.array_equal(theirs.weights.view(np.int64), mine.weights.view(np.int64))
-            or not np.array_equal(theirs.biases.view(np.int64), mine.biases.view(np.int64))
+            or theirs.weights.tobytes() != mine.weights.tobytes()
+            or theirs.biases.tobytes() != mine.biases.tobytes()
         ):
             return depth
     return len(original.layers)
 
 
 def forward_blocks(original: FcnnClassifier, models, points):
-    """Softmax outputs of each of ``models``, block by block.
+    """Output-layer logits of each of ``models``, block by block.
 
-    Yields ``(rows, model_outputs)`` per row block in order: ``rows`` is the
-    block's slice of the points and ``model_outputs`` a generator of each
+    Yields ``(rows, model_logits)`` per row block in order: ``rows`` is the
+    block's slice of the points and ``model_logits`` a generator of each
     model's rows, in the order of ``models``, each computed when it is
     drawn.  Each model resumes from the original's activation at its first
-    changed layer, so a caller that needs the original's outputs passes the
+    changed layer, so a caller that needs the original's logits passes the
     original as a model; a model equal to the original yields the original's
-    array itself.  Every block counts |models| forward passes per row.
+    array itself, which callers must not write.  Every block counts
+    |models| forward passes per row.
     """
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != original.input_dim:
@@ -262,29 +282,72 @@ def forward_blocks(original: FcnnClassifier, models, points):
         yield rows, (_resume(model.layers[d:], acts[d]) for model, d in zip(models, starts))
 
 
+def _logits(model: FcnnClassifier, points) -> np.ndarray:
+    """Output-layer logits of ``model``, one row per point."""
+    parts = [next(logits) for _, logits in forward_blocks(model, (model,), points)]
+    if not parts:
+        return np.empty((0, model.num_outputs))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def batch_outputs(model: FcnnClassifier, points) -> np.ndarray:
     """Softmax outputs for an ordered batch of points, one row per point.
 
     Rows whose computation overflowed carry NaN/Inf; callers check
     ``np.isfinite`` themselves (quarantine, a -1 flag or ValidationError).
     """
-    parts = [next(outputs) for _, outputs in forward_blocks(model, (model,), points)]
-    if not parts:
-        return np.empty((0, model.num_outputs))
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    a = _logits(model, points)
+    t = np.ascontiguousarray(a.T)  # class-major: see the module docstring
+    class_softmax(t)
+    a[...] = t.T
+    return a
 
 
-def predicted_classes(outputs: np.ndarray) -> np.ndarray:
-    """Predicted class per row of softmax outputs, ties to the lowest index;
-    -1 marks rows with non-finite outputs."""
-    preds = outputs.argmax(axis=1).astype(np.int64)
-    preds[~np.isfinite(np.ascontiguousarray(outputs.T)).all(axis=0)] = -1
+# Near-tie guard of predicted_classes: 2**-40, far above the rounding error
+# of exp() near 0 and far below any logit gap a model shows in practice
+NEAR_TIE = 2.0 ** -40
+
+
+def predicted_classes(logits: np.ndarray) -> np.ndarray:
+    """Predicted class per row of output-layer logits: the argmax of the
+    row's softmax, ties to the lowest index, or -1 where that softmax is
+    non-finite.  ``logits`` is not written.
+
+    The softmax is not computed.  With m the row maximum and s the class
+    sum of exp(z - m), each output is fl(e / s) with e = fl(exp(fl(z - m))):
+
+    * the row's softmax is non-finite iff m is (see ``class_softmax``), so
+      such rows are -1;
+    * every entry with z = m has e = 1, so the output fl(1 / s), the
+      largest; the first of them is the first index of the row maximum;
+    * an entry with fl(z - m) <= -2**-40 has e <= 1 - 2**-41 (exp is
+      accurate to a few ulps, 2**-53 each, and exp(-2**-40) < 1 - 2**-41),
+      and s >= 1.  Rounding to nearest then gives fl(e / s) <=
+      (e / s)(1 + 2**-53) < (1 / s)(1 - 2**-53) <= fl(1 / s), a strictly
+      smaller output, so it cannot tie with the maximum.
+
+    Only a row holding an entry with -2**-40 < fl(z - m) < 0 can have its
+    softmax argmax elsewhere (exp may round to 1, or the division to the
+    maximum's output); those rows, rare, get the real softmax, computed as
+    ``batch_outputs`` computes it.
+    """
+    t = logits.T.copy()  # class-major: see the module docstring
+    top = t.max(axis=0)
+    preds = logits.argmax(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t -= top  # the softmax's own shift: NaN on rows with a non-finite maximum
+        near = np.flatnonzero(((t > -NEAR_TIE) & (t < 0)).any(axis=0))
+    if near.size:
+        near_t = np.ascontiguousarray(logits[near].T)
+        class_softmax(near_t)
+        preds[near] = near_t.argmax(axis=0)
+    preds[~np.isfinite(top)] = -1
     return preds
 
 
 def predictions_with_flags(model: FcnnClassifier, points) -> np.ndarray:
     """Predicted classes of ``model`` on ``points`` (see predicted_classes)."""
-    return predicted_classes(batch_outputs(model, points))
+    return predicted_classes(_logits(model, points))
 
 
 # ---------------------------------------------------------------------------

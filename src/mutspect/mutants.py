@@ -22,7 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, TargetError, UnsupportedTargetError, ValidationError
+from .errors import (
+    FormatError,
+    ParameterError,
+    TargetError,
+    UnsupportedTargetError,
+    ValidationError,
+)
 from .model import DenseLayer, FcnnClassifier, model_hash
 from .util import open_fresh, philox_rng
 
@@ -257,6 +263,8 @@ def generate_mutant_set(
     """
     if count < 1:
         raise TargetError("count must be at least 1")
+    if seed < 0:
+        raise ParameterError(f"generation seed must be non-negative, got {seed}")
     kinds = [k for k in ALL_KINDS if k in tuple(kinds)]
     if not kinds:
         raise TargetError("kinds must be nonempty")

@@ -8,15 +8,18 @@ exp(-distance), giving edge weights in [0, 1] for a complete graph.
 
 Signatures come from one walk of the forward engine over the sample with
 every mutant, each resuming from the original's activation at its first
-changed layer.  The walk writes each block's outputs class-major into one
-(|M|, q, |S|) array; one pass in id order then quarantines the mutants with
-non-finite outputs, compacts the array in place and, under DFT, replaces
-each mutant's outputs with their magnitude spectra, so ``SpectraSet.ids``
-lists exactly the graph's nodes in id order.  The graph reads that array one
-output at a time through views, so neither step copies the whole set, and
-keeps its running maximum over outputs on condensed distances (``pdist``:
-each of the n(n-1)/2 pairs once), expanding to the square table only at the
-end.
+changed layer.  The walk writes each block's logits class-major into one
+(|M|, q, |S|) array; one pass in id order then takes chunks of consecutive
+mutants (CHUNK_BYTES each), applies softmax over their class axis,
+quarantines the mutants with non-finite outputs, compacts the array in
+place and, under DFT, replaces each kept mutant's outputs with their
+magnitude spectra, so ``SpectraSet.ids`` lists exactly the graph's nodes in
+id order.  Chunks make one numpy call serve many mutants, where a call per
+mutant on a few sampled points costs mostly call overhead.  The graph reads
+that array one output at a time through views, so neither step copies the
+whole set, and keeps its running maximum over outputs on condensed
+distances (``pdist``: each of the n(n-1)/2 pairs once), expanding to the
+square table only at the end.
 """
 
 from __future__ import annotations
@@ -39,12 +42,17 @@ from .errors import (
 # here keeps that trace target resolvable, though the signatures use
 # forward_blocks directly
 from .model import batch_outputs  # noqa: F401
-from .model import forward_blocks
+from .model import BLOCK_BYTES, class_softmax, forward_blocks
 from .mutants import MutantSet
 from .util import philox_rng, readonly, sha256_bytes
 
 TRANSFORM_DFT = "dft-magnitude"
 TRANSFORM_RAW = "raw-output"
+
+# Values per chunk of mutant_spectra's softmax, quarantine and FFT pass.  The
+# FFT allocates twice its input (complex), so a chunk's transient arrays stay
+# well inside the forward engine's BLOCK_BYTES.
+CHUNK_BYTES = BLOCK_BYTES // 8
 
 
 @dataclass(frozen=True)
@@ -151,12 +159,15 @@ def mutant_spectra(
 
     One walk of the forward engine applies each mutant to each sampled point
     exactly once, resuming it at its first changed layer (a no-op mutant
-    reuses the original's outputs), so the forward-pass count is |M| * |S|
-    regardless of the number of outputs.  Each block's outputs land
+    reuses the original's logits), so the forward-pass count is |M| * |S|
+    regardless of the number of outputs.  Each block's logits land
     class-major in one preallocated (|M|, q, |S|) array.  One pass in id
-    order then quarantines mutants producing non-finite outputs (they are
-    not raised), moves each kept mutant down to the next free row and, under
-    DFT, writes its magnitude spectra there.
+    order then takes chunks of consecutive mutants, CHUNK_BYTES of values
+    each (at least one mutant): softmax over their class axis, quarantine of
+    those with a non-finite output (they are not raised; see
+    ``model.class_softmax``: a row is non-finite iff its maximum logit is),
+    a move of the kept ones down to the next free rows and, under DFT, their
+    magnitude spectra written there.
     """
     if transform not in (TRANSFORM_DFT, TRANSFORM_RAW):
         raise ParameterError(f"unknown transform {transform!r}")
@@ -164,19 +175,23 @@ def mutant_spectra(
     points = dataset.features[sample.indices]
     values = np.empty((len(records), mutants.original.num_outputs, len(sample)))
     walk = forward_blocks(mutants.original, [r.model for r in records], points)
-    for rows, outputs in walk:
-        for series, out in zip(values, outputs):
+    for rows, logits in walk:
+        for series, out in zip(values, logits):
             series[:, rows] = out.T
     ids, failed = [], []
-    for k, record in enumerate(records):
-        if not np.isfinite(values[k]).all():
-            failed.append(record.mutant_id)
-            continue
+    step = max(1, CHUNK_BYTES // values[0].nbytes)  # a set has at least one mutant
+    for lo in range(0, len(records), step):
+        chunk = values[lo : lo + step]
+        kept = np.isfinite(class_softmax(chunk)).all(axis=-1)
+        for record, keep in zip(records[lo : lo + step], kept):
+            (ids if keep else failed).append(record.mutant_id)
+        if not kept.all():
+            chunk = chunk[kept]  # a copy, so the move below may overlap it
+        dest = values[len(ids) - len(chunk) : len(ids)]
         if transform == TRANSFORM_DFT:
-            np.abs(np.fft.fft(values[k], axis=1), out=values[len(ids)])
-        elif len(ids) < k:
-            values[len(ids)] = values[k]
-        ids.append(record.mutant_id)
+            np.abs(np.fft.fft(chunk, axis=-1), out=dest)
+        else:
+            dest[...] = chunk
     return SpectraSet(tuple(ids), values[: len(ids)], sample, transform, tuple(failed))
 
 

@@ -16,9 +16,12 @@ logged.
 vanilla_test walks the test set in row blocks (model.forward_blocks) with the
 original as the first model: the original runs once per block, and each
 mutant resumes from the original's cached activation at its first changed
-layer.  Per mutant it accumulates the killed labels, whether any prediction
-differs from the original's, and the count of non-finite rows; verdicts and
-warnings follow in id order.
+layer.  The walk yields logits, and model.predicted_classes reads the
+softmax argmax off them without computing the softmax (rows with a near-tie
+within model.NEAR_TIE of their maximum excepted).  Per mutant it
+accumulates the killed labels, whether any prediction differs from the
+original's, and the count of non-finite rows; verdicts and warnings follow
+in id order.
 """
 
 from __future__ import annotations
@@ -136,15 +139,15 @@ def vanilla_test(
         killed = np.zeros((len(records), len(present)), dtype=bool)
         differs = np.zeros(len(records), dtype=bool)
         non_finite = np.zeros(len(records), dtype=np.int64)
-        # the original runs as the first model: its outputs lead each block
+        # the original runs as the first model: its logits lead each block
         models = [original, *(r.model for r in records)]
-        for rows, outputs in forward_blocks(original, models, dataset.features):
-            original_preds = predicted_classes(next(outputs))
+        for rows, logits in forward_blocks(original, models, dataset.features):
+            original_preds = predicted_classes(next(logits))
             if (original_preds == -1).any():
                 raise ValidationError("original model produced non-finite outputs")
             labels = dataset.labels[rows]
             block_labels = label_index[rows]
-            for k, out in enumerate(outputs):
+            for k, out in enumerate(logits):
                 preds = predicted_classes(out)
                 killed[k, block_labels[_kills(original_preds, preds, labels)]] = True
                 differs[k] |= (preds != original_preds).any()

@@ -60,26 +60,40 @@ def exploding_mutant(model: FcnnClassifier, mutant_id: int, scale: float = 1e200
                         FcnnClassifier(layers))
 
 
-def reference_outputs(model, points):
-    """Allocate-per-step forward pass over all points at once, test-side oracle."""
+def reference_logits(model, points):
+    """Allocate-per-step forward pass over all points at once, up to the
+    output layer's logits; test-side oracle."""
     a = np.asarray(points, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         for layer in model.layers:
-            z = a @ layer.weights.T + layer.biases
-            if layer.activation == SOFTMAX:
-                e = np.exp(z - np.max(z, axis=-1, keepdims=True))
-                a = e / np.sum(e, axis=-1, keepdims=True)
-            else:
-                a = np.maximum(z, 0.0)
+            a = a @ layer.weights.T + layer.biases
+            if layer.activation != SOFTMAX:
+                a = np.maximum(a, 0.0)
     return a
+
+
+def reference_softmax(z):
+    """Row-major softmax of logits ``z``, shifted by the row maximum."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+        return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def reference_outputs(model, points):
+    """Softmax outputs of the allocate-per-step forward pass, test-side oracle."""
+    return reference_softmax(reference_logits(model, points))
+
+
+def reference_classes(outputs):
+    """Predicted classes read off softmax outputs, -1 on non-finite rows."""
+    preds = np.argmax(outputs, axis=1)
+    preds[~np.isfinite(outputs).all(axis=1)] = -1
+    return preds
 
 
 def reference_predictions(model, points):
     """Predicted classes read off reference_outputs, -1 on non-finite rows."""
-    out = reference_outputs(model, points)
-    preds = np.argmax(out, axis=1)
-    preds[~np.isfinite(out).all(axis=1)] = -1
-    return preds
+    return reference_classes(reference_outputs(model, points))
 
 
 def _replace_layer(model, depth, weights, biases):

@@ -7,7 +7,7 @@ import pytest
 
 from mutspect.cli import main
 from mutspect.dataset import save_dataset
-from mutspect.model import save_model
+from mutspect.model import load_model, save_model
 from mutspect.reports import load_json, strip_timing
 from mutspect.synth import fitted_classifier, gaussian_blobs
 
@@ -497,3 +497,50 @@ def test_bad_run_parameter_is_exit_2_before_any_forward_pass(workdir, tmp_path, 
     assert message in capsys.readouterr().err
     assert counter.count == 0
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("run", ["--seed", "-1"], "sampling_seed must be non-negative, got -1"),
+    ("run", ["--representative-seed", "-4"], "representative_seed must be non-negative, got -4"),
+    ("run", ["--baseline-seed", "-5", "--mode", "rms"],
+     "baseline_seed must be non-negative, got -5"),
+    ("sweep", ["--seed", "-1"], "sampling_seed must be non-negative, got -1"),
+    ("generate", ["--seed", "-2", "--count", "5"], "generation_seed must be non-negative, got -2"),
+], ids=["run-seed", "run-representative-seed", "run-baseline-seed", "sweep-seed",
+        "generate-seed"])
+def test_negative_seed_is_exit_2_before_any_forward_pass(workdir, tmp_path, capsys,
+                                                         command, extra, message):
+    # numpy rejects negative seeds with a bare ValueError; a sweep used to
+    # reach it only after its full vanilla test
+    from mutspect.model import count_forward_passes
+
+    root, model_path, data_path, manifest = workdir
+    out = tmp_path / "out"
+    with count_forward_passes() as counter:
+        rc = main([command, "--model", str(model_path), "--dataset", str(data_path),
+                   "--manifest", str(manifest), "--out", str(out), *extra])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert counter.count == 0
+    assert not out.exists()
+
+
+def test_negative_seed_in_a_config_file_is_exit_2(workdir, tmp_path, capsys):
+    from mutspect.config import build_config, parse_config_file
+    from mutspect.errors import ParameterError
+    from mutspect.mutants import generate_mutant_set
+
+    root, model_path, data_path, manifest = workdir
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode=vanilla\nsampling_seed=-3\n")
+    with pytest.raises(ParameterError, match="sampling_seed must be non-negative, got -3"):
+        build_config(parse_config_file(cfg))
+    rc = main(["run", "--config", str(cfg), "--model", str(model_path),
+               "--dataset", str(data_path), "--manifest", str(manifest),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "sampling_seed must be non-negative, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # the library entry point refuses one too, instead of numpy's ValueError
+    with pytest.raises(ParameterError, match="generation seed must be non-negative, got -2"):
+        generate_mutant_set(load_model(model_path), 5, seed=-2)

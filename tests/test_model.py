@@ -22,9 +22,17 @@ from mutspect.model import (
     save_model,
     serialize_model,
 )
-from mutspect.model import _block_rows, _class_sum, _first_change, _row_blocks
+from mutspect.model import _block_rows, _class_sum, _first_change, _row_blocks, class_softmax
 
-from conftest import WALK_SIZES, reference_outputs, reference_predictions, walk_world
+from conftest import (
+    WALK_SIZES,
+    reference_classes,
+    reference_logits,
+    reference_outputs,
+    reference_predictions,
+    reference_softmax,
+    walk_world,
+)
 
 # Hand-computed oracle for the 2-2-2 fixture net on input [0.8, -0.4]:
 #   z0 = [0.6, 0.36], relu keeps both
@@ -380,20 +388,24 @@ class TestWalkOracle:
         parts, covered = [[] for _ in range(len(models) + 1)], []
         with count_forward_passes() as counter:
             # the original runs as the first model, as vanilla_test runs it
-            for rows, model_outputs in forward_blocks(original, [original, *models], points):
+            for rows, model_logits in forward_blocks(original, [original, *models], points):
                 covered.append(rows)
-                outputs = next(model_outputs)
-                parts[0].append(outputs)
-                for k, out in enumerate(model_outputs, 1):
+                logits = next(model_logits)
+                parts[0].append(logits)
+                for k, out in enumerate(model_logits, 1):
                     parts[k].append(out)
                     if depths[k - 1] == len(original.layers):
-                        assert out is outputs  # nothing left to run
+                        assert out is logits  # nothing left to run
         assert counter.count == (len(models) + 1) * n
         assert covered == _row_blocks(n, rows_per_block)
         assert len(covered) == -(-n // rows_per_block)
         for model, blocks in zip([original, *models], parts):
             got = np.concatenate(blocks)
-            assert got.tobytes() == reference_outputs(model, points).tobytes()
+            assert got.tobytes() == reference_logits(model, points).tobytes()
+            # the engine stops at logits; its softmax over them is the full product's
+            t = np.ascontiguousarray(got.T)
+            class_softmax(t)
+            assert np.ascontiguousarray(t.T).tobytes() == reference_outputs(model, points).tobytes()
         exploded = [reference_outputs(m, points) for m in models[-3:-1]]
         assert not all(np.isfinite(out).all() for out in exploded)  # the inputs do explode
 
@@ -511,3 +523,141 @@ class TestClassAxisOracle:
         assert (got[53:58] == -1).all()
         if q >= 2:
             assert not (got == q // 2).any()  # ties go to the lower index
+
+
+# ---------------------------------------------------------------------------
+# The engine stops at logits, and predicted_classes reads the softmax argmax
+# off them without computing the softmax.  These pin it against the argmax
+# of the reference softmax on the inputs where the two could part: exact
+# ties, entries a hair below or above the maximum, non-finite entries and
+# shifts that overflow.  CI runs them on one BLAS thread and on the lowest
+# supported numpy as well.
+# ---------------------------------------------------------------------------
+
+TINY = np.nextafter(0.0, 1.0)  # the smallest subnormal
+# row maxima: ordinary, signed zeros, subnormal, huge, and where the spacing
+# of floats passes 2**-41 and 2**-39
+ANCHORS = (0.0, -0.0, 1.0, -3.25, 17.5, TINY, 1e-310, 1e308, -1e308, 2.0 ** 11, 2.0 ** 13,
+           -(2.0 ** 13))
+# an entry at the maximum, then 1 ulp, 2**-52, 2**-41 (inside the guard) and
+# 2**-39 (outside it) below or above it
+STEPS = ("tie", "ulp", 2.0 ** -52, 2.0 ** -41, 2.0 ** -39)
+SPECIALS = (np.nan, np.inf, -np.inf, 1e308, -1e308, -0.0, 0.0, TINY, -TINY)
+
+
+def near(anchor: float, step, sign: int) -> float:
+    if step == "tie":
+        return anchor
+    if step == "ulp":
+        return float(np.nextafter(anchor, sign * np.inf))
+    return anchor + sign * step
+
+
+@st.composite
+def logit_blocks(draw):
+    """Blocks of q = 1..300 logits per row, each row built around a maximum
+    with near-ties placed before and after it, some with special values."""
+    q = draw(st.integers(1, 300))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = []
+    for _ in range(n):
+        anchor = draw(st.sampled_from(ANCHORS))
+        spread = draw(st.sampled_from((1e-300, 1e-12, 1.0, 1e300)))
+        with np.errstate(over="ignore"):
+            row = anchor - np.abs(rng.normal(size=q)) * spread
+        row[draw(st.integers(0, q - 1))] = anchor
+        for step, sign, at in draw(st.lists(st.tuples(st.sampled_from(STEPS),
+                                                      st.sampled_from((-1, 1)),
+                                                      st.integers(0, q - 1)), max_size=4)):
+            row[at] = near(anchor, step, sign)
+        for value, at in draw(st.lists(st.tuples(st.sampled_from(SPECIALS),
+                                                 st.integers(0, q - 1)), max_size=2)):
+            row[at] = value
+        rows.append(row)
+    return np.array(rows)
+
+
+class TestPredictionOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(logits=logit_blocks())
+    def test_predicted_classes_match_the_reference_softmax(self, logits):
+        before = logits.tobytes()
+        got = predicted_classes(logits)
+        assert logits.tobytes() == before  # the logits are not written
+        np.testing.assert_array_equal(got, reference_classes(reference_softmax(logits)))
+
+    def test_near_ties_need_the_softmax(self):
+        # exp(-1e-20) rounds to 1, so the softmax ties the two classes and its
+        # argmax is the lower index, although the logits' argmax is not
+        logits = np.array([[-1e-20, 0.0], [0.0, -1e-20], [-(2.0 ** -39), 0.0]])
+        assert logits.argmax(axis=1).tolist() == [1, 0, 1]
+        assert reference_classes(reference_softmax(logits)).tolist() == [0, 0, 1]
+        assert predicted_classes(logits).tolist() == [0, 0, 1]
+
+    def test_every_near_step_at_every_anchor(self):
+        # each anchor with an entry one step below or above it, before and
+        # after it, beside a filler class far below
+        rows = []
+        for anchor in ANCHORS:
+            low = -1e308 if anchor > -1e300 else -np.inf
+            for step in STEPS:
+                for sign in (-1, 1):
+                    other = near(anchor, step, sign)
+                    rows += [[other, anchor, low], [anchor, other, low]]
+        logits = np.array(rows)
+        np.testing.assert_array_equal(predicted_classes(logits),
+                                      reference_classes(reference_softmax(logits)))
+
+    def test_non_finite_rows_are_flagged(self):
+        logits = np.array([[np.nan, 0.0], [0.0, np.inf], [-np.inf, -np.inf],
+                           [1e308, -1e308], [-np.inf, 0.0], [-0.0, 0.0]])
+        assert predicted_classes(logits).tolist() == [-1, -1, -1, 0, 1, 0]
+        np.testing.assert_array_equal(predicted_classes(logits),
+                                      reference_classes(reference_softmax(logits)))
+
+
+class TestStackedClassAxisOracle:
+    """_class_sum and class_softmax over a stack of class-major blocks (the class
+    axis second to last, as mutant_spectra's chunks hold them) equal the
+    same functions over each block alone, and numpy's row sums, bit for bit."""
+
+    @staticmethod
+    def stack(m: int, q: int, n: int, seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        t = rng.normal(size=(m, q, n)) * 10.0 ** rng.integers(-8, 8, size=(m, q, n))
+        t[rng.random(t.shape) < 0.1] = -0.0
+        t[0, :, 0] = -0.0  # sums to +0.0
+        if n > 1:
+            t[-1, -1, 1] = np.inf
+        if n > 2:
+            t[-1, 0, 2] = np.nan
+        return t
+
+    @pytest.mark.parametrize("q", TestClassAxisOracle.CLASS_COUNTS)
+    def test_class_sums_match_each_block(self, q):
+        for m, n in ((1, 1), (3, 1), (1, 5), (4, 37)):
+            t = self.stack(m, q, n, seed=q + n)
+            got = _class_sum(t)
+            assert got.shape == (m, n)
+            for block, sums in zip(t, got):
+                assert sums.tobytes() == _class_sum(block).tobytes(), (q, m, n)
+                rows = np.ascontiguousarray(block.T)  # numpy sums contiguous rows pairwise
+                assert sums.tobytes() == np.sum(rows, axis=-1).tobytes(), (q, m, n)
+
+    @pytest.mark.parametrize("q", TestClassAxisOracle.CLASS_COUNTS)
+    def test_softmax_matches_each_block(self, q):
+        for m, n in ((1, 1), (3, 1), (1, 5), (4, 37)):
+            logits = self.stack(m, q, n, seed=q * n)
+            logits[:, :, : n // 2] *= 1e300  # shifts that overflow
+            stacked = logits.copy()
+            top = class_softmax(stacked)
+            for i, block in enumerate(logits):
+                alone = block.copy()
+                assert top[i].tobytes() == class_softmax(alone).tobytes()
+                assert stacked[i].tobytes() == alone.tobytes(), (q, m, n)
+                reference = reference_softmax(np.ascontiguousarray(block.T)).T
+                assert nan_blind_bytes(stacked[i]) == nan_blind_bytes(reference), (q, m, n)
+                # a column is finite iff its maximum logit is
+                np.testing.assert_array_equal(np.isfinite(stacked[i]).all(axis=0),
+                                              np.isfinite(top[i]))

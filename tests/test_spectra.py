@@ -16,6 +16,7 @@ from mutspect.errors import (
 from mutspect.model import _block_rows, count_forward_passes
 from mutspect.mutants import gaussian_fuzz, generate_mutant_set, MutantSet
 from mutspect.spectra import (
+    CHUNK_BYTES,
     TRANSFORM_DFT,
     TRANSFORM_RAW,
     SampleSet,
@@ -573,3 +574,51 @@ class TestSpectraWalkOracle:
         elif n > 1:
             # walk_world's explosions at layer 0 and at the output reach the sample
             assert {last - 3, last - 2} <= set(failed)
+
+
+# ---------------------------------------------------------------------------
+# Softmax, quarantine and FFT run over chunks of CHUNK_BYTES of consecutive
+# mutants.  Sets one mutant short of a chunk, a full chunk and one past it,
+# with quarantined mutants at the chunk edges, must give the per-mutant
+# reference bit for bit.  CI runs these on one BLAS thread and on the lowest
+# supported numpy as well.
+# ---------------------------------------------------------------------------
+
+
+class TestSpectraChunkOracle:
+    SAMPLE = 600  # with 3 outputs: 14,400 bytes per mutant
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        from conftest import small_stack
+
+        original = small_stack(seed=42)
+        chunk = CHUNK_BYTES // (original.num_outputs * self.SAMPLE * 8)
+        assert chunk == 4
+        points = np.random.default_rng(3).normal(size=(self.SAMPLE, original.input_dim))
+        ds = LabeledDataset(points, np.zeros(self.SAMPLE, dtype=np.int64), 1)
+        return original, ds, chunk
+
+    @pytest.mark.parametrize("transform", [TRANSFORM_DFT, TRANSFORM_RAW])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 5])
+    @pytest.mark.parametrize("edges", ["none", "chunk-edges", "all-but-one"])
+    def test_spectra_match_the_reference_around_the_chunk(self, world, extra, edges, transform):
+        original, ds, chunk = world
+        count = chunk + extra
+        # quarantined: the first and last mutant of each chunk, or every
+        # mutant but the last one
+        exploding = {
+            "none": set(),
+            "chunk-edges": {m for m in range(count) if m % chunk in (0, chunk - 1)},
+            "all-but-one": set(range(count - 1)),
+        }[edges]
+        records = [exploding_mutant(original, m) if m in exploding
+                   else gaussian_fuzz(original, m % 3, m // 3 % 3, 0.5, seed=m, mutant_id=m)
+                   for m in range(count)]
+        mutant_set = MutantSet(original, records[::-1], 0)
+        sample = SampleSet(np.arange(self.SAMPLE), self.SAMPLE, 0)
+        spectra = mutant_spectra(mutant_set, ds, sample, transform)
+        ids, failed, values = TestSpectraWalkOracle.reference(mutant_set, ds.features, transform)
+        assert spectra.failed == failed == tuple(sorted(exploding))
+        assert spectra.ids == ids
+        assert spectra.values.tobytes() == values.tobytes()
