@@ -10,9 +10,10 @@ some model needs it, keeping its activation only at the depths where a model
 first differs from it, and resumes each model there.  A model equal to the
 original (the original itself included) resumes after the last layer and
 costs nothing more.  Each layer allocates one array (the product with the
-weights) and applies the bias and ReLU to it in place.  The engine stops at
-the output layer's logits and never raises on overflow: rows may carry
-NaN/Inf, and each caller decides what a non-finite row means.
+weights) and applies the bias and ReLU to it in place, ReLU as a maximum
+against a cached read-only row of zeros (see ``_activate``).  The engine
+stops at the output layer's logits and never raises on overflow: rows may
+carry NaN/Inf, and each caller decides what a non-finite row means.
 
 Softmax runs only where its values are read: in batch_outputs (the engine
 over one model, then softmax) and over chunks of signatures in
@@ -32,6 +33,7 @@ wholly NaN).
 
 from __future__ import annotations
 
+import functools
 import struct
 import threading
 from contextlib import contextmanager
@@ -151,10 +153,13 @@ def _tally(n: int):
 
 # Byte budget on one block's widest activation (rows x width float64).  At
 # half of a 1 MiB per-core L2 cache, a layer's input block and its product
-# fit in that cache together.  Rows are assumed not to depend on the block
-# they are computed in.  That held for blocks of 255 rows or more on every
-# shape tried, not for much shorter ones (BLAS sends small products to other
-# kernels), so a block of |T| > R rows is never shorter than R/2.
+# fit in that cache together.  A row's values may depend on the block it is
+# computed in, since BLAS picks its kernels by the product's shape: a
+# 700-wide layer over 2,500 points gives logits up to 7.1e-15 away from the
+# whole-set product in blocks of 250 to 1,250 rows.  Bit-equality with
+# whole-set products holds on the shapes the walk oracles cover, and every
+# result is deterministic for a given machine and BLOCK_BYTES.  Short blocks
+# differ most often, so a block of |T| > R rows is never shorter than R/2.
 BLOCK_BYTES = 512 * 1024
 
 
@@ -213,12 +218,24 @@ def class_softmax(t: np.ndarray) -> np.ndarray:
     return top[..., 0, :]
 
 
+@functools.cache
+def _zero_row(width: int) -> np.ndarray:
+    """Read-only zeros of one row, ReLU's operand; one per layer width."""
+    return readonly(np.zeros(width))
+
+
 def _activate(layer: DenseLayer, a: np.ndarray):
     """Bias and ReLU of ``layer``, applied to the product ``a`` in place; the
-    output layer adds its bias only, leaving logits."""
+    output layer adds its bias only, leaving logits.
+
+    ReLU is ``maximum`` against a row of zeros broadcast down the block
+    rather than against the scalar 0.0: numpy 2.4 has no vectorised loop for
+    a scalar operand, and the output is the same bit for bit (README,
+    "Semantics worth knowing").
+    """
     a += layer.biases
     if layer.activation == RELU:
-        np.maximum(a, 0.0, out=a)
+        np.maximum(a, _zero_row(layer.out_dim), out=a)
 
 
 def _resume(layers, a: np.ndarray) -> np.ndarray:

@@ -141,12 +141,15 @@ def gaussian_fuzz(
 
 
 def _fisher_yates(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Permutation of range(n); draws are rng.integers(0, i + 1) for i = n-1..1."""
-    perm = np.arange(n)
-    for i in range(n - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+    """Permutation of range(n); draws are rng.integers(0, i + 1) for i = n-1..1.
+
+    They are made in one broadcast call over the bounds n..2, which gives
+    the values (and leaves the generator in the state) of those scalar calls.
+    """
+    perm = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), rng.integers(0, np.arange(n, 1, -1)).tolist()):
         perm[i], perm[j] = perm[j], perm[i]
-    return perm
+    return np.array(perm)
 
 
 def weight_shuffle(

@@ -22,7 +22,15 @@ from mutspect.model import (
     save_model,
     serialize_model,
 )
-from mutspect.model import _block_rows, _class_sum, _first_change, _row_blocks, class_softmax
+from mutspect.model import (
+    _activate,
+    _block_rows,
+    _class_sum,
+    _first_change,
+    _resume,
+    _row_blocks,
+    class_softmax,
+)
 
 from conftest import (
     WALK_SIZES,
@@ -661,3 +669,79 @@ class TestStackedClassAxisOracle:
                 # a column is finite iff its maximum logit is
                 np.testing.assert_array_equal(np.isfinite(stacked[i]).all(axis=0),
                                               np.isfinite(top[i]))
+
+
+# ---------------------------------------------------------------------------
+# ReLU is a maximum against a cached row of zeros, which numpy runs in its
+# vectorised loop, where the scalar 0.0 took a scalar one.  How that loop
+# treats signed zeros and NaN depends on the numpy version and the CPU, so
+# these pin the layer step against the scalar maximum byte for byte; CI runs
+# them on one BLAS thread and on the lowest supported numpy as well.
+# ---------------------------------------------------------------------------
+
+# quiet NaNs of both signs, bare and with payload bits
+QUIET_NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF80000DEADBEEF,
+                       0xFFFC000000000001], dtype=np.uint64).view(np.float64)
+PRODUCT_EDGES = np.concatenate([[-0.0, 0.0, np.inf, -np.inf, 1e308, -1e308, TINY, -TINY],
+                                QUIET_NANS])
+BIAS_EDGES = np.array([-0.0, 0.0, 1e308, -1e308, TINY, -TINY])  # biases are finite
+
+
+@st.composite
+def products_and_biases(draw):
+    """A layer product of 1..2000 rows by 1..300 columns and a bias row,
+    sprinkled with edge values: signed zeros, quiet NaNs of both signs with
+    payloads, infinities, +-1e308 (sums that overflow) and the smallest
+    subnormals.  One entry is a -0.0 bias on a -0.0 product, so its
+    pre-activation is exactly -0.0."""
+    width = draw(st.integers(1, 300))
+    rows = draw(st.integers(1, 2000))
+    share = draw(st.sampled_from((0.0, 0.01, 0.3, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.normal(size=(rows, width))
+    hit = rng.random(a.shape) < share
+    a[hit] = rng.choice(PRODUCT_EDGES, size=hit.sum())
+    b = rng.normal(size=width)
+    hit = rng.random(width) < share
+    b[hit] = rng.choice(BIAS_EDGES, size=hit.sum())
+    col = draw(st.integers(0, width - 1))
+    a[draw(st.integers(0, rows - 1)), col] = b[col] = -0.0
+    return a, b
+
+
+class TestActivationOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(data=products_and_biases())
+    def test_relu_step_matches_the_scalar_maximum(self, data):
+        a, b = data
+        with np.errstate(over="ignore"):
+            expected = np.maximum(a + b, 0.0)
+            _activate(DenseLayer(np.ones((b.size, 1)), b, RELU), a)
+        assert a.tobytes() == expected.tobytes()
+        assert not np.signbit(a[~np.isnan(a)]).any()  # a -0.0 pre-activation gives +0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=products_and_biases())
+    def test_output_step_adds_the_bias_only(self, data):
+        a, b = data
+        with np.errstate(over="ignore"):
+            expected = a + b
+            _activate(DenseLayer(np.ones((b.size, 1)), b, SOFTMAX), a)
+        assert a.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=products_and_biases(), hidden=st.integers(1, 300), q=st.integers(1, 12),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_resume_matches_the_allocating_steps(self, data, hidden, q, seed):
+        x, b = data
+        rng = np.random.default_rng(seed)
+        w1 = rng.normal(size=(hidden, x.shape[1]))
+        w1[rng.random(w1.shape) < 0.2] = 0.0
+        b1 = np.resize(b, hidden)
+        w2, b2 = rng.normal(size=(q, hidden)), rng.normal(size=q)
+        layers = (DenseLayer(w1, b1, RELU), DenseLayer(w2, b2, SOFTMAX))
+        before = x.tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = np.maximum(x @ w1.T + b1, 0.0) @ w2.T + b2
+        assert _resume(layers, x).tobytes() == expected.tobytes()
+        assert x.tobytes() == before  # the activation resumed from is not written

@@ -2,12 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mutspect.errors import MutspectError, TargetError, UnsupportedTargetError, ValidationError
 from mutspect.model import batch_outputs, model_hash
 from mutspect.mutants import (
     ALL_KINDS,
     MutatorKind,
+    _fisher_yates,
     _target_space,
     gaussian_fuzz,
     generate_mutant_set,
@@ -22,6 +25,16 @@ from mutspect.synth import diverse_mutant_set
 from mutspect.util import philox_rng
 
 from conftest import small_stack
+
+
+def scalar_fisher_yates(n, rng):
+    """The documented draw sequence of weight shuffle: one scalar
+    ``integers(0, i + 1)`` per swap, i = n-1 .. 1; test-side reference."""
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
 
 
 def outputs_on_grid(model, seed=1, n=25):
@@ -91,13 +104,33 @@ class TestWeightShuffle:
         # multiset preserved
         np.testing.assert_array_equal(np.sort(mutated_row), np.sort(original_row))
         # replay: Fisher-Yates with draws integers(0, i + 1), i = n-1 .. 1
-        rng = philox_rng(seed)
-        n = original_row.size
-        perm = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = int(rng.integers(0, i + 1))
-            perm[i], perm[j] = perm[j], perm[i]
+        perm = scalar_fisher_yates(original_row.size, philox_rng(seed))
         np.testing.assert_array_equal(mutated_row, original_row[perm])
+
+
+class TestPermutationOracle:
+    """_fisher_yates makes all its draws in one broadcast ``integers`` call;
+    it must give the permutation of the scalar draw sequence and leave the
+    generator where those calls leave it.  This rests on numpy's broadcast
+    path of ``integers``, so CI also runs it on the lowest supported numpy."""
+
+    @staticmethod
+    def check(n, seed):
+        rng, reference = philox_rng(seed), philox_rng(seed)
+        perm = _fisher_yates(n, rng)
+        assert perm.dtype == np.arange(n).dtype
+        assert perm.tolist() == scalar_fisher_yates(n, reference)
+        assert rng.integers(0, 2**63) == reference.integers(0, 2**63)  # the next draw
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 16, 64, 257, 1000])
+    def test_listed_sizes(self, n):
+        for seed in range(40):
+            self.check(n, seed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.one_of(st.integers(1, 9), st.integers(1, 1100)), seed=st.integers(0, 2**64 - 1))
+    def test_single_draw_equals_scalar_draws(self, n, seed):
+        self.check(n, seed)
 
 
 class TestNeuronEffectBlock:
