@@ -46,8 +46,7 @@ def rms_test(
         raise ParameterError("fraction must lie in (0, 1]")
     ids = sorted(mutants.ids())
     k = math.ceil(fraction * len(ids))
-    chosen = sorted(philox_rng(seed).permutation(np.asarray(ids))[:k].tolist())
-    selected = MutantSet(original, [mutants.by_id(m) for m in chosen], mutants.generation_seed)
+    selected = mutants.subset(philox_rng(seed).permutation(np.asarray(ids))[:k].tolist())
     table = vanilla_test(original, selected, dataset, "rms")
     for m in ids:
         if m not in table.verdicts:

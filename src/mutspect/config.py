@@ -69,23 +69,27 @@ def parse_config_file(path) -> dict:
     """Flat KEY=VALUE lines; '#' starts a comment; unknown keys rejected."""
     known = {f.name for f in fields(RunConfig)}
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParameterError(f"{path}:{lineno}: expected KEY=VALUE")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in known:
-                raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
-            convert = int if key in _INT_FIELDS else float if key in _FLOAT_FIELDS else str
-            try:
-                values[key] = convert(value)
-            except ValueError:
-                raise ParameterError(
-                    f"{path}:{lineno}: {key}={value!r} is not a valid {convert.__name__}"
-                ) from None
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = list(f)
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path} is not UTF-8 text: {exc}") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParameterError(f"{path}:{lineno}: expected KEY=VALUE")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in known:
+            raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
+        convert = int if key in _INT_FIELDS else float if key in _FLOAT_FIELDS else str
+        try:
+            values[key] = convert(value)
+        except ValueError:
+            raise ParameterError(
+                f"{path}:{lineno}: {key}={value!r} is not a valid {convert.__name__}"
+            ) from None
     return values
 
 

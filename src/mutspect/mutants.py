@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     FormatError,
+    MissingMutantError,
     ParameterError,
     TargetError,
     UnsupportedTargetError,
@@ -90,11 +91,14 @@ class MutantSet:
     def ids(self) -> list[int]:
         return [m.mutant_id for m in self.mutants]
 
-    def by_id(self, mutant_id: int) -> MutantRecord:
-        for m in self.mutants:
-            if m.mutant_id == mutant_id:
-                return m
-        raise KeyError(mutant_id)
+    def subset(self, ids) -> MutantSet:
+        """The records whose id is in ``ids``, in this set's order."""
+        wanted = set(ids)
+        picked = [m for m in self.mutants if m.mutant_id in wanted]
+        if len(picked) != len(wanted):
+            missing = min(wanted - {m.mutant_id for m in picked})
+            raise MissingMutantError(f"mutant {missing} is not in the mutant set")
+        return MutantSet(self.original, picked, self.generation_seed)
 
 
 def _check_target(model: FcnnClassifier, layer: int, neuron: int):

@@ -174,8 +174,10 @@ def load_scored_report(path) -> dict:
     if isinstance(report.get("timing"), dict):
         fields.append(("timing.total_seconds", report["timing"].get("total_seconds"), (int, float)))
     for name, value, kind in fields:
-        if not isinstance(value, kind):
+        if not isinstance(value, kind) or isinstance(value, bool):
             raise FormatError(f"{path} is not a run report: {name!r} is missing or mistyped")
+    if report["mutant_count"] < 1:
+        raise FormatError(f"{path} is not a run report: 'mutant_count' is below 1")
     return report
 
 

@@ -186,8 +186,7 @@ def accelerated_test(
     (sampling, spectra, graph, clustering, search) are folded into the
     timing record so total time reflects the whole accelerated run.
     """
-    tested_ids = sorted(set(representatives.representatives()) | set(quarantined))
-    tested = MutantSet(original, [mutants.by_id(m) for m in tested_ids], mutants.generation_seed)
+    tested = mutants.subset([*representatives.representatives(), *quarantined])
     table = vanilla_test(original, tested, dataset, mode)
     table.timing.phases.update(overhead or {})
     for rep, members in representatives.pairs:

@@ -199,7 +199,9 @@ def test_compare_self_zero_loss(workdir, tmp_path):
     assert float(row["speed_up_avg"]) == 0.0
 
 
-@pytest.mark.parametrize("case", ["not-json", "not-a-report", "unsatisfied"])
+@pytest.mark.parametrize(
+    "case", ["not-json", "not-a-report", "unsatisfied", "no-mutants", "bool-count"]
+)
 def test_compare_bad_report_is_exit_2(workdir, tmp_path, capsys, case):
     rc, out_v = run_mode(workdir, "vanilla", "bad_cmp_vanilla")
     assert rc == 0
@@ -208,6 +210,10 @@ def test_compare_bad_report_is_exit_2(workdir, tmp_path, capsys, case):
         bad.write_text("{not json")
     elif case == "not-a-report":
         bad.write_text('{"a": 1}')
+    elif case in ("no-mutants", "bool-count"):
+        report = load_json(out_v / "report_vanilla_r0.json")
+        report["mutant_count"] = 0 if case == "no-mutants" else True
+        bad.write_text(json.dumps(report))
     else:
         rc, out_u = run_mode(workdir, "spectral", "bad_cmp_unsat",
                              ("--reduction-lo", "0.99", "--reduction-hi", "0.999"))
@@ -219,6 +225,8 @@ def test_compare_bad_report_is_exit_2(workdir, tmp_path, capsys, case):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad} ") and "Traceback" not in err
+    if case in ("no-mutants", "bool-count"):
+        assert "'mutant_count'" in err
     assert not (tmp_path / "cmp" / "compare.csv").exists()
 
 
@@ -367,6 +375,18 @@ def test_bad_config_value_is_exit_2(workdir, tmp_path, capsys, line):
                "--out", str(tmp_path)])
     assert rc == 2
     assert "run.cfg:2" in capsys.readouterr().err
+
+
+def test_config_file_not_utf8_is_exit_2(workdir, tmp_path, capsys):
+    root, model_path, data_path, manifest = workdir
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"mode=vanilla\nrepeats=\xff\n")
+    rc = main(["run", "--config", str(cfg), "--model", str(model_path),
+               "--dataset", str(data_path), "--manifest", str(manifest),
+               "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg} ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("grid", [["--x-grid", "a,b"], ["--tau-grid", "0.5,x"],

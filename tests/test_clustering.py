@@ -208,8 +208,9 @@ class TestHacCluster:
         assert_matches_oracle(w, TAU_SWEEP_GRID)
 
     def test_cached_build_matches_full_rescan_under_rounding(self):
-        # with non-dyadic weights a merged row can round up to (or past) its
-        # cached maximum; the cache must follow the computed values exactly
+        # with non-dyadic weights a merged row can round up to (or past) the
+        # old maximum; the incrementally updated table must pick exactly what
+        # a full recomputation of every linkage picks
         levels = ((0.1, 0.3), (0.1, 0.3), (0.1, 0.2, 0.3, 0.6, 0.7, 0.9))
         rng = np.random.default_rng(2)
         block = np.full((5, 5), 0.1)
@@ -236,6 +237,23 @@ class TestHacCluster:
         for w in tables:
             got = [(s.linkage, s.i, s.j) for s in _merge_trajectory(w)]
             assert got == rescan_trajectory(w)
+
+    @pytest.mark.parametrize("n", [50, 100, 200])
+    @pytest.mark.parametrize("kind", ["dyadic", "duplicates", "zeros"])
+    def test_build_matches_full_rescan_at_benchmark_scale(self, n, kind):
+        # zeros: exp(-distance) can underflow to 0.0, and a live 0.0 link
+        # must still beat the -inf cells of absorbed clusters
+        rng = np.random.default_rng(n)
+        if kind == "zeros":
+            w = symmetric(np.zeros((n, n)))
+        else:
+            w = symmetric(rng.choice(DYADIC_LEVELS, (n, n)))
+        if kind == "duplicates":
+            srcs = rng.choice(n, n // 5, replace=False)
+            dups = rng.choice(np.setdiff1d(np.arange(n), srcs), n // 5, replace=False)
+            w = with_duplicates(w, [(int(a), int(b)) for a, b in zip(srcs, dups)])
+        got = [(s.linkage, s.i, s.j) for s in _merge_trajectory(w)]
+        assert got == rescan_trajectory(w)
 
     def test_nan_weight_rejected_before_clustering(self):
         w = np.full((3, 3), 0.5)

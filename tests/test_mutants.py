@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mutspect.errors import MutspectError, TargetError, UnsupportedTargetError, ValidationError
+from mutspect.errors import (
+    MissingMutantError,
+    MutspectError,
+    TargetError,
+    UnsupportedTargetError,
+    ValidationError,
+)
 from mutspect.model import batch_outputs, model_hash
 from mutspect.mutants import (
     ALL_KINDS,
@@ -307,6 +313,21 @@ class TestGenerate:
         net = small_stack(seed=0, hidden=(1,))
         with pytest.raises(TargetError):
             generate_mutant_set(net, 2, (MutatorKind.NEURON_SWITCH,), seed=0)
+
+
+class TestSubset:
+    def test_keeps_listed_records_in_set_order(self, random_net):
+        ms = generate_mutant_set(random_net, 10, seed=3)
+        sub = ms.subset([7, 2, 7, 5])
+        assert sub.ids() == [2, 5, 7]
+        assert all(m is ms.mutants[k] for m, k in zip(sub.mutants, (2, 5, 7)))
+        assert sub.original is ms.original
+        assert sub.generation_seed == ms.generation_seed
+
+    def test_unknown_id_raises_missing_mutant(self, random_net):
+        ms = generate_mutant_set(random_net, 4, seed=3)
+        with pytest.raises(MissingMutantError, match="mutant 9 "):
+            ms.subset([1, 9])
 
 
 class TestManifest:
