@@ -1,11 +1,11 @@
 """Threshold clustering and the coupled sampling-rate / threshold search.
 
 Demonstrates how the partition coarsens as the linkage threshold drops, and
-how the binary search walks tau into the requested reduction interval.
+how the tau search walks tau into the requested reduction interval on one
+graph, and how the pipeline's search repeats it over sampling rates.
 """
 
 import mutspect as ms
-from mutspect.clustering import parameter_search
 
 dataset = ms.gaussian_blobs(400, 5, 10, seed=8, spread=0.3)
 model = ms.fitted_classifier(dataset, hidden=(14, 14), seed=9, margin=5.5, bias_shift=2.5)
@@ -21,9 +21,14 @@ for tau in (0.05, 0.2, 0.4, 0.6, 0.8, 0.95):
     rate = ms.mutant_reduction_rate(graph.n_nodes, clusters)
     print(f"  tau={tau:.2f}  |C|={len(clusters):3d}  reduction={rate:.2f}")
 
-# The search couples a linear walk over samples-per-class with a binary
-# search over tau, stopping when the reduction rate enters [lo, hi].
+# The pipeline's search walks samples-per-class linearly and, on each
+# rate's graph, the clustering layer's tau search bisects tau until the
+# reduction rate enters [lo, hi].
 constraint = ms.ReductionConstraint(0.26, 0.56)
+trace = ms.XRound(per_class_rate=2)
+clusters = ms.tau_search(graph, constraint, trace)
+print(f"\ntau search on the x=2 graph: stop={trace.stop_reason}, "
+      f"{trace.iterations} iterations")
 
 
 def build(per_class):
@@ -32,15 +37,17 @@ def build(per_class):
     return s, ms.build_similarity_graph(sp)
 
 
-result = parameter_search(build, constraint)
-print(f"\nsearch: satisfied={result.found} at x={result.per_class_rate}, "
-      f"tau={result.tau:.6f}, |C|={len(result.clusters)}")
-for trace in result.rounds:
+phases = {}
+rounds, sample, clusters = ms.parameter_search(build, constraint, ms.X_GRID, phases)
+print(f"search: satisfied={clusters is not None} at x={rounds[-1].per_class_rate}, "
+      f"tau={clusters.tau:.6f}, |C|={len(clusters)}, "
+      f"clustering {phases['clustering'] * 1e3:.1f} ms")
+for trace in rounds:
     print(f"  x={trace.per_class_rate}: {trace.iterations} iterations, "
           f"stop={trace.stop_reason}")
     for tau, rate in zip(trace.taus, trace.rates):
         print(f"    tried tau={tau:.6f} -> reduction {rate:.3f}")
 
-reps = ms.select_representatives(result.clusters, seed=5)
+reps = ms.select_representatives(clusters, seed=5)
 sizes = sorted((len(members) for _, members in reps.pairs), reverse=True)
 print(f"\nrepresentatives: {len(reps.pairs)} (largest clusters: {sizes[:5]})")

@@ -21,11 +21,11 @@ from .clustering import (
     ClusterSet,
     ReductionConstraint,
     RepresentativeMap,
-    SearchResult,
+    XRound,
     hac_cluster,
     mutant_reduction_rate,
-    parameter_search,
     select_representatives,
+    tau_search,
 )
 from .dataset import LabeledDataset, load_dataset, save_dataset
 from .metrics import MeasureReport, PredictiveReport, measures, predictive_metrics, spearman_rho
@@ -56,6 +56,7 @@ from .pipeline import (
     PipelineResult,
     Seeds,
     SweepSpec,
+    parameter_search,
     run_accelerated,
     run_sweep,
     run_vanilla,

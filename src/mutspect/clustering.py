@@ -1,4 +1,4 @@
-"""Threshold agglomerative clustering and the coupled x/tau parameter search.
+"""Threshold agglomerative clustering and the tau search on one graph.
 
 Clustering is sequential average-linkage agglomeration over the similarity
 graph: starting from singletons, repeatedly merge the cluster pair with the
@@ -18,9 +18,9 @@ sums are (e.g. dyadic weights), so equal linkages stay equal.  Ties go to
 the first maximum in C order: the pair with the lowest smallest member, then
 the lowest smallest member of the other cluster.
 
-The parameter search walks the sampling-rate grid linearly and binary-searches
-``tau`` inside each round until the mutant reduction rate lands in the
-requested constraint interval.
+The tau search binary-searches ``tau`` on one graph until the mutant
+reduction rate lands in the requested constraint interval.  The walk over
+sampling rates, which builds one graph per rate, belongs to the pipeline.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .spectra import SampleSet, SimilarityGraph
-from .util import phase_timer, philox_rng
+from .spectra import SimilarityGraph
+from .util import philox_rng
 
 X_GRID = (1, 3, 5, 10, 20, 30, 40, 50, 100, 200, 300)
 TAU_FLOOR = 1e-5
@@ -165,73 +165,38 @@ class XRound:
         return len(self.taus)
 
 
-@dataclass
-class SearchResult:
-    found: bool
-    clusters: ClusterSet | None = None
-    sample: SampleSet | None = None
-    per_class_rate: int | None = None
-    tau: float | None = None
-    rounds: list[XRound] = field(default_factory=list)
+def tau_search(graph: SimilarityGraph, constraint: ReductionConstraint,
+               trace: XRound) -> ClusterSet | None:
+    """Binary search over tau on one graph; ``None`` when the round gives up.
 
-    @property
-    def message(self) -> str:
-        return "satisfied" if self.found else NOT_SATISFIABLE_MESSAGE
-
-
-def parameter_search(
-    build,
-    constraint: ReductionConstraint,
-    x_grid=X_GRID,
-    phases: dict | None = None,
-) -> SearchResult:
-    """Linear search over sampling rates, binary search over tau per rate.
-
-    ``build(x)`` must return ``(SampleSet, SimilarityGraph)`` for sampling
-    rate ``x``.  Per round, tau starts at the midpoint of (0, 1); a rate
-    below the constraint lowers the upper bound, a rate above it raises the
-    lower bound, and a rate inside returns immediately.  A round ends when
-    the midpoint leaves [1e-5, 0.99999] or the interval width drops under
-    1e-6 (plateau guard; the plain midpoint test alone cannot terminate on
-    an interior plateau).  Not satisfiable is a value, not an exception.
-    ``phases`` accumulates wall-clock seconds spent in clustering calls.
+    tau starts at the midpoint of (0, 1); a rate below the constraint lowers
+    the upper bound, a rate above it raises the lower bound, and a rate
+    inside returns that cut.  The round gives up when the midpoint leaves
+    [1e-5, 0.99999] or the interval width drops under 1e-6 (plateau guard;
+    the plain midpoint test alone cannot terminate on an interior plateau).
+    Every visited tau and the stop reason are recorded in ``trace``.
     """
-    phases = {} if phases is None else phases
-    rounds: list[XRound] = []
-    for x in x_grid:
-        sample, graph = build(x)
-        round_trace = XRound(per_class_rate=x)
-        rounds.append(round_trace)
-        tau_lo, tau_hi = 0.0, 1.0
-        while True:
-            tau = tau_lo + (tau_hi - tau_lo) / 2
-            if not TAU_FLOOR <= tau <= TAU_CEIL:
-                round_trace.stop_reason = "midpoint-out-of-range"
-                break
-            if tau_hi - tau_lo < WIDTH_CAP:
-                round_trace.stop_reason = "interval-collapsed"
-                break
-            with phase_timer(phases, "clustering"):
-                clusters = hac_cluster(graph, tau)
-            rate = mutant_reduction_rate(graph.n_nodes, clusters)
-            round_trace.taus.append(tau)
-            round_trace.rates.append(rate)
-            round_trace.cluster_counts.append(len(clusters))
-            if rate < constraint.lo:
-                tau_hi = tau
-            elif rate > constraint.hi:
-                tau_lo = tau
-            else:
-                round_trace.stop_reason = "satisfied"
-                return SearchResult(
-                    found=True,
-                    clusters=clusters,
-                    sample=sample,
-                    per_class_rate=x,
-                    tau=tau,
-                    rounds=rounds,
-                )
-    return SearchResult(found=False, rounds=rounds)
+    tau_lo, tau_hi = 0.0, 1.0
+    while True:
+        tau = tau_lo + (tau_hi - tau_lo) / 2
+        if not TAU_FLOOR <= tau <= TAU_CEIL:
+            trace.stop_reason = "midpoint-out-of-range"
+            return None
+        if tau_hi - tau_lo < WIDTH_CAP:
+            trace.stop_reason = "interval-collapsed"
+            return None
+        clusters = hac_cluster(graph, tau)
+        rate = mutant_reduction_rate(graph.n_nodes, clusters)
+        trace.taus.append(tau)
+        trace.rates.append(rate)
+        trace.cluster_counts.append(len(clusters))
+        if rate < constraint.lo:
+            tau_hi = tau
+        elif rate > constraint.hi:
+            tau_lo = tau
+        else:
+            trace.stop_reason = "satisfied"
+            return clusters
 
 
 def select_representatives(clusters: ClusterSet, seed: int) -> RepresentativeMap:

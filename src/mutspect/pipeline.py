@@ -1,11 +1,14 @@
 """End-to-end runs: vanilla, spectral acceleration, and the sweep experiment.
 
-The accelerated run makes one pass per sampling rate: sample, signatures,
-similarity graph and clustering with the x/tau parameter search, then
-representative selection and propagated testing, accumulating per-phase
-wall-clock times along the way.  Each rate is built once and nothing is cached
-across rates.  The no-transform variant ("raw" mode) is the same call with
-``transform=TRANSFORM_RAW``: raw sampled output columns as features.
+The accelerated run owns the walk over sampling rates: per rate it builds the
+sample, signatures and similarity graph once and runs the clustering layer's
+tau search on that graph, until one rate's search lands in the reduction
+goal.  Representative selection and propagated testing follow.  Each phase
+(sampling, spectra, graph, clustering, testing) is timed where it runs, so
+the phases are disjoint and sum to no more than the run's wall clock.
+Nothing is cached across rates.  The no-transform variant ("raw" mode) is
+the same call with ``transform=TRANSFORM_RAW``: raw sampled output columns
+as features.
 """
 
 from __future__ import annotations
@@ -16,16 +19,16 @@ from functools import partial
 
 from .clustering import (
     DEFAULT_REDUCTION,
+    NOT_SATISFIABLE_MESSAGE,
     X_GRID,
     ClusterSet,
     ReductionConstraint,
     RepresentativeMap,
-    SearchResult,
     XRound,
     hac_cluster,
     mutant_reduction_rate,
-    parameter_search,
     select_representatives,
+    tau_search,
 )
 from .dataset import LabeledDataset
 from .errors import ParameterError
@@ -65,6 +68,28 @@ def _graph_at(mutants: MutantSet, dataset: LabeledDataset, transform: str, sampl
     with phase_timer(phases, "graph"):
         graph = build_similarity_graph(spectra)
     return sample, graph
+
+
+def parameter_search(
+    build, constraint: ReductionConstraint, x_grid, phases: dict
+) -> tuple[list[XRound], SampleSet | None, ClusterSet | None]:
+    """Linear search over sampling rates, one tau search per rate's graph.
+
+    ``build(x)`` returns ``(SampleSet, SimilarityGraph)`` for sampling rate
+    ``x``.  Each rate gets one round and each round's whole tau search is
+    timed into ``phases["clustering"]``.  Returns the rounds with the first
+    satisfying round's sample and clusters, or ``None`` for both when every
+    round gives up.
+    """
+    rounds: list[XRound] = []
+    for x in x_grid:
+        sample, graph = build(x)
+        rounds.append(XRound(per_class_rate=x))
+        with phase_timer(phases, "clustering"):
+            clusters = tau_search(graph, constraint, rounds[-1])
+        if clusters is not None:
+            return rounds, sample, clusters
+    return rounds, None, None
 
 
 def _quarantined(mutants: MutantSet, held) -> tuple[int, ...]:
@@ -126,27 +151,17 @@ def run_accelerated(
         sample, graph = build(fixed_per_class)
         with phase_timer(phases, "clustering"):
             clusters = hac_cluster(graph, fixed_tau)
-        per_class, tau = fixed_per_class, fixed_tau
     else:
         grid = X_GRID if fixed_per_class is None else (fixed_per_class,)
-        # the builds and clustering calls inside the search time themselves
-        # into their own phases; "search" keeps only the residual so the
-        # phase breakdown stays disjoint and sums to the true wall clock
-        start = time.perf_counter()
-        result: SearchResult = parameter_search(build, constraint, grid, phases=phases)
-        phases["search"] = max(time.perf_counter() - start - sum(phases.values()), 0.0)
-        search_rounds = result.rounds
-        if not result.found:
+        search_rounds, sample, clusters = parameter_search(build, constraint, grid, phases)
+        if clusters is None:
             return PipelineResult(
                 mode=mode,
                 found=False,
                 table=None,
                 search_rounds=search_rounds,
-                message=result.message,
+                message=NOT_SATISFIABLE_MESSAGE,
             )
-        sample = result.sample
-        clusters = result.clusters
-        per_class, tau = result.per_class_rate, result.tau
     representatives = select_representatives(clusters, seeds.representative)
     quarantined = _quarantined(mutants, (m for cluster in clusters.clusters for m in cluster))
     table = accelerated_test(
@@ -165,8 +180,8 @@ def run_accelerated(
         clusters=clusters,
         representatives=representatives,
         sample=sample,
-        per_class_rate=per_class,
-        tau=tau,
+        per_class_rate=sample.per_class_rate,
+        tau=clusters.tau,
         quarantined=quarantined,
         search_rounds=search_rounds,
     )
@@ -192,6 +207,8 @@ class SweepSpec:
             raise ParameterError("x grid values must be at least 1")
         if any(not 0 < t < 1 for t in self.tau_grid):
             raise ParameterError("tau grid values must lie in (0, 1)")
+        if any(len(set(grid)) < len(grid) for grid in (self.x_grid, self.tau_grid)):
+            raise ParameterError("sweep grid values must not repeat")
 
 
 @dataclass(frozen=True)

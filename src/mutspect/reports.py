@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 
 from .errors import FormatError, ReportMismatchError, ValidationError
 from .metrics import score_error, speed_up
@@ -161,7 +162,9 @@ def load_scored_report(path) -> dict:
 
     A file that is not JSON, not a run report, or a report from a run whose
     reduction goal was not satisfiable (it carries no score) raises a
-    MutspectError naming the file.
+    MutspectError naming the file.  So does an impossible value: fewer than
+    one mutant, a tested count outside [0, mutant_count], a score that is
+    not a finite number in [0, 1], or a negative or non-finite total time.
     """
     report = load_json(path)
     if not isinstance(report, dict):
@@ -176,8 +179,16 @@ def load_scored_report(path) -> dict:
     for name, value, kind in fields:
         if not isinstance(value, kind) or isinstance(value, bool):
             raise FormatError(f"{path} is not a run report: {name!r} is missing or mistyped")
-    if report["mutant_count"] < 1:
-        raise FormatError(f"{path} is not a run report: 'mutant_count' is below 1")
+    n, score = report["mutant_count"], report["mutation_score"]
+    tested, seconds = report["tested_count"], report["timing"]["total_seconds"]
+    for name, value, in_range in (  # NaN fails every comparison
+        ("mutant_count", n, 1 <= n),
+        ("tested_count", tested, 0 <= tested <= n),
+        ("mutation_score", score, 0 <= score <= 1),
+        ("timing.total_seconds", seconds, 0 <= seconds < math.inf),
+    ):
+        if not in_range:
+            raise FormatError(f"{path} is not a run report: {name!r} is out of range: {value!r}")
     return report
 
 

@@ -183,7 +183,7 @@ def accelerated_test(
     The representative's killing count and classical status are copied
     verbatim to every member of its cluster.  Quarantined mutants bypass
     clustering and are always tested individually.  ``overhead`` phase times
-    (sampling, spectra, graph, clustering, search) are folded into the
+    (sampling, spectra, graph, clustering) are folded into the
     timing record so total time reflects the whole accelerated run.
     """
     tested = mutants.subset([*representatives.representatives(), *quarantined])

@@ -199,8 +199,20 @@ def test_compare_self_zero_loss(workdir, tmp_path):
     assert float(row["speed_up_avg"]) == 0.0
 
 
+BAD_REPORT_FIELDS = {
+    "no-mutants": ("mutant_count", 0),
+    "bool-count": ("mutant_count", True),
+    "negative-tested": ("tested_count", -5),
+    "too-many-tested": ("tested_count", 10**6),
+    "nan-score": ("mutation_score", float("nan")),
+    "score-above-one": ("mutation_score", 1.5),
+    "infinite-seconds": ("timing.total_seconds", float("inf")),
+    "negative-seconds": ("timing.total_seconds", -1.0),
+}
+
+
 @pytest.mark.parametrize(
-    "case", ["not-json", "not-a-report", "unsatisfied", "no-mutants", "bool-count"]
+    "case", ["not-json", "not-a-report", "unsatisfied", *BAD_REPORT_FIELDS]
 )
 def test_compare_bad_report_is_exit_2(workdir, tmp_path, capsys, case):
     rc, out_v = run_mode(workdir, "vanilla", "bad_cmp_vanilla")
@@ -210,10 +222,15 @@ def test_compare_bad_report_is_exit_2(workdir, tmp_path, capsys, case):
         bad.write_text("{not json")
     elif case == "not-a-report":
         bad.write_text('{"a": 1}')
-    elif case in ("no-mutants", "bool-count"):
+    elif case in BAD_REPORT_FIELDS:
         report = load_json(out_v / "report_vanilla_r0.json")
-        report["mutant_count"] = 0 if case == "no-mutants" else True
-        bad.write_text(json.dumps(report))
+        name, value = BAD_REPORT_FIELDS[case]
+        *parents, leaf = name.split(".")
+        target = report
+        for key in parents:
+            target = target[key]
+        target[leaf] = value
+        bad.write_text(json.dumps(report))  # NaN and Infinity as bare tokens
     else:
         rc, out_u = run_mode(workdir, "spectral", "bad_cmp_unsat",
                              ("--reduction-lo", "0.99", "--reduction-hi", "0.999"))
@@ -225,8 +242,8 @@ def test_compare_bad_report_is_exit_2(workdir, tmp_path, capsys, case):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad} ") and "Traceback" not in err
-    if case in ("no-mutants", "bool-count"):
-        assert "'mutant_count'" in err
+    if case in BAD_REPORT_FIELDS:
+        assert repr(BAD_REPORT_FIELDS[case][0]) in err
     assert not (tmp_path / "cmp" / "compare.csv").exists()
 
 
@@ -397,6 +414,17 @@ def test_bad_sweep_grid_is_exit_2(workdir, tmp_path, capsys, grid):
                "--manifest", str(manifest), "--out", str(tmp_path), *grid])
     assert rc == 2
     assert "comma lists of numbers" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("grid", [["--x-grid", "1,3,1"], ["--tau-grid", "0.3,0.6,0.6"]])
+def test_repeated_sweep_grid_value_is_exit_2(workdir, tmp_path, capsys, grid):
+    # a repeated x would overwrite its own rho entry; a repeated tau its own cell
+    root, model_path, data_path, manifest = workdir
+    rc = main(["sweep", "--model", str(model_path), "--dataset", str(data_path),
+               "--manifest", str(manifest), "--out", str(tmp_path), *grid])
+    assert rc == 2
+    assert "sweep grid values must not repeat" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
 
 

@@ -6,16 +6,18 @@ from hypothesis import strategies as st
 from mutspect.clustering import (
     DEFAULT_REDUCTION,
     NOT_SATISFIABLE_MESSAGE,
+    X_GRID,
     ClusterSet,
     ReductionConstraint,
+    XRound,
     _merge_trajectory,
     hac_cluster,
     mutant_reduction_rate,
-    parameter_search,
     select_representatives,
+    tau_search,
 )
 from mutspect.errors import ParameterError, ValidationError
-from mutspect.pipeline import TAU_SWEEP_GRID
+from mutspect.pipeline import TAU_SWEEP_GRID, parameter_search
 from mutspect.spectra import SimilarityGraph
 from mutspect.util import philox_rng
 
@@ -311,44 +313,34 @@ class TestConstraint:
         assert DEFAULT_REDUCTION.lo == 0.26 and DEFAULT_REDUCTION.hi == 0.56
 
 
-class TestParameterSearch:
-    def build_for(self, weights):
-        graph = graph_from_weights(weights)
-
-        def build(x):
-            return None, graph
-
-        return build
-
+class TestTauSearch:
     def test_uniform_graph_first_midpoint(self):
         n = 10
-        w = np.ones((n, n))
-        build = self.build_for(w)
+        trace = XRound(per_class_rate=1)
         # (N - 1) / N = 0.9 inside [0.85, 0.95]: returned at tau = 0.5
-        res = parameter_search(build, ReductionConstraint(0.85, 0.95), x_grid=(1,))
-        assert res.found and res.tau == 0.5
-        assert len(res.clusters) == 1
-        assert res.rounds[0].iterations == 1
+        clusters = tau_search(graph_from_weights(np.ones((n, n))),
+                              ReductionConstraint(0.85, 0.95), trace)
+        assert clusters.tau == 0.5
+        assert len(clusters) == 1
+        assert trace.iterations == 1 and trace.stop_reason == "satisfied"
 
     def test_uniform_graph_out_of_band_not_satisfiable(self):
         n = 10
-        w = np.ones((n, n))
-        build = self.build_for(w)
-        res = parameter_search(build, ReductionConstraint(0.2, 0.5), x_grid=(1, 3))
-        assert not res.found
-        assert res.message == NOT_SATISFIABLE_MESSAGE
-        assert [r.per_class_rate for r in res.rounds] == [1, 3]
-        for r in res.rounds:
-            assert r.iterations <= 25
+        trace = XRound(per_class_rate=1)
+        clusters = tau_search(graph_from_weights(np.ones((n, n))),
+                              ReductionConstraint(0.2, 0.5), trace)
+        assert clusters is None
+        assert trace.stop_reason in ("midpoint-out-of-range", "interval-collapsed")
+        assert trace.iterations <= 25
 
     def test_all_distinct_low_similarity_not_satisfiable(self):
         rng = np.random.default_rng(11)
         n = 8
         w = random_weight_table(n, rng) * 1e-6
         np.fill_diagonal(w, 1.0)
-        res = parameter_search(self.build_for(w), ReductionConstraint(0.5, 0.6))
-        assert not res.found
-        assert len(res.rounds) == 11
+        trace = XRound(per_class_rate=1)
+        assert tau_search(graph_from_weights(w), ReductionConstraint(0.5, 0.6), trace) is None
+        assert trace.stop_reason in ("midpoint-out-of-range", "interval-collapsed")
 
     def test_planted_blocks_found_and_matches_oracle_trajectory(self):
         rng = np.random.default_rng(21)
@@ -360,10 +352,10 @@ class TestParameterSearch:
         )
         w = np.triu(w, 1) + np.triu(w, 1).T
         np.fill_diagonal(w, 1.0)
-        res = parameter_search(self.build_for(w), DEFAULT_REDUCTION, x_grid=(1,))
-        assert res.found
-        assert DEFAULT_REDUCTION.contains(mutant_reduction_rate(n, res.clusters))
-        trace = res.rounds[0]
+        trace = XRound(per_class_rate=1)
+        clusters = tau_search(graph_from_weights(w), DEFAULT_REDUCTION, trace)
+        assert clusters is not None
+        assert DEFAULT_REDUCTION.contains(mutant_reduction_rate(n, clusters))
         assert trace.iterations <= 25
         # every tau the search visited must agree with the exhaustive oracle
         for tau, count in zip(trace.taus, trace.cluster_counts):
@@ -372,10 +364,74 @@ class TestParameterSearch:
     def test_iteration_bound(self):
         rng = np.random.default_rng(5)
         w = random_weight_table(20, rng)
-        res = parameter_search(
-            self.build_for(w), ReductionConstraint(0.399999, 0.4), x_grid=(1,)
+        trace = XRound(per_class_rate=1)
+        tau_search(graph_from_weights(w), ReductionConstraint(0.399999, 0.4), trace)
+        assert trace.iterations <= 25
+
+    def test_cuts_go_through_the_module_global(self, monkeypatch):
+        # call tracers wrap clustering.hac_cluster and must see every cut
+        import mutspect.clustering as clustering
+
+        cuts = []
+        real = clustering.hac_cluster
+
+        def counted(graph, tau):
+            cuts.append(tau)
+            return real(graph, tau)
+
+        monkeypatch.setattr(clustering, "hac_cluster", counted)
+        trace = XRound(per_class_rate=1)
+        tau_search(graph_from_weights(random_weight_table(12, np.random.default_rng(3))),
+                   DEFAULT_REDUCTION, trace)
+        assert cuts == trace.taus and cuts
+
+
+class TestParameterSearch:
+    """The pipeline's walk over sampling rates, on fake graphs."""
+
+    @staticmethod
+    def build_for(weights):
+        graph = graph_from_weights(weights)
+
+        def build(x):
+            return f"sample-{x}", graph
+
+        return build
+
+    def test_first_satisfying_round_ends_the_search(self):
+        phases = {}
+        rounds, sample, clusters = parameter_search(
+            self.build_for(np.ones((10, 10))), ReductionConstraint(0.85, 0.95), (1, 3), phases
         )
-        assert res.rounds[0].iterations <= 25
+        assert [r.per_class_rate for r in rounds] == [1]
+        assert sample == "sample-1" and clusters.tau == 0.5
+        assert set(phases) == {"clustering"}
+
+    def test_rounds_follow_the_grid(self):
+        rounds, sample, clusters = parameter_search(
+            self.build_for(np.ones((10, 10))), ReductionConstraint(0.2, 0.5), (1, 3), {}
+        )
+        assert sample is None and clusters is None
+        assert [r.per_class_rate for r in rounds] == [1, 3]
+        for r in rounds:
+            assert r.iterations <= 25
+
+    def test_exhausted_grid_is_not_satisfiable(self, monkeypatch):
+        import mutspect.pipeline as pipeline
+
+        rng = np.random.default_rng(11)
+        w = random_weight_table(8, rng) * 1e-6
+        np.fill_diagonal(w, 1.0)
+        constraint = ReductionConstraint(0.5, 0.6)
+        rounds, _, clusters = parameter_search(self.build_for(w), constraint, X_GRID, {})
+        assert clusters is None and len(rounds) == 11
+        # the run reports the exhausted search as a value with the goal message
+        build = self.build_for(w)
+        monkeypatch.setattr(pipeline, "_graph_at", lambda *args: build(args[-1]))
+        res = pipeline.run_accelerated(None, None, None, constraint=constraint)
+        assert not res.found and res.table is None
+        assert res.message == NOT_SATISFIABLE_MESSAGE
+        assert len(res.search_rounds) == 11
 
 
 class TestRepresentatives:

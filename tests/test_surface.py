@@ -1,4 +1,10 @@
-"""Interface-level checks: stored mutant models, margin tie handling."""
+"""Interface-level checks: stored mutant models, margin tie handling, and the
+module attributes the benchmark's call tracer wraps."""
+
+import importlib.util
+import sys
+from importlib import import_module
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,3 +57,16 @@ def test_bss_zero_margin_ties_by_index():
     sel = bss_select(net, ds, threshold=5)
     assert sel.tolist() == [0, 1]
 
+
+
+def test_every_perfbench_trace_target_resolves(monkeypatch):
+    # perfbench/tracing.py is loaded by path: perfbench is not a package;
+    # its dataclasses look their module up in sys.modules while it loads
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for module_name, attr, *_ in tracing.TARGETS:
+        assert callable(getattr(import_module(module_name), attr, None)), f"{module_name}.{attr}"
