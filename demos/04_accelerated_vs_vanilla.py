@@ -37,7 +37,8 @@ print("\nnote: at desk scale full testing takes milliseconds, so the pipeline")
 print("overhead makes wall-clock speed-up negative; the mutant reduction is the")
 print("quantity that turns into real speed-up once per-mutant testing is costly.")
 
-print(f"\nspectral run settled at x={spectral.per_class_rate}, tau={spectral.tau:.4f}, "
+print(f"\nspectral run settled at x={spectral.sample.per_class_rate}, "
+      f"tau={spectral.clusters.tau:.4f}, "
       f"{len(spectral.clusters)} clusters, {len(spectral.quarantined)} quarantined")
 
 quality = ms.predictive_metrics(spectral.table, vanilla.table)

@@ -48,13 +48,12 @@ from .reports import (
     load_scored_report,
     run_report_payload,
     write_compare_csv,
-    write_json,
     write_rho_csv,
     write_sweep_csv,
     write_verdict_csv,
 )
 from .spectra import TRANSFORM_DFT, TRANSFORM_RAW
-from .util import derived_seed, sha256_file
+from .util import derived_seed, sha256_file, write_json
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -128,7 +127,7 @@ def _run_one(config: RunConfig, model, dataset, mutants, repeat: int) -> Pipelin
         raise MutspectError("--x is required for rss (same sample size as spectral)")
     else:
         table = rss_test(model, mutants, dataset, config.per_class_rate, seed)
-    return PipelineResult(mode=config.mode, found=True, table=table)
+    return PipelineResult(mode=config.mode, table=table)
 
 
 def cmd_generate(args) -> int:
@@ -136,7 +135,7 @@ def cmd_generate(args) -> int:
     if not config.model:
         raise MutspectError("--model is required")
     model = load_model(config.model)
-    if args.kinds:
+    if args.kinds is not None:  # an empty list is an error, not a request for all kinds
         try:
             kinds = tuple(MutatorKind(k.strip()) for k in args.kinds.split(","))
         except ValueError as exc:
@@ -181,8 +180,8 @@ def cmd_run(args) -> int:
             out_dir / f"verdicts_{config.mode}_r{repeat}.csv", result.table, mutants
         )
         extras = ""
-        if result.tau is not None:
-            extras = f" tau={result.tau:.6f} x={result.per_class_rate}"
+        if result.clusters is not None:
+            extras = f" tau={result.clusters.tau:.6f} x={result.sample.per_class_rate}"
         print(
             f"[{config.mode} r{repeat}] score={result.score:.6f} "
             f"tested={result.table.timing.tested_count}/{len(mutants)}{extras}"

@@ -17,13 +17,11 @@ each docstring so tests can replay them independently.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
-    FormatError,
     MissingMutantError,
     ParameterError,
     TargetError,
@@ -31,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .model import DenseLayer, FcnnClassifier, model_hash
-from .util import open_fresh, philox_rng
+from .util import load_json, philox_rng, write_json
 
 DEFAULT_GF_SIGMA = 0.5  # relative to the layer weight std; stand-in default
 
@@ -359,18 +357,12 @@ def save_manifest(mutant_set: MutantSet, path) -> None:
             for m in mutant_set.mutants
         ],
     }
-    with open_fresh(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, payload)
 
 
 def load_manifest(path, original: FcnnClassifier) -> MutantSet:
     """Rebuild every mutant of a manifest; a malformed one raises MutspectError."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            payload = json.load(f)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-            raise FormatError(f"manifest {path} is not JSON: {exc}") from None
+    payload = load_json(path)
     if not isinstance(payload, dict) or payload.get("format") != "mutant-manifest":
         raise ValidationError("not a mutant manifest")
     if payload.get("version") != MANIFEST_VERSION:

@@ -16,10 +16,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from numbers import Integral
 
 from .clustering import (
     DEFAULT_REDUCTION,
-    NOT_SATISFIABLE_MESSAGE,
     X_GRID,
     ClusterSet,
     ReductionConstraint,
@@ -31,7 +31,7 @@ from .clustering import (
     tau_search,
 )
 from .dataset import LabeledDataset
-from .errors import ParameterError
+from .errors import ParameterError, ValidationError
 from .metrics import score_error, spearman_rho
 from .model import FcnnClassifier
 from .mutants import MutantSet
@@ -100,17 +100,24 @@ def _quarantined(mutants: MutantSet, held) -> tuple[int, ...]:
 
 @dataclass
 class PipelineResult:
+    """One run's verdicts; an accelerated run adds its sample, clusters and search.
+
+    ``table`` is ``None`` exactly when the reduction goal was not
+    satisfiable; the chosen x and tau are ``sample.per_class_rate`` and
+    ``clusters.tau``.
+    """
+
     mode: str
-    found: bool
     table: VerdictTable | None
     clusters: ClusterSet | None = None
     representatives: RepresentativeMap | None = None
     sample: SampleSet | None = None
-    per_class_rate: int | None = None
-    tau: float | None = None
     quarantined: tuple[int, ...] = ()
     search_rounds: list[XRound] = field(default_factory=list)
-    message: str = ""
+
+    @property
+    def found(self) -> bool:
+        return self.table is not None
 
     @property
     def score(self) -> float:
@@ -121,7 +128,7 @@ def run_vanilla(
     original: FcnnClassifier, mutants: MutantSet, dataset: LabeledDataset
 ) -> PipelineResult:
     table = vanilla_test(original, mutants, dataset)
-    return PipelineResult(mode="vanilla", found=True, table=table)
+    return PipelineResult(mode="vanilla", table=table)
 
 
 def run_accelerated(
@@ -139,7 +146,9 @@ def run_accelerated(
     With ``fixed_tau`` the parameter search is skipped entirely (requires
     ``fixed_per_class``); with only ``fixed_per_class`` the x-search loop is
     disabled but tau is still searched.  A search that exhausts the grid
-    yields ``found=False`` with the not-satisfiable message; no testing runs.
+    yields a result with no table (``found`` is false); no testing runs.
+    The phase times (sampling, spectra, graph, clustering) are folded into
+    the table's timing beside the tester's, so its total covers the run.
     """
     mode = "spectral" if transform == TRANSFORM_DFT else "raw"
     phases: dict[str, float] = {}
@@ -155,33 +164,17 @@ def run_accelerated(
         grid = X_GRID if fixed_per_class is None else (fixed_per_class,)
         search_rounds, sample, clusters = parameter_search(build, constraint, grid, phases)
         if clusters is None:
-            return PipelineResult(
-                mode=mode,
-                found=False,
-                table=None,
-                search_rounds=search_rounds,
-                message=NOT_SATISFIABLE_MESSAGE,
-            )
+            return PipelineResult(mode=mode, table=None, search_rounds=search_rounds)
     representatives = select_representatives(clusters, seeds.representative)
     quarantined = _quarantined(mutants, (m for cluster in clusters.clusters for m in cluster))
-    table = accelerated_test(
-        original,
-        mutants,
-        dataset,
-        representatives,
-        quarantined,
-        overhead=phases,
-        mode=mode,
-    )
+    table = accelerated_test(original, mutants, dataset, representatives, quarantined, mode)
+    table.timing.phases.update(phases)
     return PipelineResult(
         mode=mode,
-        found=True,
         table=table,
         clusters=clusters,
         representatives=representatives,
         sample=sample,
-        per_class_rate=sample.per_class_rate,
-        tau=clusters.tau,
         quarantined=quarantined,
         search_rounds=search_rounds,
     )
@@ -201,6 +194,8 @@ class SweepSpec:
     repeats: int = 5
 
     def __post_init__(self):
+        if not all(isinstance(v, Integral) for v in (*self.x_grid, self.repeats)):
+            raise ParameterError("x grid values and repeats must be integers")
         if not self.x_grid or not self.tau_grid or self.repeats < 1:
             raise ParameterError("sweep grids must be nonempty and repeats >= 1")
         if any(x < 1 for x in self.x_grid):
@@ -244,22 +239,24 @@ def run_sweep(
     verdict bit for bit, so each cell's accelerated score is assembled from
     the cached vanilla verdicts instead of re-running the tester; per-cell
     seconds therefore cover clustering, selection and propagation only.
+    A given ``vanilla`` table must hold a tested count for every mutant
+    and for no other.  The rank correlations of reduction rate against tau
+    are taken from the cells, per (x, repeat) and pooled per x.
     """
     vanilla = vanilla or vanilla_test(original, mutants, dataset)
-    ms_vanilla = mutation_score(vanilla)
     counts = vanilla.counts()
+    if set(counts) != set(mutants.ids()):
+        raise ValidationError("the vanilla table must hold a tested verdict for each mutant")
+    ms_vanilla = mutation_score(vanilla)
     n_total = len(mutants)
     labels = vanilla.labels
     cells: list[SweepCell] = []
-    rho_per_repeat: dict[tuple[int, int], float | None] = {}
-    rate_by_x: dict[int, list[tuple[float, float]]] = {x: [] for x in spec.x_grid}
 
     for repeat in range(spec.repeats):
         sampling_seed = derived_seed(seeds.sampling, repeat)
         for x in spec.x_grid:
             _, graph = _graph_at(mutants, dataset, TRANSFORM_DFT, sampling_seed, {}, x)
             q_total = sum(counts[m] for m in _quarantined(mutants, graph.ids))
-            rates = []
             for k, tau in enumerate(spec.tau_grid):
                 start = time.perf_counter()
                 clusters = hac_cluster(graph, tau)
@@ -273,15 +270,18 @@ def run_sweep(
                 cells.append(
                     SweepCell(x, tau, repeat, rate, len(clusters), err, seconds)
                 )
-                rates.append(rate)
-                rate_by_x[x].append((tau, rate))
-            rho_per_repeat[(x, repeat)] = (
-                spearman_rho(spec.tau_grid, rates) if len(rates) > 1 else None
-            )
 
-    rho_pooled = {}
-    for x, pairs in rate_by_x.items():
-        taus = [t for t, _ in pairs]
-        rates = [r for _, r in pairs]
-        rho_pooled[x] = spearman_rho(taus, rates) if len(rates) > 1 else None
-    return SweepResult(cells, rho_per_repeat, rho_pooled, ms_vanilla)
+    per_repeat: dict[tuple[int, int], list[SweepCell]] = {}
+    pooled: dict[int, list[SweepCell]] = {}
+    for cell in cells:
+        per_repeat.setdefault((cell.per_class_rate, cell.repeat), []).append(cell)
+        pooled.setdefault(cell.per_class_rate, []).append(cell)
+    rho_per_repeat = {key: _rho(group) for key, group in per_repeat.items()}
+    return SweepResult(cells, rho_per_repeat, {x: _rho(g) for x, g in pooled.items()}, ms_vanilla)
+
+
+def _rho(cells: list[SweepCell]) -> float | None:
+    """Spearman rho of reduction rate against tau; None for a single cell."""
+    if len(cells) < 2:
+        return None
+    return spearman_rho([c.tau for c in cells], [c.reduction_rate for c in cells])

@@ -8,15 +8,16 @@ for the "timing" subtree, which is excluded from determinism guarantees.
 from __future__ import annotations
 
 import csv
-import json
 import math
+from dataclasses import astuple, fields
 
+from .clustering import NOT_SATISFIABLE_MESSAGE
 from .errors import FormatError, ReportMismatchError, ValidationError
 from .metrics import score_error, speed_up
 from .mutants import MutantSet
-from .pipeline import PipelineResult, SweepResult
+from .pipeline import PipelineResult, SweepCell, SweepResult
 from .testing import VerdictTable, mutation_score
-from .util import open_fresh
+from .util import load_json, open_fresh
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -28,33 +29,28 @@ VERDICT_CSV_COLUMNS = (
     "provenance",
     "representative_id",
 )
+_STATUS = {None: "untested", True: "killed", False: "survived"}  # keyed by MutantVerdict.killed
 
 
 def _na(value):
     return "N/A" if value is None else value
 
 
-def write_verdict_csv(path, table: VerdictTable, mutants: MutantSet) -> None:
-    kinds = {m.mutant_id: m.kind.value for m in mutants.mutants}
+def _write_csv(path, header, rows) -> None:
     with open_fresh(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        writer.writerow(VERDICT_CSV_COLUMNS)
-        for mutant_id in sorted(table.verdicts):
-            v = table.verdicts[mutant_id]
-            if v.killed is None:
-                status = "untested"
-            else:
-                status = "killed" if v.killed else "survived"
-            writer.writerow(
-                [
-                    mutant_id,
-                    kinds.get(mutant_id, "?"),
-                    status,
-                    _na(v.killing_count),
-                    v.provenance,
-                    _na(v.representative_id),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_verdict_csv(path, table: VerdictTable, mutants: MutantSet) -> None:
+    kinds = {m.mutant_id: m.kind.value for m in mutants.mutants}
+    rows = (
+        [m, kinds.get(m, "?"), _STATUS[v.killed], _na(v.killing_count), v.provenance,
+         _na(v.representative_id)]
+        for m, v in sorted(table.verdicts.items())
+    )
+    _write_csv(path, VERDICT_CSV_COLUMNS, rows)
 
 
 def run_report_payload(
@@ -72,7 +68,7 @@ def run_report_payload(
         "satisfied": result.found,
     }
     if not result.found:
-        payload["message"] = result.message
+        payload["message"] = NOT_SATISFIABLE_MESSAGE
         payload["search"] = _search_metadata(result)
         return payload
     payload.update(
@@ -92,8 +88,8 @@ def run_report_payload(
     )
     if result.clusters is not None:
         payload["clustering"] = {
-            "tau": result.tau,
-            "per_class_rate": result.per_class_rate,
+            "tau": result.clusters.tau,
+            "per_class_rate": result.sample.per_class_rate,
             "n_clusters": len(result.clusters),
             "clusters": [list(c) for c in result.clusters.clusters],
             "representatives": [
@@ -120,20 +116,6 @@ def _search_metadata(result: PipelineResult) -> dict:
             for r in result.search_rounds
         ]
     }
-
-
-def write_json(path, payload: dict) -> None:
-    with open_fresh(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def load_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            return json.load(f)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-            raise FormatError(f"{path} is not JSON: {exc}") from None
 
 
 def strip_timing(payload: dict) -> dict:
@@ -248,11 +230,7 @@ COMPARE_CSV_COLUMNS = (
 
 
 def write_compare_csv(path, rows: list[dict]) -> None:
-    with open_fresh(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(COMPARE_CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([_na(row[c]) for c in COMPARE_CSV_COLUMNS])
+    _write_csv(path, COMPARE_CSV_COLUMNS, ([_na(r[c]) for c in COMPARE_CSV_COLUMNS] for r in rows))
 
 
 def format_compare_table(rows: list[dict]) -> str:
@@ -274,40 +252,15 @@ def format_compare_table(rows: list[dict]) -> str:
 # Sweep outputs: plot-ready cell CSV plus the rank-correlation table.
 # ---------------------------------------------------------------------------
 
-SWEEP_CSV_COLUMNS = (
-    "per_class_rate",
-    "tau",
-    "repeat",
-    "reduction_rate",
-    "n_clusters",
-    "score_error",
-    "seconds",
-)
+# one column per SweepCell field, in field order; csv writes a float as its repr
+SWEEP_CSV_COLUMNS = tuple(f.name for f in fields(SweepCell))
 
 
 def write_sweep_csv(path, sweep: SweepResult) -> None:
-    with open_fresh(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(SWEEP_CSV_COLUMNS)
-        for cell in sweep.cells:
-            writer.writerow(
-                [
-                    cell.per_class_rate,
-                    repr(cell.tau),
-                    cell.repeat,
-                    repr(cell.reduction_rate),
-                    cell.n_clusters,
-                    "N/A" if cell.score_error is None else repr(cell.score_error),
-                    repr(cell.seconds),
-                ]
-            )
+    _write_csv(path, SWEEP_CSV_COLUMNS, ([_na(v) for v in astuple(c)] for c in sweep.cells))
 
 
 def write_rho_csv(path, sweep: SweepResult) -> None:
-    with open_fresh(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(("per_class_rate", "scope", "rho"))
-        for (x, repeat), rho in sorted(sweep.rho_per_repeat.items()):
-            writer.writerow([x, f"repeat-{repeat}", _na(None if rho is None else repr(rho))])
-        for x, rho in sorted(sweep.rho_pooled.items()):
-            writer.writerow([x, "pooled", _na(None if rho is None else repr(rho))])
+    rows = [[x, f"repeat-{r}", _na(rho)] for (x, r), rho in sorted(sweep.rho_per_repeat.items())]
+    rows += [[x, "pooled", _na(rho)] for x, rho in sorted(sweep.rho_pooled.items())]
+    _write_csv(path, ("per_class_rate", "scope", "rho"), rows)

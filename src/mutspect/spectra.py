@@ -25,6 +25,7 @@ square table only at the end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
@@ -90,8 +91,8 @@ def stratified_sample(dataset: LabeledDataset, per_class: int, seed: int) -> Sam
     sort them.  Classes smaller than ``per_class`` are taken whole and
     recorded in ``truncated_classes``.
     """
-    if per_class < 1:
-        raise ParameterError("per-class sampling rate must be at least 1")
+    if not isinstance(per_class, Integral) or per_class < 1:
+        raise ParameterError("per-class sampling rate must be an integer of at least 1")
     rng = philox_rng(seed)
     chosen = []
     truncated = []

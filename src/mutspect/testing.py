@@ -175,20 +175,18 @@ def accelerated_test(
     dataset: LabeledDataset,
     representatives,
     quarantined=(),
-    overhead: dict | None = None,
     mode: str = "spectral",
 ) -> VerdictTable:
     """Full-dataset testing for representatives only; members inherit verdicts.
 
     The representative's killing count and classical status are copied
     verbatim to every member of its cluster.  Quarantined mutants bypass
-    clustering and are always tested individually.  ``overhead`` phase times
-    (sampling, spectra, graph, clustering) are folded into the
-    timing record so total time reflects the whole accelerated run.
+    clustering and are always tested individually.  The timing record holds
+    the tester's own phase; the caller adds the phases that chose the
+    representatives.
     """
     tested = mutants.subset([*representatives.representatives(), *quarantined])
     table = vanilla_test(original, tested, dataset, mode)
-    table.timing.phases.update(overhead or {})
     for rep, members in representatives.pairs:
         base = table.verdicts[rep]
         for member in members:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import stat
 import time
@@ -51,6 +52,22 @@ def open_fresh(path, mode: str = "w", **kwargs):
         if stat.S_ISREG(st.st_mode) and st.st_nlink == 1:
             os.unlink(path)
     return open(path, mode, **kwargs)
+
+
+def write_json(path, payload) -> None:
+    """Indented, key-sorted JSON with a final newline, on a fresh file."""
+    with open_fresh(path, "w", encoding="utf-8") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def load_json(path):
+    """Parsed JSON; a file that is not JSON raises FormatError naming it."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise FormatError(f"{path} is not JSON: {exc}") from None
 
 
 @contextmanager

@@ -24,7 +24,7 @@ from mutspect.mutants import (
     generate_mutant_set,
 )
 from mutspect.pipeline import Seeds, SweepSpec, run_accelerated, run_sweep
-from mutspect.reports import load_json, strip_timing
+from mutspect.reports import strip_timing
 from mutspect.spectra import (
     SampleSet,
     SpectraSet,
@@ -45,6 +45,7 @@ from mutspect.testing import (
     mutation_score,
     vanilla_test,
 )
+from mutspect.util import load_json
 
 from test_clustering import graph_from_weights, oracle_agglomerate, random_weight_table
 
@@ -81,9 +82,10 @@ def test_criterion_01_dft_oracle():
     parseval_worst = 0.0
     for n in range(1, 513):
         series = rng.normal(size=(100, n))
-        # naive O(n^2) DFT: direct evaluation of the defining sum
+        # naive O(n^2) DFT: direct evaluation of the defining sum, its matrix
+        # entries exp(-2 pi i jk / n) looked up from the n twiddles by jk mod n
         j = np.arange(n)
-        dft_matrix = np.exp(-2j * np.pi * np.outer(j, j) / n)
+        dft_matrix = np.exp(-2j * np.pi * j / n)[np.outer(j, j) % n]
         want = np.abs(series @ dft_matrix.T)
         got = np.vstack([dft_magnitude(row) for row in series])
         scale = np.maximum(np.abs(want).max(axis=1, keepdims=True), 1e-30)

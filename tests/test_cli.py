@@ -8,8 +8,9 @@ import pytest
 from mutspect.cli import main
 from mutspect.dataset import save_dataset
 from mutspect.model import load_model, save_model
-from mutspect.reports import load_json, strip_timing
+from mutspect.reports import strip_timing
 from mutspect.synth import fitted_classifier, gaussian_blobs
+from mutspect.util import load_json
 
 from conftest import exploding_mutant
 
@@ -415,6 +416,18 @@ def test_bad_sweep_grid_is_exit_2(workdir, tmp_path, capsys, grid):
     assert rc == 2
     assert "comma lists of numbers" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("kinds", ["", ","])
+def test_empty_kinds_list_is_exit_2(workdir, tmp_path, capsys, kinds):
+    # like an empty sweep grid, an empty list is an error, not a request for all kinds
+    root, model_path, _, _ = workdir
+    out = tmp_path / "gen"
+    rc = main(["generate", "--model", str(model_path), "--count", "5", "--kinds", kinds,
+               "--out", str(out)])
+    assert rc == 2
+    assert "unknown mutator kind" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("grid", [["--x-grid", "1,3,1"], ["--tau-grid", "0.3,0.6,0.6"]])

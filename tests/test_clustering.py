@@ -18,6 +18,7 @@ from mutspect.clustering import (
 )
 from mutspect.errors import ParameterError, ValidationError
 from mutspect.pipeline import TAU_SWEEP_GRID, parameter_search
+from mutspect.reports import run_report_payload
 from mutspect.spectra import SimilarityGraph
 from mutspect.util import philox_rng
 
@@ -430,7 +431,7 @@ class TestParameterSearch:
         monkeypatch.setattr(pipeline, "_graph_at", lambda *args: build(args[-1]))
         res = pipeline.run_accelerated(None, None, None, constraint=constraint)
         assert not res.found and res.table is None
-        assert res.message == NOT_SATISFIABLE_MESSAGE
+        assert run_report_payload(res, {}, {})["message"] == NOT_SATISFIABLE_MESSAGE
         assert len(res.search_rounds) == 11
 
 

@@ -1,12 +1,15 @@
 import time
 
+import numpy as np
 import pytest
 
+from mutspect.baselines import rms_test
 from mutspect.clustering import X_GRID, ReductionConstraint, hac_cluster, select_representatives
-from mutspect.errors import ParameterError
+from mutspect.errors import ParameterError, ValidationError
 from mutspect.metrics import measures
 from mutspect.mutants import MutantSet, gaussian_fuzz
 from mutspect.pipeline import Seeds, SweepSpec, run_accelerated, run_sweep, run_vanilla
+from mutspect.reports import run_report_payload
 from mutspect.spectra import build_similarity_graph, mutant_spectra, stratified_sample
 from mutspect.synth import diverse_mutant_set, fitted_classifier, gaussian_blobs
 from mutspect.testing import TESTED, mutation_score, vanilla_test
@@ -52,7 +55,7 @@ def test_sample_shared_across_mutants(world):
     res = run_accelerated(model, mutants, ds, seeds=Seeds(1, 2))
     # one canonical sample per run: re-deriving it from the seed gives the
     # same hash every mutant's spectra were computed against
-    fresh = stratified_sample(ds, res.per_class_rate, 1)
+    fresh = stratified_sample(ds, res.sample.per_class_rate, 1)
     assert res.sample.content_hash() == fresh.content_hash()
 
 
@@ -60,6 +63,38 @@ def test_fixed_tau_requires_fixed_x(world):
     ds, model, mutants = world
     with pytest.raises(ParameterError):
         run_accelerated(model, mutants, ds, fixed_tau=0.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ds, model, mutants: stratified_sample(ds, 2.5, 0),
+    lambda ds, model, mutants: run_accelerated(model, mutants, ds, fixed_per_class=2.5),
+    lambda ds, model, mutants: run_accelerated(model, mutants, ds, fixed_per_class=2.5,
+                                               fixed_tau=0.5),
+    lambda ds, model, mutants: SweepSpec(x_grid=(1.5,)),
+    lambda ds, model, mutants: SweepSpec(repeats=1.5),
+], ids=["sample", "searched", "fixed-tau", "sweep-x", "sweep-repeats"])
+def test_non_integer_rate_is_a_parameter_error(world, call):
+    with pytest.raises(ParameterError, match="integer"):
+        call(*world)
+
+
+def test_numpy_integer_rates_are_accepted(world):
+    ds, _, _ = world
+    sample = stratified_sample(ds, np.int64(2), 0)
+    assert sample.content_hash() == stratified_sample(ds, 2, 0).content_hash()
+    spec = SweepSpec(x_grid=(np.int32(1), np.int64(3)), repeats=np.int64(2))
+    assert spec.x_grid == (1, 3) and spec.repeats == 2
+
+
+@pytest.mark.parametrize("table", ["rms", "other-set"])
+def test_sweep_rejects_a_vanilla_table_missing_a_mutant(world, table):
+    ds, model, mutants = world
+    if table == "rms":  # untested mutants carry no count
+        vanilla = rms_test(model, mutants, ds, 0.5, seed=0)
+    else:
+        vanilla = vanilla_test(model, MutantSet(model, mutants.mutants[:10], 0), ds)
+    with pytest.raises(ValidationError, match="vanilla table"):
+        run_sweep(model, mutants, ds, SweepSpec((1,), (0.5,), 1), vanilla=vanilla)
 
 
 def test_fixed_tau_near_one_reproduces_vanilla(world):
@@ -88,7 +123,8 @@ def test_not_satisfiable_is_a_value(world):
     )
     assert not res.found
     assert res.table is None
-    assert res.message == "Mutant reduction goal not satisfiable"
+    report = run_report_payload(res, {}, {})
+    assert report["message"] == "Mutant reduction goal not satisfiable"
     assert len(res.search_rounds) == 11
 
 
@@ -133,7 +169,7 @@ def test_quarantine_equals_failed_spectra(exploding_world, fixed, seed):
     fixed_args = {"fixed_per_class": 3, "fixed_tau": 0.5} if fixed else {}
     res = run_accelerated(model, pool, ds, seeds=Seeds(seed, seed + 7), **fixed_args)
     assert res.found
-    spectra = mutant_spectra(pool, ds, stratified_sample(ds, res.per_class_rate, seed))
+    spectra = mutant_spectra(pool, ds, stratified_sample(ds, res.sample.per_class_rate, seed))
     assert spectra.failed == (40, 41)
     assert res.quarantined == spectra.failed
     clustered = sorted(m for cluster in res.clusters.clusters for m in cluster)

@@ -182,17 +182,20 @@ class TestAccelerated:
         assert at.timing.tested_count == 2  # one representative + one quarantined
 
     def test_overhead_folded_into_timing(self, blob_world):
+        # the tester times only itself; the accelerated run folds the phases
+        # that chose the representatives into the same record
+        from mutspect.pipeline import run_accelerated
+
         ds, model = blob_world
         mutants = generate_mutant_set(model, 3, seed=2)
         clusters = ClusterSet(tuple((m,) for m in mutants.ids()), tau=0.9)
         reps = select_representatives(clusters, seed=0)
-        at = accelerated_test(
-            model, mutants, ds, reps, overhead={"sampling": 1.0, "spectra": 2.0}
-        )
-        assert at.timing.phases["sampling"] == 1.0
-        assert at.timing.phases["spectra"] == 2.0
-        assert "testing" in at.timing.phases
-        assert at.timing.total_seconds > 3.0
+        assert set(accelerated_test(model, mutants, ds, reps).timing.phases) == {"testing"}
+        res = run_accelerated(model, mutants, ds, fixed_per_class=2, fixed_tau=0.9)
+        phases = res.table.timing.phases
+        assert set(phases) == {"sampling", "spectra", "graph", "clustering", "testing"}
+        assert all(seconds > 0.0 for seconds in phases.values())
+        assert res.table.timing.total_seconds == sum(phases.values())
 
 
 # ---------------------------------------------------------------------------

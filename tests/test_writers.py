@@ -13,13 +13,13 @@ from mutspect.pipeline import SweepResult, SweepSpec, run_sweep
 from mutspect.reports import (
     COMPARE_CSV_COLUMNS,
     write_compare_csv,
-    write_json,
     write_rho_csv,
     write_sweep_csv,
     write_verdict_csv,
 )
 from mutspect.synth import fitted_classifier, gaussian_blobs
 from mutspect.testing import vanilla_test
+from mutspect.util import write_json
 
 
 @pytest.fixture(scope="module")
