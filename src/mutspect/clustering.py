@@ -7,7 +7,7 @@ greatest mean cross-pair similarity while that greatest linkage is at least
 third cluster never exceeds the linkage just consumed), so the greedy merge
 sequence does not depend on ``tau``; the threshold only picks the stopping
 point.  The sequence is therefore computed once per graph and cached, and a
-clustering at any ``tau`` is a prefix cut of it.
+clustering at any ``tau`` is a prefix cut of it (``tau_cuts``).
 
 The build keeps the cross-weight sums between clusters and the linkage
 table, and picks each step's pair with one flat argmax over that table:
@@ -26,7 +26,6 @@ sampling rates, which builds one graph per rate, belongs to the pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -81,14 +80,8 @@ class RepresentativeMap:
         return [rep for rep, _ in self.pairs]
 
 
-class MergeStep(NamedTuple):
-    linkage: float
-    i: int  # surviving graph position: the merged cluster's smallest member
-    j: int  # absorbed graph position, j > i
-
-
-def _merge_trajectory(weights: np.ndarray) -> list[MergeStep]:
-    """Full greedy average-linkage merge sequence for a dense weight table.
+def _merge_trajectory(weights: np.ndarray):
+    """Greedy average-linkage merge sequence: step linkages, survivors i, absorbed j > i.
 
     A cluster lives at its smallest member's position.  ``sums`` holds the
     cross-weight sums between clusters; ``link`` holds sum / (size product)
@@ -99,16 +92,14 @@ def _merge_trajectory(weights: np.ndarray) -> list[MergeStep]:
     0.0 still beats the -inf cells.
     """
     n = weights.shape[0]
-    if n < 2:
-        return []
+    linkage, left, right = np.empty(max(n - 1, 0)), *np.empty((2, max(n - 1, 0)), dtype=np.intp)
     sums = np.array(weights, dtype=np.float64)
     sizes = np.ones(n)
     gone = np.zeros(n)  # 0.0 for live clusters, -inf once absorbed
     link = np.where(np.triu(np.ones((n, n), dtype=bool), 1), sums, -np.inf)
-    steps: list[MergeStep] = []
-    for _ in range(n - 1):
+    for s in range(n - 1):
         i, j = divmod(int(link.argmax()), n)
-        steps.append(MergeStep(float(link[i, j]), i, j))
+        linkage[s], left[s], right[s] = link[i, j], i, j
         sums[i] += sums[j]
         sums[:, i] = sums[i]
         sizes[i] += sizes[j]
@@ -117,30 +108,41 @@ def _merge_trajectory(weights: np.ndarray) -> list[MergeStep]:
         row = sums[i] / (sizes[i] * sizes) + gone
         link[i, i + 1:] = row[i + 1:]
         link[:i, i] = row[:i]
-    return steps
+    return linkage, left, right
+
+
+def tau_cuts(graph: SimilarityGraph, taus):
+    """Yields ``(order, sizes)`` of ``hac_cluster(graph, tau)`` per tau in
+    ``taus``: node positions grouped by cluster, clusters in smallest-member
+    order and members ascending, and the cluster sizes.  A cut keeps the
+    steps before the first linkage below tau, a ``searchsorted`` on their
+    running minimum; a survivor sits below what it absorbs, so pointer
+    jumping finds each node's cluster."""
+    if graph._trajectory is None:
+        graph._trajectory = _merge_trajectory(graph.weights)
+    (linkage, left, right), n = graph._trajectory, graph.n_nodes
+    floor = -np.minimum.accumulate(linkage)  # ascending
+    for p in np.searchsorted(floor, -np.asarray(taus, dtype=np.float64), side="right").tolist():
+        root = np.arange(n)
+        root[right[:p]] = left[:p]
+        up = root[root]
+        while (up != root).any():
+            root, up = up, up[up]
+        sizes = np.bincount(root, minlength=n)
+        yield np.argsort(root, kind="stable"), sizes[sizes > 0]
 
 
 def hac_cluster(graph: SimilarityGraph, tau: float) -> ClusterSet:
     """Partition of the graph's mutants at linkage threshold ``tau``.
 
     Equivalent to merging the best pair while its average linkage >= tau;
-    implemented as a prefix cut of the cached merge trajectory.
+    implemented as a prefix cut of the cached merge sequence.
     """
     if not 0.0 < tau < 1.0:
         raise ParameterError(f"tau must lie in (0, 1), got {tau}")
-    if graph._trajectory is None:
-        graph._trajectory = _merge_trajectory(graph.weights)
-    parent = list(range(graph.n_nodes))
-    for step in graph._trajectory:
-        if step.linkage < tau:
-            break
-        parent[step.j] = step.i
-    groups: dict[int, list[int]] = {}
-    for pos, mutant_id in enumerate(graph.ids):
-        parent[pos] = parent[parent[pos]]  # parents sit lower: already roots
-        groups.setdefault(parent[pos], []).append(mutant_id)
-    clusters = sorted(map(tuple, groups.values()), key=lambda c: c[0])
-    return ClusterSet(tuple(clusters), tau)
+    order, sizes = next(tau_cuts(graph, [tau]))
+    members, ends = np.asarray(graph.ids, dtype=np.int64)[order].tolist(), np.cumsum(sizes).tolist()
+    return ClusterSet(tuple(tuple(members[a:b]) for a, b in zip([0, *ends], ends)), tau)
 
 
 def mutant_reduction_rate(n_mutants: int, clusters: ClusterSet) -> float:
@@ -203,11 +205,15 @@ def select_representatives(clusters: ClusterSet, seed: int) -> RepresentativeMap
     """One representative per cluster.
 
     Clusters are visited sorted by smallest member id; the picks are uniform,
-    drawn by one ``integers(sizes)`` call over the visited clusters' sizes
-    on ``philox_rng(seed)``, which gives the picks of one
-    ``integers(len(cluster))`` draw per cluster in that order.
+    drawn by ``draw_picks`` over the visited clusters' sizes.
     """
     ordered = sorted(clusters.clusters, key=lambda c: c[0])
-    picks = philox_rng(seed).integers(np.array([len(c) for c in ordered], dtype=np.int64))
+    picks = draw_picks(np.array([len(c) for c in ordered], dtype=np.int64), seed)
     pairs = tuple((cluster[pick], tuple(cluster)) for cluster, pick in zip(ordered, picks.tolist()))
     return RepresentativeMap(pairs, seed)
+
+
+def draw_picks(sizes: np.ndarray, seed: int) -> np.ndarray:
+    """A uniform pick in each of clusters of ``sizes``: ``philox_rng(seed).integers(sizes)``,
+    the picks of one ``integers(size)`` call per cluster in that order."""
+    return philox_rng(seed).integers(sizes)

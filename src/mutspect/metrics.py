@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import spearmanr
+from scipy.stats import rankdata
 
 from .errors import ValidationError
 from .testing import VerdictTable, mutation_score
@@ -121,8 +121,9 @@ def predictive_metrics(accel: VerdictTable, vanilla: VerdictTable) -> Predictive
 
 
 def spearman_rho(xs, ys) -> float | None:
-    """Rank correlation with average ranks for ties; None when either input
-    is constant (undefined correlation)."""
+    """``scipy.stats.spearmanr(xs, ys)[0]`` as scipy computes it (average
+    ranks, then ``np.corrcoef``), without the p-value; None when either
+    input is constant (undefined correlation)."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
@@ -131,4 +132,4 @@ def spearman_rho(xs, ys) -> float | None:
         raise ValidationError("need at least two observations")
     if np.all(x == x[0]) or np.all(y == y[0]):
         return None
-    return float(spearmanr(x, y)[0])
+    return float(np.corrcoef(rankdata(np.stack([x, y]), axis=1))[1, 0])

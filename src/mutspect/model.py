@@ -15,6 +15,12 @@ against a cached read-only row of zeros (see ``_activate``).  The engine
 stops at the output layer's logits and never raises on overflow: rows may
 carry NaN/Inf, and each caller decides what a non-finite row means.
 
+Models sharing their resume depth, that layer's shape and activation, and
+every later layer object run in tiles whose activations fit half of
+BLOCK_BYTES, as one stacked ``matmul`` per layer (the 2-D product's BLAS call
+per model): few sampled points cost one numpy call per layer, not per model,
+and tester blocks fill the budget, so their tiles are one model wide.
+
 Softmax runs only where its values are read: in batch_outputs (the engine
 over one model, then softmax) and over chunks of signatures in
 ``spectra.mutant_spectra``.  predicted_classes reads the softmax argmax off
@@ -38,6 +44,7 @@ import struct
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -224,7 +231,7 @@ def _zero_row(width: int) -> np.ndarray:
     return readonly(np.zeros(width))
 
 
-def _activate(layer: DenseLayer, a: np.ndarray):
+def _activate(layer, a: np.ndarray):
     """Bias and ReLU of ``layer``, applied to the product ``a`` in place; the
     output layer adds its bias only, leaving logits.
 
@@ -235,14 +242,14 @@ def _activate(layer: DenseLayer, a: np.ndarray):
     """
     a += layer.biases
     if layer.activation == RELU:
-        np.maximum(a, _zero_row(layer.out_dim), out=a)
+        np.maximum(a, _zero_row(a.shape[-1]), out=a)
 
 
 def _resume(layers, a: np.ndarray) -> np.ndarray:
     """``layers`` applied to the activation ``a``, which is not written."""
     with np.errstate(over="ignore", invalid="ignore"):
         for layer in layers:
-            a = a @ layer.weights.T
+            a = a @ layer.weights.swapaxes(-1, -2)
             _activate(layer, a)
     return a
 
@@ -268,16 +275,28 @@ def _first_change(original: FcnnClassifier, model: FcnnClassifier) -> int:
     return len(original.layers)
 
 
-def forward_blocks(original: FcnnClassifier, models, points):
-    """Output-layer logits of each of ``models``, block by block.
+def _tile_logits(models, depth: int, acts: dict) -> np.ndarray:
+    """Stacked logits of one tile, all resuming from ``acts[depth]``."""
+    if depth == len(models[0].layers):  # equal to the original: nothing to run
+        return np.broadcast_to(acts[depth], (len(models), *acts[depth].shape))
+    heads = [model.layers[depth] for model in models]
+    if len(heads) > 1:  # one layer of stacked weights (models, out, in) and biases
+        heads = [SimpleNamespace(weights=np.array([h.weights for h in heads]),
+                                 biases=np.array([h.biases for h in heads])[:, None],
+                                 activation=heads[0].activation)]
+    return _resume((*heads, *models[0].layers[depth + 1:]), acts[depth][None])
 
-    Yields ``(rows, model_logits)`` per row block in order: ``rows`` is the
-    block's slice of the points and ``model_logits`` a generator of each
-    model's rows, in the order of ``models``, each computed when it is
-    drawn.  Each model resumes from the original's activation at its first
-    changed layer, so a caller that needs the original's logits passes the
-    original as a model; a model equal to the original yields the original's
-    array itself, which callers must not write.  Every block counts
+
+def forward_blocks(original: FcnnClassifier, models, points):
+    """Output-layer logits of ``models``, block by block, in tiles of models.
+
+    Yields ``(rows, tiles)`` per row block: the block's slice of the points
+    and a generator of ``(members, logits)``, the ascending indices into
+    ``models`` of one tile (the first starts with the first model) and their
+    ``(len(members), rows, q)`` logits.  Each model resumes from the
+    original's activation at its first changed layer, so a caller that
+    needs the original's logits passes it as a model; models equal to the
+    original yield a read-only broadcast of its array.  Every block counts
     |models| forward passes per row.
     """
     x = np.asarray(points, dtype=np.float64)
@@ -291,20 +310,27 @@ def forward_blocks(original: FcnnClassifier, models, points):
     depths = sorted({0, *starts})
     # blocks depend on the original alone, so its rows are batch_outputs' rows
     width = max(layer.out_dim for layer in original.layers)
+    groups: dict[tuple, list[int]] = {}  # tiles never mix groups
+    for k, (model, d) in enumerate(zip(models, starts)):
+        later = model.layers[d:]  # a head, then layers that fix its activation
+        key = (d, later[0].weights.shape if later else None, *map(id, later[1:]))
+        groups.setdefault(key, []).append(k)
     for rows in _row_blocks(x.shape[0], _block_rows(width)):
         _tally(len(models) * (rows.stop - rows.start))
+        per_tile = max(1, (BLOCK_BYTES // 2) // (8 * width * (rows.stop - rows.start)))
         acts = {0: x[rows]}  # acts[d]: the original's input to layer d
         for lo, hi in zip(depths, depths[1:]):
             acts[hi] = _resume(original.layers[lo:hi], acts[lo])
-        yield rows, (_resume(model.layers[d:], acts[d]) for model, d in zip(models, starts))
+        tiles = (g[i : i + per_tile] for g in groups.values() for i in range(0, len(g), per_tile))
+        yield rows, ((tile, _tile_logits([models[k] for k in tile], starts[tile[0]], acts))
+                     for tile in tiles)
 
 
 def _logits(model: FcnnClassifier, points) -> np.ndarray:
     """Output-layer logits of ``model``, one row per point."""
-    parts = [next(logits) for _, logits in forward_blocks(model, (model,), points)]
-    if not parts:
-        return np.empty((0, model.num_outputs))
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    parts = [logits[0] for _, tiles in forward_blocks(model, (model,), points)
+             for _, logits in tiles]
+    return np.concatenate(parts) if parts else np.empty((0, model.num_outputs))
 
 
 def batch_outputs(model: FcnnClassifier, points) -> np.ndarray:
@@ -313,11 +339,9 @@ def batch_outputs(model: FcnnClassifier, points) -> np.ndarray:
     Rows whose computation overflowed carry NaN/Inf; callers check
     ``np.isfinite`` themselves (quarantine, a -1 flag or ValidationError).
     """
-    a = _logits(model, points)
-    t = np.ascontiguousarray(a.T)  # class-major: see the module docstring
+    t = _logits(model, points).T.copy()  # class-major: see the module docstring
     class_softmax(t)
-    a[...] = t.T
-    return a
+    return np.ascontiguousarray(t.T)
 
 
 # Near-tie guard of predicted_classes: 2**-40, far above the rounding error

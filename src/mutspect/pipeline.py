@@ -16,7 +16,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from numbers import Integral
+from numbers import Integral, Real
+
+import numpy as np
 
 from .clustering import (
     DEFAULT_REDUCTION,
@@ -25,9 +27,10 @@ from .clustering import (
     ReductionConstraint,
     RepresentativeMap,
     XRound,
+    draw_picks,
     hac_cluster,
-    mutant_reduction_rate,
     select_representatives,
+    tau_cuts,
     tau_search,
 )
 from .dataset import LabeledDataset
@@ -194,14 +197,15 @@ class SweepSpec:
     repeats: int = 5
 
     def __post_init__(self):
-        if not all(isinstance(v, Integral) for v in (*self.x_grid, self.repeats)):
+        if not all(isinstance(v, Integral) and not isinstance(v, bool)
+                   for v in (*self.x_grid, self.repeats)):
             raise ParameterError("x grid values and repeats must be integers")
         if not self.x_grid or not self.tau_grid or self.repeats < 1:
             raise ParameterError("sweep grids must be nonempty and repeats >= 1")
         if any(x < 1 for x in self.x_grid):
             raise ParameterError("x grid values must be at least 1")
-        if any(not 0 < t < 1 for t in self.tau_grid):
-            raise ParameterError("tau grid values must lie in (0, 1)")
+        if any(not (isinstance(t, Real) and 0 < t < 1) for t in self.tau_grid):
+            raise ParameterError("tau grid values must be numbers in (0, 1)")
         if any(len(set(grid)) < len(grid) for grid in (self.x_grid, self.tau_grid)):
             raise ParameterError("sweep grid values must not repeat")
 
@@ -237,11 +241,14 @@ def run_sweep(
 
     A representative tested on the full dataset reproduces its vanilla
     verdict bit for bit, so each cell's accelerated score is assembled from
-    the cached vanilla verdicts instead of re-running the tester; per-cell
-    seconds therefore cover clustering, selection and propagation only.
-    A given ``vanilla`` table must hold a tested count for every mutant
-    and for no other.  The rank correlations of reduction rate against tau
-    are taken from the cells, per (x, repeat) and pooled per x.
+    the cached vanilla verdicts.  Per graph, one ``hac_cluster`` call builds
+    the merge sequence; ``tau_cuts`` and ``draw_picks`` then give each
+    cell's sizes and ``select_representatives``' draw, and the killed count
+    is their vanilla counts dotted with the sizes.  Per-cell seconds cover
+    that (the first, the merge build too).  A given ``vanilla`` table must
+    hold a tested count for every mutant and for no other.  Reduction rate
+    against tau is rank-correlated per (x, repeat) and pooled per x (the
+    repeat's own rho when there is one repeat).
     """
     vanilla = vanilla or vanilla_test(original, mutants, dataset)
     counts = vanilla.counts()
@@ -257,27 +264,25 @@ def run_sweep(
         for x in spec.x_grid:
             _, graph = _graph_at(mutants, dataset, TRANSFORM_DFT, sampling_seed, {}, x)
             q_total = sum(counts[m] for m in _quarantined(mutants, graph.ids))
-            for k, tau in enumerate(spec.tau_grid):
-                start = time.perf_counter()
-                clusters = hac_cluster(graph, tau)
-                rate = mutant_reduction_rate(graph.n_nodes, clusters)
-                rep_seed = derived_seed(seeds.representative, repeat, x, k)
-                reps = select_representatives(clusters, rep_seed)
-                killed = q_total + sum(counts[rep] * len(members) for rep, members in reps.pairs)
-                ms_cell = killed / (n_total * len(labels))
-                err = score_error(ms_vanilla, ms_cell)
-                seconds = time.perf_counter() - start
-                cells.append(
-                    SweepCell(x, tau, repeat, rate, len(clusters), err, seconds)
-                )
+            held, n = np.array([counts[m] for m in graph.ids]), graph.n_nodes
+            start = time.perf_counter()
+            hac_cluster(graph, spec.tau_grid[0])  # builds the merge sequence the cuts read
+            cuts = zip(spec.tau_grid, tau_cuts(graph, spec.tau_grid))
+            for k, (tau, (order, sizes)) in enumerate(cuts):
+                picks = draw_picks(sizes, derived_seed(seeds.representative, repeat, x, k))
+                killed = q_total + int(held[order[np.cumsum(sizes) - sizes + picks]] @ sizes)
+                err = score_error(ms_vanilla, killed / (n_total * len(labels)))
+                c, now = len(sizes), time.perf_counter()
+                cells.append(SweepCell(x, tau, repeat, (n - c) / n, c, err, now - start))
+                start = now
 
     per_repeat: dict[tuple[int, int], list[SweepCell]] = {}
-    pooled: dict[int, list[SweepCell]] = {}
     for cell in cells:
         per_repeat.setdefault((cell.per_class_rate, cell.repeat), []).append(cell)
-        pooled.setdefault(cell.per_class_rate, []).append(cell)
     rho_per_repeat = {key: _rho(group) for key, group in per_repeat.items()}
-    return SweepResult(cells, rho_per_repeat, {x: _rho(g) for x, g in pooled.items()}, ms_vanilla)
+    rho_pooled = {x: _rho([c for c in cells if c.per_class_rate == x]) if spec.repeats > 1
+                  else rho_per_repeat[x, 0] for x in spec.x_grid}
+    return SweepResult(cells, rho_per_repeat, rho_pooled, ms_vanilla)
 
 
 def _rho(cells: list[SweepCell]) -> float | None:

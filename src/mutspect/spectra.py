@@ -176,9 +176,9 @@ def mutant_spectra(
     points = dataset.features[sample.indices]
     values = np.empty((len(records), mutants.original.num_outputs, len(sample)))
     walk = forward_blocks(mutants.original, [r.model for r in records], points)
-    for rows, logits in walk:
-        for series, out in zip(values, logits):
-            series[:, rows] = out.T
+    for rows, tiles in walk:
+        for members, logits in tiles:
+            values[members, :, rows] = logits.transpose(0, 2, 1)
     ids, failed = [], []
     step = max(1, CHUNK_BYTES // values[0].nbytes)  # a set has at least one mutant
     for lo in range(0, len(records), step):
@@ -215,15 +215,17 @@ class SimilarityGraph:
     ``weights[i, j]`` is the edge between ``ids[i]`` and ``ids[j]``; it lies
     in [0, 1] (exp(-distance) may underflow to 0).  The diagonal is a 1.0
     placeholder, not a self-edge.  The table must be square, sized to
-    ``ids``, finite, exactly symmetric and inside [0, 1]; anything else
-    raises ValidationError.
+    ``ids``, finite, exactly symmetric and inside [0, 1], with ascending ids;
+    anything else raises ValidationError.
     """
 
     ids: tuple[int, ...]
     weights: np.ndarray  # (n, n) symmetric, diagonal 1.0
-    _trajectory: list | None = field(default=None, repr=False, compare=False)
+    _trajectory: tuple | None = field(default=None, repr=False, compare=False)  # merge sequence
 
     def __post_init__(self):
+        if any(a >= b for a, b in zip(self.ids, self.ids[1:])):
+            raise ValidationError("graph ids must be strictly increasing")
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (len(self.ids),) * 2:
             raise ValidationError(f"weight table {w.shape} does not fit {len(self.ids)} ids")

@@ -136,24 +136,25 @@ def vanilla_test(
         records = sorted(mutants.mutants, key=lambda m: m.mutant_id)
         present = dataset.labels_present()
         label_index = np.searchsorted(present, dataset.labels)
-        killed = np.zeros((len(records), len(present)), dtype=bool)
-        differs = np.zeros(len(records), dtype=bool)
-        non_finite = np.zeros(len(records), dtype=np.int64)
-        # the original runs as the first model: its logits lead each block
+        # the original runs as the first model, so it leads each block's first tile
         models = [original, *(r.model for r in records)]
-        for rows, logits in forward_blocks(original, models, dataset.features):
-            original_preds = predicted_classes(next(logits))
-            if (original_preds == -1).any():
-                raise ValidationError("original model produced non-finite outputs")
+        killed = np.zeros((len(models), len(present)), dtype=bool)
+        differs = np.zeros(len(models), dtype=bool)
+        non_finite = np.zeros(len(models), dtype=np.int64)
+        for rows, tiles in forward_blocks(original, models, dataset.features):
             labels = dataset.labels[rows]
             block_labels = label_index[rows]
-            for k, out in enumerate(logits):
-                preds = predicted_classes(out)
-                killed[k, block_labels[_kills(original_preds, preds, labels)]] = True
-                differs[k] |= (preds != original_preds).any()
-                non_finite[k] += np.count_nonzero(preds == -1)
+            for members, logits in tiles:
+                for k, out in zip(members, logits):
+                    preds = predicted_classes(out)
+                    original_preds = preds if k == 0 else original_preds
+                    killed[k, block_labels[_kills(original_preds, preds, labels)]] = True
+                    differs[k] |= (preds != original_preds).any()
+                    non_finite[k] += np.count_nonzero(preds == -1)
+        if non_finite[0]:
+            raise ValidationError("original model produced non-finite outputs")
         verdicts = {}
-        for k, record in enumerate(records):
+        for k, record in enumerate(records, 1):
             if non_finite[k]:
                 # -1 rows (non-finite outputs) mispredict everything by policy
                 log.warning(

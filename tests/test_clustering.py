@@ -13,7 +13,9 @@ from mutspect.clustering import (
     _merge_trajectory,
     hac_cluster,
     mutant_reduction_rate,
+    draw_picks,
     select_representatives,
+    tau_cuts,
     tau_search,
 )
 from mutspect.errors import ParameterError, ValidationError
@@ -238,7 +240,7 @@ class TestHacCluster:
             n = int(rng.integers(3, 10))
             tables.append(symmetric(rng.choice(levels[k % 3], (n, n))))
         for w in tables:
-            got = [(s.linkage, s.i, s.j) for s in _merge_trajectory(w)]
+            got = list(zip(*(column.tolist() for column in _merge_trajectory(w))))
             assert got == rescan_trajectory(w)
 
     @pytest.mark.parametrize("n", [50, 100, 200])
@@ -255,7 +257,7 @@ class TestHacCluster:
             srcs = rng.choice(n, n // 5, replace=False)
             dups = rng.choice(np.setdiff1d(np.arange(n), srcs), n // 5, replace=False)
             w = with_duplicates(w, [(int(a), int(b)) for a, b in zip(srcs, dups)])
-        got = [(s.linkage, s.i, s.j) for s in _merge_trajectory(w)]
+        got = list(zip(*(column.tolist() for column in _merge_trajectory(w))))
         assert got == rescan_trajectory(w)
 
     def test_nan_weight_rejected_before_clustering(self):
@@ -489,3 +491,76 @@ class TestDrawOracle:
 
     def test_no_clusters_no_picks(self):
         assert select_representatives(ClusterSet((), tau=0.5), seed=3).pairs == ()
+
+
+class TestCutPassOracle:
+    """tau_cuts, with draw_picks, gives for every tau what hac_cluster and
+    select_representatives give: the cluster count, the sizes, the members in
+    order and the drawn representatives.  Its prefix lookup reads the running
+    minimum of the step linkages and its draws go through numpy's broadcast
+    ``integers``, so CI also runs these on one BLAS thread and on the lowest
+    supported numpy."""
+
+    @staticmethod
+    def assert_cuts_match(graph, taus, seed=0):
+        ids = np.asarray(graph.ids)
+        cuts = list(tau_cuts(graph, taus))
+        assert len(cuts) == len(taus)
+        for k, (tau, (order, sizes)) in enumerate(zip(taus, cuts)):
+            clusters = hac_cluster(graph, tau)
+            assert len(sizes) == len(clusters), tau
+            assert sizes.tolist() == [len(c) for c in clusters.clusters], tau
+            assert tuple(ids[order].tolist()) == tuple(m for c in clusters.clusters for m in c)
+            # the sweep's representatives: each cluster's drawn member, by position
+            reps = order[np.cumsum(sizes) - sizes + draw_picks(sizes, seed + k)]
+            picked = select_representatives(clusters, seed + k).representatives()
+            assert ids[reps].tolist() == picked, tau
+
+    def test_random_tables_with_an_unsorted_grid(self):
+        rng = np.random.default_rng(17)
+        taus = list(TAU_SWEEP_GRID)
+        for k in range(30):
+            rng.shuffle(taus)
+            w = random_weight_table(int(rng.integers(2, 40)), rng)
+            self.assert_cuts_match(graph_from_weights(w), taus, seed=k)
+
+    def test_exact_ties_and_duplicate_rows(self):
+        rng = np.random.default_rng(18)
+        for k in range(30):
+            n = int(rng.integers(3, 30))
+            w = symmetric(rng.choice(DYADIC_LEVELS, (n, n)))
+            dups = rng.choice(np.arange(1, n), int(rng.integers(1, n)))
+            w = with_duplicates(w, [(0, int(d)) for d in dups])
+            taus = [*TAU_SWEEP_GRID, *DYADIC_LEVELS[::-1]]
+            self.assert_cuts_match(graph_from_weights(w, ids=range(5, 5 + 3 * n, 3)), taus, k)
+        for value in (0.125, 0.5, 0.9):
+            self.assert_cuts_match(graph_from_weights(np.full((12, 12), value)),
+                                   [value, 0.05, 0.95])
+
+    def test_taus_equal_to_step_linkages(self):
+        rng = np.random.default_rng(19)
+        for k in range(20):
+            w = random_weight_table(int(rng.integers(2, 30)), rng)
+            linkage = _merge_trajectory(w)[0]
+            taus = [float(t) for t in np.unique(linkage) if 0 < t < 1]
+            taus += [float(np.nextafter(t, side)) for side in (0, 1) for t in taus]
+            self.assert_cuts_match(graph_from_weights(w), taus, seed=k)
+
+    def test_step_linkages_not_monotone_in_floating_point(self):
+        # merging 0 and 1 (0.7) leaves linkages 0.1 to {0, 1} and 0.1 between
+        # 2 and 3; the last step's mean of 0.1s rounds above the step before
+        w = symmetric(np.array([[1, 0.7, 0.1, 0.1], [0, 1, 0.1, 0.1],
+                                [0, 0, 1, 0.1], [0, 0, 0, 1]]))
+        linkage = _merge_trajectory(w)[0]
+        assert linkage.tolist() == [0.7, 0.1, 0.10000000000000002]
+        taus = [0.1, 0.10000000000000002, float(np.nextafter(0.1, 0)), 0.7, 0.5]
+        self.assert_cuts_match(graph_from_weights(w), taus)
+        # hac_cluster stops at the first step below tau, whatever follows it
+        assert len(hac_cluster(graph_from_weights(w), 0.10000000000000002)) == 3
+        assert len(hac_cluster(graph_from_weights(w), 0.1)) == 1
+
+    def test_graph_ids_must_ascend(self):
+        with pytest.raises(ValidationError, match="increasing"):
+            graph_from_weights(np.eye(3), ids=(2, 1, 3))
+        with pytest.raises(ValidationError, match="increasing"):
+            graph_from_weights(np.eye(2), ids=(4, 4))

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import spearmanr
 
 from mutspect.errors import ValidationError
 from mutspect.metrics import measures, predictive_metrics, spearman_rho
@@ -120,3 +123,50 @@ class TestSpearman:
             spearman_rho([1, 2], [1, 2, 3])
         with pytest.raises(ValidationError):
             spearman_rho([1], [2])
+
+
+@st.composite
+def paired_columns(draw):
+    """Two columns of one length from 2 to 60, each drawn from its own pool:
+    free floats (infinities and signed zeros included), a few values with
+    many ties, or two values."""
+    n = draw(st.integers(2, 60))
+    floats = st.floats(allow_nan=False, width=64)
+
+    def column():
+        pool = draw(st.one_of(st.lists(floats, min_size=1, max_size=n),
+                              st.lists(floats, min_size=1, max_size=3),
+                              st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0]), min_size=2,
+                                       max_size=2)))
+        return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+    return column(), column()
+
+
+class TestRhoOracle:
+    """spearman_rho is scipy's rho without the p-value: scipy's average
+    ranks, then np.corrcoef.  Its bits rest on numpy's corrcoef and scipy's
+    rankdata, so CI also runs this on one BLAS thread and on the lowest
+    supported numpy and scipy."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(columns=paired_columns())
+    def test_equals_scipy_bit_for_bit(self, columns):
+        xs, ys = columns
+        got = spearman_rho(xs, ys)
+        if len(set(xs)) == 1 or len(set(ys)) == 1:  # -0.0 == 0.0: one value
+            assert got is None
+        else:
+            want = spearmanr(xs, ys)[0]
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (xs, ys)
+
+    def test_sweep_shaped_inputs(self):
+        taus = np.round(0.05 * np.arange(1, 20), 2)
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            rates = np.sort(rng.integers(0, 50, taus.size))[::-1] / 50
+            if len(set(rates)) > 1:
+                assert spearman_rho(taus, rates) == spearmanr(taus, rates)[0]
+
+    def test_nan_gives_nan(self):
+        assert np.isnan(spearman_rho([1.0, np.nan, 3.0], [1, 2, 3]))

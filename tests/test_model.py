@@ -34,11 +34,14 @@ from mutspect.model import (
 
 from conftest import (
     WALK_SIZES,
+    _replace_layer,
+    exploding_mutant,
     reference_classes,
     reference_logits,
     reference_outputs,
     reference_predictions,
     reference_softmax,
+    small_stack,
     walk_world,
 )
 
@@ -396,14 +399,15 @@ class TestWalkOracle:
         parts, covered = [[] for _ in range(len(models) + 1)], []
         with count_forward_passes() as counter:
             # the original runs as the first model, as vanilla_test runs it
-            for rows, model_logits in forward_blocks(original, [original, *models], points):
+            for rows, tiles in forward_blocks(original, [original, *models], points):
                 covered.append(rows)
-                logits = next(model_logits)
-                parts[0].append(logits)
-                for k, out in enumerate(model_logits, 1):
-                    parts[k].append(out)
-                    if depths[k - 1] == len(original.layers):
-                        assert out is logits  # nothing left to run
+                for members, logits in tiles:
+                    for k, out in zip(members, logits):
+                        parts[k].append(out)
+                        if k and depths[k - 1] == len(original.layers):
+                            # nothing left to run: a read-only view of the original's rows
+                            assert np.shares_memory(out, parts[0][-1])
+                            assert not out.flags.writeable
         assert counter.count == (len(models) + 1) * n
         assert covered == _row_blocks(n, rows_per_block)
         assert len(covered) == -(-n // rows_per_block)
@@ -427,6 +431,133 @@ class TestWalkOracle:
     def test_budget_gives_the_documented_rows(self):
         assert _block_rows(64) == 1024
         assert _block_rows(16) >= 2000  # a 2k-point test set is one block
+
+
+# ---------------------------------------------------------------------------
+# Tiles.  Models that share their resume depth, that layer's shape and
+# activation and every later layer object run as one stacked matmul per
+# layer.  Every model's logits must equal the test-side reference bit for
+# bit whatever its tile, which rests on numpy's stacked matmul making the
+# 2-D product's BLAS call per model; CI runs these on one BLAS thread and on
+# the lowest supported numpy as well.
+# ---------------------------------------------------------------------------
+
+
+def tile_world():
+    """walk_world's original and models, plus two byte-equal copies of one
+    mutant, a model that differs in two layers, one with an extra hidden
+    layer, one with a hidden layer fewer and one that explodes on every row.
+    Returns ``(original, models, indices of the models that must run alone)``."""
+    from mutspect import mutants as mu
+
+    original, records, _ = walk_world()
+    models = [r.model for r in records]
+    first, second, last = original.layers
+    rng = np.random.default_rng(7)
+    twice = [mu.gaussian_fuzz(original, 1, 3, 2.0, seed=7).model for _ in range(2)]
+    both = _replace_layer(_replace_layer(original, 0, first.weights * 1.5, first.biases), 1,
+                          second.weights * 0.5, second.biases)
+    deeper = FcnnClassifier((first, second, DenseLayer(rng.normal(size=(64, 64)),
+                                                       rng.normal(size=64), RELU), last))
+    shallower = FcnnClassifier((first, DenseLayer(rng.normal(size=(5, 64)), rng.normal(size=5),
+                                                  SOFTMAX)))
+    exploding = exploding_mutant(original, 0).model  # non-finite on every row
+    models += [*twice, both, deeper, shallower, exploding]
+    return original, models, list(range(len(models) - 4, len(models)))
+
+
+class TestTileOracle:
+    """Tiles hold at most (BLOCK_BYTES // 2) // (8 * width * rows) models,
+    so a budget of 1024 * n * t bytes walks n rows at width 64 in one block,
+    in tiles of t.  A walk of more than one block always has tiles of one:
+    a block longer than R / 2 rows fills half the budget alone."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        return tile_world()
+
+    @staticmethod
+    def walk(original, models, points, per_tile):
+        """Each model's logits, checking the tiles: at most ``per_tile``
+        models each, members ascending, the first model first, every model
+        once per block."""
+        parts = [[] for _ in models]
+        with count_forward_passes() as counter:
+            for rows, tiles in forward_blocks(original, models, points):
+                seen = []
+                for members, logits in tiles:
+                    assert 1 <= len(members) <= per_tile and members == sorted(members)
+                    assert logits.shape == (len(members), rows.stop - rows.start, 5)
+                    for k, out in zip(members, logits):
+                        parts[k].append(out)
+                    seen.append(members)
+                assert seen[0][0] == 0
+                assert sorted(k for members in seen for k in members) == list(range(len(models)))
+        assert counter.count == len(models) * len(points)
+        return [np.concatenate(blocks) for blocks in parts], seen
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 37])
+    @pytest.mark.parametrize("tile", ["1", "2", "all"])
+    def test_every_model_matches_the_reference(self, world, monkeypatch, n, tile):
+        import mutspect.model as model_module
+
+        original, models, alone = world
+        per_tile = {"1": 1, "2": 2, "all": len(models)}[tile]
+        monkeypatch.setattr(model_module, "BLOCK_BYTES", 1024 * n * per_tile)
+        points = np.random.default_rng(n).normal(size=(n, original.input_dim))
+        got, tiles = self.walk(original, models, points, per_tile)
+        if tile == "all":  # one tile per group: the odd models run alone
+            assert all([k] in tiles for k in alone)
+            assert len(tiles) < len(models) / 2
+        for model, logits in zip(models, got):
+            assert logits.tobytes() == reference_logits(model, points).tobytes()
+        assert not np.isfinite(got[-1]).any()  # the exploding model
+
+    def test_multi_block_walk_matches_the_reference(self, world):
+        original, models, _ = world
+        points = np.random.default_rng(4).normal(size=(3 * _block_rows(64) + 1, 12))
+        got, _ = self.walk(original, models, points, 1)
+        for model, logits in zip(models, got):
+            assert logits.tobytes() == reference_logits(model, points).tobytes()
+
+    def test_byte_duplicates_share_a_tile(self, world):
+        original, models, _ = world
+        points = np.zeros((5, original.input_dim))
+        _, tiles = next(forward_blocks(original, models, points))
+        twins = [len(models) - 6, len(models) - 5]
+        assert any(set(twins) <= set(members) for members, _ in tiles)
+
+    def test_spectra_equal_the_per_model_walk(self, world, monkeypatch):
+        import mutspect.model as model_module
+        from mutspect.dataset import LabeledDataset
+        from mutspect.mutants import MutantRecord, MutantSet, MutatorKind
+        from mutspect.spectra import mutant_spectra, stratified_sample
+
+        original, models, _ = world
+        records = [MutantRecord(i, MutatorKind.GAUSSIAN_FUZZING, 0, 0, None, {}, 0, m)
+                   for i, m in enumerate(models)]
+        mutants = MutantSet(original, records, 0)
+        rng = np.random.default_rng(3)
+        ds = LabeledDataset(rng.normal(size=(400, original.input_dim)),
+                            rng.integers(0, 5, 400), 5)
+        for x in (1, 2, 8, 80):
+            sample = stratified_sample(ds, x, x)
+            tiled = mutant_spectra(mutants, ds, sample)
+            with monkeypatch.context() as patch:
+                # the same single block, in tiles of one
+                patch.setattr(model_module, "BLOCK_BYTES", 8 * 64 * len(sample))
+                alone = mutant_spectra(mutants, ds, sample)
+            assert tiled.failed and tiled.failed == alone.failed and tiled.ids == alone.ids
+            assert tiled.values.tobytes() == alone.values.tobytes()
+
+    def test_budget_gives_the_documented_tiles(self):
+        from mutspect import mutants as mu
+
+        original = small_stack(seed=1, input_dim=12, hidden=(16, 16), outputs=5)
+        twins = [mu.gaussian_fuzz(original, 1, 2, 1.0, seed=3).model for _ in range(500)]
+        for n, sizes in ((5, [409, 91]), (2000, [1] * 500)):  # x = 1 signatures; a tester block
+            _, tiles = next(forward_blocks(original, twins, np.zeros((n, 12))))
+            assert [len(members) for members, _ in tiles] == sizes
 
 
 @settings(max_examples=300, deadline=None)

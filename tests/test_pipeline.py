@@ -78,6 +78,15 @@ def test_non_integer_rate_is_a_parameter_error(world, call):
         call(*world)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"tau_grid": ("0.5",)}, {"tau_grid": (None,)}, {"tau_grid": (0.5, "0.7")},
+    {"x_grid": (True,)}, {"x_grid": (1, False)}, {"repeats": True},
+], ids=["tau-str", "tau-none", "tau-mixed", "x-true", "x-false", "repeats-true"])
+def test_sweep_spec_rejects_non_numbers_and_booleans(kwargs):
+    with pytest.raises(ParameterError):
+        SweepSpec(**kwargs)
+
+
 def test_numpy_integer_rates_are_accepted(world):
     ds, _, _ = world
     sample = stratified_sample(ds, np.int64(2), 0)
