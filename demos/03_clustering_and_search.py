@@ -18,7 +18,7 @@ graph = ms.build_similarity_graph(spectra)
 print("partition size as the threshold rises (monotone, never decreasing):")
 for tau in (0.05, 0.2, 0.4, 0.6, 0.8, 0.95):
     clusters = ms.hac_cluster(graph, tau)
-    rate = ms.mutant_reduction_rate(graph.n_nodes, clusters)
+    rate = ms.mutant_reduction_rate(graph.n_nodes, len(clusters))
     print(f"  tau={tau:.2f}  |C|={len(clusters):3d}  reduction={rate:.2f}")
 
 # The pipeline's search walks samples-per-class linearly and, on each

@@ -112,12 +112,11 @@ def _merge_trajectory(weights: np.ndarray):
 
 
 def tau_cuts(graph: SimilarityGraph, taus):
-    """Yields ``(order, sizes)`` of ``hac_cluster(graph, tau)`` per tau in
-    ``taus``: node positions grouped by cluster, clusters in smallest-member
-    order and members ascending, and the cluster sizes.  A cut keeps the
-    steps before the first linkage below tau, a ``searchsorted`` on their
-    running minimum; a survivor sits below what it absorbs, so pointer
-    jumping finds each node's cluster."""
+    """Yields ``(order, sizes)`` of ``hac_cluster(graph, tau)`` per tau in ``taus``: node
+    positions grouped by cluster, clusters in smallest-member order and members ascending,
+    and the cluster sizes.  A cut keeps the steps before the first linkage below tau, a
+    ``searchsorted`` on their running minimum; a survivor sits below what it absorbs, so
+    pointer jumping finds each node's cluster."""
     if graph._trajectory is None:
         graph._trajectory = _merge_trajectory(graph.weights)
     (linkage, left, right), n = graph._trajectory, graph.n_nodes
@@ -145,11 +144,11 @@ def hac_cluster(graph: SimilarityGraph, tau: float) -> ClusterSet:
     return ClusterSet(tuple(tuple(members[a:b]) for a, b in zip([0, *ends], ends)), tau)
 
 
-def mutant_reduction_rate(n_mutants: int, clusters: ClusterSet) -> float:
+def mutant_reduction_rate(n_mutants: int, n_clusters: int) -> float:
     """(N - |C|) / N: fraction of mutants spared full testing."""
-    if len(clusters) > n_mutants:
+    if n_clusters > n_mutants:
         raise ValidationError("more clusters than mutants")
-    return (n_mutants - len(clusters)) / n_mutants
+    return (n_mutants - n_clusters) / n_mutants
 
 
 @dataclass
@@ -188,7 +187,7 @@ def tau_search(graph: SimilarityGraph, constraint: ReductionConstraint,
             trace.stop_reason = "interval-collapsed"
             return None
         clusters = hac_cluster(graph, tau)
-        rate = mutant_reduction_rate(graph.n_nodes, clusters)
+        rate = mutant_reduction_rate(graph.n_nodes, len(clusters))
         trace.taus.append(tau)
         trace.rates.append(rate)
         trace.cluster_counts.append(len(clusters))

@@ -121,9 +121,8 @@ def predictive_metrics(accel: VerdictTable, vanilla: VerdictTable) -> Predictive
 
 
 def spearman_rho(xs, ys) -> float | None:
-    """``scipy.stats.spearmanr(xs, ys)[0]`` as scipy computes it (average
-    ranks, then ``np.corrcoef``), without the p-value; None when either
-    input is constant (undefined correlation)."""
+    """``scipy.stats.spearmanr(xs, ys)[0]`` computed as scipy does (average ranks,
+    then ``np.corrcoef``) without the p-value; None for a constant input."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.shape != y.shape or x.ndim != 1:

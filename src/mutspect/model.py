@@ -16,10 +16,9 @@ stops at the output layer's logits and never raises on overflow: rows may
 carry NaN/Inf, and each caller decides what a non-finite row means.
 
 Models sharing their resume depth, that layer's shape and activation, and
-every later layer object run in tiles whose activations fit half of
-BLOCK_BYTES, as one stacked ``matmul`` per layer (the 2-D product's BLAS call
-per model): few sampled points cost one numpy call per layer, not per model,
-and tester blocks fill the budget, so their tiles are one model wide.
+every later layer object run in tiles whose activations fit TILE_BYTES: one
+stacked ``matmul`` per layer, the 2-D product's BLAS call per model.  Tester
+tiles hold one model; short blocks cost a numpy call per layer, not model.
 
 Softmax runs only where its values are read: in batch_outputs (the engine
 over one model, then softmax) and over chunks of signatures in
@@ -169,6 +168,9 @@ def _tally(n: int):
 # differ most often, so a block of |T| > R rows is never shorter than R/2.
 BLOCK_BYTES = 512 * 1024
 
+# Byte budget on one tile's widest activation, a signature chunk's size (R / 8 rows).
+TILE_BYTES = BLOCK_BYTES // 8
+
 
 def _block_rows(width: int) -> int:
     """R: the rows of one block whose ``width``-wide activation fits BLOCK_BYTES."""
@@ -317,7 +319,7 @@ def forward_blocks(original: FcnnClassifier, models, points):
         groups.setdefault(key, []).append(k)
     for rows in _row_blocks(x.shape[0], _block_rows(width)):
         _tally(len(models) * (rows.stop - rows.start))
-        per_tile = max(1, (BLOCK_BYTES // 2) // (8 * width * (rows.stop - rows.start)))
+        per_tile = max(1, TILE_BYTES // (8 * width * (rows.stop - rows.start)))
         acts = {0: x[rows]}  # acts[d]: the original's input to layer d
         for lo, hi in zip(depths, depths[1:]):
             acts[hi] = _resume(original.layers[lo:hi], acts[lo])

@@ -29,6 +29,7 @@ from .clustering import (
     XRound,
     draw_picks,
     hac_cluster,
+    mutant_reduction_rate,
     select_representatives,
     tau_cuts,
     tau_search,
@@ -247,8 +248,7 @@ def run_sweep(
     is their vanilla counts dotted with the sizes.  Per-cell seconds cover
     that (the first, the merge build too).  A given ``vanilla`` table must
     hold a tested count for every mutant and for no other.  Reduction rate
-    against tau is rank-correlated per (x, repeat) and pooled per x (the
-    repeat's own rho when there is one repeat).
+    against tau is rank-correlated per (x, repeat) and pooled per x.
     """
     vanilla = vanilla or vanilla_test(original, mutants, dataset)
     counts = vanilla.counts()
@@ -272,17 +272,17 @@ def run_sweep(
                 picks = draw_picks(sizes, derived_seed(seeds.representative, repeat, x, k))
                 killed = q_total + int(held[order[np.cumsum(sizes) - sizes + picks]] @ sizes)
                 err = score_error(ms_vanilla, killed / (n_total * len(labels)))
-                c, now = len(sizes), time.perf_counter()
-                cells.append(SweepCell(x, tau, repeat, (n - c) / n, c, err, now - start))
+                rate, now = mutant_reduction_rate(n, len(sizes)), time.perf_counter()
+                cells.append(SweepCell(x, tau, repeat, rate, len(sizes), err, now - start))
                 start = now
 
     per_repeat: dict[tuple[int, int], list[SweepCell]] = {}
+    pooled: dict[int, list[SweepCell]] = {}
     for cell in cells:
         per_repeat.setdefault((cell.per_class_rate, cell.repeat), []).append(cell)
+        pooled.setdefault(cell.per_class_rate, []).append(cell)
     rho_per_repeat = {key: _rho(group) for key, group in per_repeat.items()}
-    rho_pooled = {x: _rho([c for c in cells if c.per_class_rate == x]) if spec.repeats > 1
-                  else rho_per_repeat[x, 0] for x in spec.x_grid}
-    return SweepResult(cells, rho_per_repeat, rho_pooled, ms_vanilla)
+    return SweepResult(cells, rho_per_repeat, {x: _rho(g) for x, g in pooled.items()}, ms_vanilla)
 
 
 def _rho(cells: list[SweepCell]) -> float | None:

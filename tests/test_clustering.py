@@ -298,13 +298,11 @@ class TestReductionRate:
         "n,c,expected", [(10, 10, 0.0), (10, 1, 0.9), (7, 4, 3 / 7)]
     )
     def test_formula(self, n, c, expected):
-        cs = ClusterSet(tuple((i,) for i in range(c)), tau=0.5)
-        assert mutant_reduction_rate(n, cs) == pytest.approx(expected)
+        assert mutant_reduction_rate(n, c) == pytest.approx(expected)
 
     def test_more_clusters_than_mutants(self):
-        cs = ClusterSet(((0,), (1,)), tau=0.5)
         with pytest.raises(ValidationError):
-            mutant_reduction_rate(1, cs)
+            mutant_reduction_rate(1, 2)
 
 
 class TestConstraint:
@@ -358,7 +356,7 @@ class TestTauSearch:
         trace = XRound(per_class_rate=1)
         clusters = tau_search(graph_from_weights(w), DEFAULT_REDUCTION, trace)
         assert clusters is not None
-        assert DEFAULT_REDUCTION.contains(mutant_reduction_rate(n, clusters))
+        assert DEFAULT_REDUCTION.contains(mutant_reduction_rate(n, len(clusters)))
         assert trace.iterations <= 25
         # every tau the search visited must agree with the exhaustive oracle
         for tau, count in zip(trace.taus, trace.cluster_counts):
@@ -493,13 +491,32 @@ class TestDrawOracle:
         assert select_representatives(ClusterSet((), tau=0.5), seed=3).pairs == ()
 
 
+def loop_cut(graph, tau):
+    """Clusters at ``tau`` by a union loop over the merge steps, independent
+    of tau_cuts: each step joins its right node to its left one until the
+    first linkage below tau; clusters in smallest-member order, members
+    ascending."""
+    linkage, left, right = _merge_trajectory(graph.weights)
+    parent = list(range(graph.n_nodes))
+    for link, i, j in zip(linkage.tolist(), left.tolist(), right.tolist()):
+        if link < tau:
+            break
+        parent[j] = i
+    groups = {}
+    for pos, mutant_id in enumerate(graph.ids):
+        parent[pos] = parent[parent[pos]]  # a left node sits lower: already a root
+        groups.setdefault(parent[pos], []).append(mutant_id)
+    return sorted(map(tuple, groups.values()), key=lambda c: c[0])
+
+
 class TestCutPassOracle:
-    """tau_cuts, with draw_picks, gives for every tau what hac_cluster and
-    select_representatives give: the cluster count, the sizes, the members in
-    order and the drawn representatives.  Its prefix lookup reads the running
-    minimum of the step linkages and its draws go through numpy's broadcast
-    ``integers``, so CI also runs these on one BLAS thread and on the lowest
-    supported numpy."""
+    """tau_cuts, with draw_picks, gives for every tau what a union loop over
+    the merge steps and one ``integers(size)`` draw per cluster give: the
+    cluster count, the sizes, the clusters and members in order and the
+    drawn representatives; hac_cluster and select_representatives agree.
+    Its prefix lookup reads the running minimum of the step linkages and its
+    draws go through numpy's broadcast ``integers``, so CI also runs these on
+    one BLAS thread and on the lowest supported numpy."""
 
     @staticmethod
     def assert_cuts_match(graph, taus, seed=0):
@@ -507,14 +524,17 @@ class TestCutPassOracle:
         cuts = list(tau_cuts(graph, taus))
         assert len(cuts) == len(taus)
         for k, (tau, (order, sizes)) in enumerate(zip(taus, cuts)):
+            expected = loop_cut(graph, tau)
+            assert sizes.tolist() == [len(c) for c in expected], tau
+            assert ids[order].tolist() == [m for c in expected for m in c], tau
             clusters = hac_cluster(graph, tau)
-            assert len(sizes) == len(clusters), tau
-            assert sizes.tolist() == [len(c) for c in clusters.clusters], tau
-            assert tuple(ids[order].tolist()) == tuple(m for c in clusters.clusters for m in c)
+            assert clusters.clusters == tuple(expected), tau
+            rng = philox_rng(seed + k)
+            drawn = [c[int(rng.integers(len(c)))] for c in expected]
             # the sweep's representatives: each cluster's drawn member, by position
             reps = order[np.cumsum(sizes) - sizes + draw_picks(sizes, seed + k)]
-            picked = select_representatives(clusters, seed + k).representatives()
-            assert ids[reps].tolist() == picked, tau
+            assert ids[reps].tolist() == drawn, tau
+            assert select_representatives(clusters, seed + k).representatives() == drawn, tau
 
     def test_random_tables_with_an_unsorted_grid(self):
         rng = np.random.default_rng(17)

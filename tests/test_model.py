@@ -467,10 +467,10 @@ def tile_world():
 
 
 class TestTileOracle:
-    """Tiles hold at most (BLOCK_BYTES // 2) // (8 * width * rows) models,
-    so a budget of 1024 * n * t bytes walks n rows at width 64 in one block,
-    in tiles of t.  A walk of more than one block always has tiles of one:
-    a block longer than R / 2 rows fills half the budget alone."""
+    """Tiles hold at most TILE_BYTES // (8 * width * rows) models, so a
+    budget of 512 * n * t bytes walks n rows at width 64 in tiles of t.  A
+    walk of more than one block always has tiles of one: a block longer than
+    R / 8 rows fills the budget alone."""
 
     @pytest.fixture(scope="class")
     def world(self):
@@ -503,7 +503,7 @@ class TestTileOracle:
 
         original, models, alone = world
         per_tile = {"1": 1, "2": 2, "all": len(models)}[tile]
-        monkeypatch.setattr(model_module, "BLOCK_BYTES", 1024 * n * per_tile)
+        monkeypatch.setattr(model_module, "TILE_BYTES", 512 * n * per_tile)
         points = np.random.default_rng(n).normal(size=(n, original.input_dim))
         got, tiles = self.walk(original, models, points, per_tile)
         if tile == "all":  # one tile per group: the odd models run alone
@@ -544,8 +544,7 @@ class TestTileOracle:
             sample = stratified_sample(ds, x, x)
             tiled = mutant_spectra(mutants, ds, sample)
             with monkeypatch.context() as patch:
-                # the same single block, in tiles of one
-                patch.setattr(model_module, "BLOCK_BYTES", 8 * 64 * len(sample))
+                patch.setattr(model_module, "TILE_BYTES", 0)  # tiles of one
                 alone = mutant_spectra(mutants, ds, sample)
             assert tiled.failed and tiled.failed == alone.failed and tiled.ids == alone.ids
             assert tiled.values.tobytes() == alone.values.tobytes()
@@ -555,7 +554,7 @@ class TestTileOracle:
 
         original = small_stack(seed=1, input_dim=12, hidden=(16, 16), outputs=5)
         twins = [mu.gaussian_fuzz(original, 1, 2, 1.0, seed=3).model for _ in range(500)]
-        for n, sizes in ((5, [409, 91]), (2000, [1] * 500)):  # x = 1 signatures; a tester block
+        for n, sizes in ((5, [102] * 4 + [92]), (2000, [1] * 500)):  # x = 1 signatures; a tester block
             _, tiles = next(forward_blocks(original, twins, np.zeros((n, 12))))
             assert [len(members) for members, _ in tiles] == sizes
 

@@ -13,7 +13,7 @@ from mutspect.errors import (
     SpectraFailureError,
     ValidationError,
 )
-from mutspect.model import BLOCK_BYTES, _block_rows, count_forward_passes
+from mutspect.model import _block_rows, count_forward_passes
 from mutspect.mutants import gaussian_fuzz, generate_mutant_set, MutantSet
 from mutspect.spectra import (
     CHUNK_BYTES,
@@ -505,11 +505,9 @@ class TestStreamedAssembly:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        one_mutant = len(sample) * random_net.num_outputs * 8
         assert spectra.values.shape == (60, random_net.num_outputs, 600)
-        # beside the values, the walk holds one tile of models: a layer's
-        # input and product, at most BLOCK_BYTES / 2 each, and the logits of
-        # the tile before, whatever the number of mutants
-        assert peak < 1.5 * spectra.values.nbytes + 1.5 * BLOCK_BYTES
+        assert peak < 1.5 * spectra.values.nbytes + one_mutant
 
 
 # ---------------------------------------------------------------------------
