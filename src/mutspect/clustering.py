@@ -53,9 +53,6 @@ class ReductionConstraint:
                 f"constraint must satisfy 0 <= lo <= hi <= 1, got [{self.lo}, {self.hi}]"
             )
 
-    def contains(self, rate: float) -> bool:
-        return self.lo <= rate <= self.hi
-
 
 DEFAULT_REDUCTION = ReductionConstraint(0.26, 0.56)
 
@@ -146,8 +143,8 @@ def hac_cluster(graph: SimilarityGraph, tau: float) -> ClusterSet:
 
 def mutant_reduction_rate(n_mutants: int, n_clusters: int) -> float:
     """(N - |C|) / N: fraction of mutants spared full testing."""
-    if n_clusters > n_mutants:
-        raise ValidationError("more clusters than mutants")
+    if n_mutants < 1 or not 0 <= n_clusters <= n_mutants:
+        raise ValidationError(f"cannot reduce {n_mutants} mutants to {n_clusters} clusters")
     return (n_mutants - n_clusters) / n_mutants
 
 

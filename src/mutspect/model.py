@@ -10,10 +10,9 @@ some model needs it, keeping its activation only at the depths where a model
 first differs from it, and resumes each model there.  A model equal to the
 original (the original itself included) resumes after the last layer and
 costs nothing more.  Each layer allocates one array (the product with the
-weights) and applies the bias and ReLU to it in place, ReLU as a maximum
-against a cached read-only row of zeros (see ``_activate``).  The engine
-stops at the output layer's logits and never raises on overflow: rows may
-carry NaN/Inf, and each caller decides what a non-finite row means.
+weights) and applies the bias and ReLU to it in place.  The engine stops at
+the output layer's logits and never raises on overflow: rows may carry
+NaN/Inf, and each caller decides what a non-finite row means.
 
 Models sharing their resume depth, that layer's shape and activation, and
 every later layer object run in tiles whose activations fit TILE_BYTES: one
@@ -38,7 +37,6 @@ wholly NaN).
 
 from __future__ import annotations
 
-import functools
 import struct
 import threading
 from contextlib import contextmanager
@@ -227,24 +225,13 @@ def class_softmax(t: np.ndarray) -> np.ndarray:
     return top[..., 0, :]
 
 
-@functools.cache
-def _zero_row(width: int) -> np.ndarray:
-    """Read-only zeros of one row, ReLU's operand; one per layer width."""
-    return readonly(np.zeros(width))
-
-
 def _activate(layer, a: np.ndarray):
     """Bias and ReLU of ``layer``, applied to the product ``a`` in place; the
     output layer adds its bias only, leaving logits.
-
-    ReLU is ``maximum`` against a row of zeros broadcast down the block
-    rather than against the scalar 0.0: numpy 2.4 has no vectorised loop for
-    a scalar operand, and the output is the same bit for bit (README,
-    "Semantics worth knowing").
     """
     a += layer.biases
     if layer.activation == RELU:
-        np.maximum(a, _zero_row(a.shape[-1]), out=a)
+        np.maximum(a, 0.0, out=a)
 
 
 def _resume(layers, a: np.ndarray) -> np.ndarray:

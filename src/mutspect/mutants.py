@@ -268,7 +268,7 @@ def generate_mutant_set(
     """
     if count < 1:
         raise TargetError("count must be at least 1")
-    if seed < 0:
+    if isinstance(seed, int) and seed < 0:  # philox_rng rejects other non-seeds
         raise ParameterError(f"generation seed must be non-negative, got {seed}")
     kinds = [k for k in ALL_KINDS if k in tuple(kinds)]
     if not kinds:

@@ -11,7 +11,16 @@ from contextlib import contextmanager, suppress
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ParameterError
+
+
+def _seed(seed) -> int:
+    """``seed`` as a Python int; anything but a non-negative integer raises
+    ParameterError (numpy would raise a bare error, or draw from OS entropy
+    for ``None``)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
 
 
 def philox_rng(seed: int) -> np.random.Generator:
@@ -20,12 +29,13 @@ def philox_rng(seed: int) -> np.random.Generator:
     All randomness in the package flows through this constructor so that
     every draw sequence can be replayed from its integer seed alone.
     """
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.Philox(_seed(seed)))
 
 
 def derived_seed(*parts: int) -> int:
     """Deterministic child seed from a tuple of integers (SeedSequence-based)."""
-    return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
+    seeds = [_seed(part) for part in parts]
+    return int(np.random.SeedSequence(seeds).generate_state(1, np.uint64)[0])
 
 
 def sha256_bytes(data: bytes) -> str:

@@ -301,8 +301,13 @@ class TestReductionRate:
         assert mutant_reduction_rate(n, c) == pytest.approx(expected)
 
     def test_more_clusters_than_mutants(self):
+        # no mutants, negative counts and an empty graph are impossible too
+        for n, c in [(1, 2), (0, 0), (0, 1), (5, -1), (-1, -1)]:
+            with pytest.raises(ValidationError):
+                mutant_reduction_rate(n, c)
         with pytest.raises(ValidationError):
-            mutant_reduction_rate(1, 2)
+            tau_search(SimilarityGraph((), np.empty((0, 0))), DEFAULT_REDUCTION,
+                       XRound(per_class_rate=1))
 
 
 class TestConstraint:
@@ -356,7 +361,8 @@ class TestTauSearch:
         trace = XRound(per_class_rate=1)
         clusters = tau_search(graph_from_weights(w), DEFAULT_REDUCTION, trace)
         assert clusters is not None
-        assert DEFAULT_REDUCTION.contains(mutant_reduction_rate(n, len(clusters)))
+        rate = mutant_reduction_rate(n, len(clusters))
+        assert DEFAULT_REDUCTION.lo <= rate <= DEFAULT_REDUCTION.hi
         assert trace.iterations <= 25
         # every tau the search visited must agree with the exhaustive oracle
         for tau, count in zip(trace.taus, trace.cluster_counts):

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
+from mutspect.baselines import rms_test
+from mutspect.clustering import ClusterSet, select_representatives
 from mutspect.dataset import LabeledDataset
 from mutspect.errors import ParameterError
-from mutspect.mutants import MutatorKind, generate_mutant_set
-from mutspect.pipeline import Seeds, run_accelerated
+from mutspect.mutants import MutatorKind, generate_mutant_set, rebuild_mutant
+from mutspect.pipeline import Seeds, SweepSpec, run_accelerated, run_sweep
 from mutspect.spectra import stratified_sample
 from mutspect.synth import fitted_classifier
 from mutspect.testing import mutation_score, vanilla_test
-from mutspect.util import philox_rng
+from mutspect.util import derived_seed, philox_rng
 
 
 def test_label_gaps_are_respected():
@@ -59,3 +61,42 @@ def test_philox_streams_are_independent_per_seed():
     c = philox_rng(1).normal(size=8)
     assert a.tobytes() == c.tobytes()
     assert a.tobytes() != b.tobytes()
+
+
+def _seeding_world():
+    rng = np.random.default_rng(3)
+    labels = np.arange(12) % 2
+    ds = LabeledDataset(rng.normal(size=(12, 3)) + labels[:, None], labels, 2)
+    model = fitted_classifier(ds, hidden=(4,), seed=0, margin=3.0)
+    return model, generate_mutant_set(model, 6, (MutatorKind.GAUSSIAN_FUZZING,), seed=1), ds
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, ms, ds: philox_rng(-1),
+    lambda m, ms, ds: philox_rng(None),  # numpy would seed from OS entropy
+    lambda m, ms, ds: philox_rng(1.0),
+    lambda m, ms, ds: philox_rng("1"),
+    lambda m, ms, ds: philox_rng(True),
+    lambda m, ms, ds: derived_seed(0, -1),
+    lambda m, ms, ds: derived_seed(0, 2.5),
+    lambda m, ms, ds: stratified_sample(ds, 2, -1),
+    lambda m, ms, ds: generate_mutant_set(m, 3, seed=None),
+    lambda m, ms, ds: rms_test(m, ms, ds, seed=-1),
+    lambda m, ms, ds: select_representatives(ClusterSet(((0, 1), (2,)), 0.5), -1),
+    lambda m, ms, ds: run_accelerated(m, ms, ds, seeds=Seeds(-1, 0), fixed_per_class=2,
+                                      fixed_tau=0.5),
+    lambda m, ms, ds: run_sweep(m, ms, ds, SweepSpec((1,), (0.5,), 1), seeds=Seeds(0, -1)),
+    lambda m, ms, ds: rebuild_mutant(m, {"kind": MutatorKind.WEIGHT_SHUFFLE.value, "id": 0,
+                                         "layer": 0, "neuron": 0, "seed": -1}),
+], ids=["philox-negative", "philox-none", "philox-float", "philox-str", "philox-bool",
+        "derived-negative", "derived-float", "stratified-sample", "generate-none", "rms-test",
+        "select-representatives", "run-accelerated", "run-sweep", "manifest-entry"])
+def test_a_seed_that_is_not_a_non_negative_integer_is_a_parameter_error(call):
+    with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+        call(*_seeding_world())
+
+
+def test_numpy_integer_seeds_draw_as_python_ints():
+    assert philox_rng(np.uint64(7)).integers(1 << 60) == philox_rng(7).integers(1 << 60)
+    assert derived_seed(np.int64(3), np.uint64(2**63)) == derived_seed(3, 2**63)
+

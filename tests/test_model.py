@@ -1,4 +1,5 @@
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -802,11 +803,11 @@ class TestStackedClassAxisOracle:
 
 
 # ---------------------------------------------------------------------------
-# ReLU is a maximum against a cached row of zeros, which numpy runs in its
-# vectorised loop, where the scalar 0.0 took a scalar one.  How that loop
-# treats signed zeros and NaN depends on the numpy version and the CPU, so
-# these pin the layer step against the scalar maximum byte for byte; CI runs
-# them on one BLAS thread and on the lowest supported numpy as well.
+# The layer step adds the bias and takes ReLU in place, as a maximum against
+# the scalar 0.0, on one block and on a tile's stack alike.  These pin it
+# against the allocating scalar maximum byte for byte, signed zeros and NaN
+# payloads included; CI runs them on one BLAS thread and on the lowest
+# supported numpy as well.
 # ---------------------------------------------------------------------------
 
 # quiet NaNs of both signs, bare and with payload bits
@@ -819,23 +820,28 @@ BIAS_EDGES = np.array([-0.0, 0.0, 1e308, -1e308, TINY, -TINY])  # biases are fin
 
 @st.composite
 def products_and_biases(draw):
-    """A layer product of 1..2000 rows by 1..300 columns and a bias row,
-    sprinkled with edge values: signed zeros, quiet NaNs of both signs with
-    payloads, infinities, +-1e308 (sums that overflow) and the smallest
-    subnormals.  One entry is a -0.0 bias on a -0.0 product, so its
-    pre-activation is exactly -0.0."""
+    """A layer product of 1..2000 rows by 1..300 columns and a bias row, or,
+    as ``_tile_logits`` stacks them, ``(tiles, rows, width)`` products of at
+    most 2000 rows in all and ``(tiles, 1, width)`` biases; sprinkled with
+    edge values: signed zeros, quiet NaNs of both signs with payloads,
+    infinities, +-1e308 (sums that overflow) and the smallest subnormals.
+    One entry is a -0.0 bias on a -0.0 product, so its pre-activation is
+    exactly -0.0."""
+    tiles = draw(st.one_of(st.none(), st.integers(1, 16)))
     width = draw(st.integers(1, 300))
-    rows = draw(st.integers(1, 2000))
+    rows = draw(st.integers(1, 2000 // (tiles or 1)))
     share = draw(st.sampled_from((0.0, 0.01, 0.3, 1.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    a = rng.normal(size=(rows, width))
+    lead = () if tiles is None else (tiles,)
+    a = rng.normal(size=(*lead, rows, width))
     hit = rng.random(a.shape) < share
     a[hit] = rng.choice(PRODUCT_EDGES, size=hit.sum())
-    b = rng.normal(size=width)
-    hit = rng.random(width) < share
+    b = rng.normal(size=(*lead, 1, width) if lead else width)
+    hit = rng.random(b.shape) < share
     b[hit] = rng.choice(BIAS_EDGES, size=hit.sum())
+    at = (draw(st.integers(0, tiles - 1)),) if lead else ()
     col = draw(st.integers(0, width - 1))
-    a[draw(st.integers(0, rows - 1)), col] = b[col] = -0.0
+    a[(*at, draw(st.integers(0, rows - 1)), col)] = b[(*at, ..., col)] = -0.0
     return a, b
 
 
@@ -846,7 +852,7 @@ class TestActivationOracle:
         a, b = data
         with np.errstate(over="ignore"):
             expected = np.maximum(a + b, 0.0)
-            _activate(DenseLayer(np.ones((b.size, 1)), b, RELU), a)
+            _activate(SimpleNamespace(biases=b, activation=RELU), a)  # as _tile_logits
         assert a.tobytes() == expected.tobytes()
         assert not np.signbit(a[~np.isnan(a)]).any()  # a -0.0 pre-activation gives +0.0
 
@@ -856,7 +862,7 @@ class TestActivationOracle:
         a, b = data
         with np.errstate(over="ignore"):
             expected = a + b
-            _activate(DenseLayer(np.ones((b.size, 1)), b, SOFTMAX), a)
+            _activate(SimpleNamespace(biases=b, activation=SOFTMAX), a)
         assert a.tobytes() == expected.tobytes()
 
     @settings(max_examples=100, deadline=None)
@@ -865,7 +871,7 @@ class TestActivationOracle:
     def test_resume_matches_the_allocating_steps(self, data, hidden, q, seed):
         x, b = data
         rng = np.random.default_rng(seed)
-        w1 = rng.normal(size=(hidden, x.shape[1]))
+        w1 = rng.normal(size=(hidden, x.shape[-1]))
         w1[rng.random(w1.shape) < 0.2] = 0.0
         b1 = np.resize(b, hidden)
         w2, b2 = rng.normal(size=(q, hidden)), rng.normal(size=q)
