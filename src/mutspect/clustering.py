@@ -26,6 +26,7 @@ sampling rates, which builds one graph per rate, belongs to the pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -128,14 +129,19 @@ def tau_cuts(graph: SimilarityGraph, taus):
         yield np.argsort(root, kind="stable"), sizes[sizes > 0]
 
 
+def check_tau(tau: float) -> None:
+    """ParameterError unless ``tau`` is a number in (0, 1), the thresholds hac_cluster accepts."""
+    if not (isinstance(tau, Real) and 0.0 < tau < 1.0):
+        raise ParameterError(f"tau must lie in (0, 1), got {tau}")
+
+
 def hac_cluster(graph: SimilarityGraph, tau: float) -> ClusterSet:
     """Partition of the graph's mutants at linkage threshold ``tau``.
 
     Equivalent to merging the best pair while its average linkage >= tau;
     implemented as a prefix cut of the cached merge sequence.
     """
-    if not 0.0 < tau < 1.0:
-        raise ParameterError(f"tau must lie in (0, 1), got {tau}")
+    check_tau(tau)
     order, sizes = next(tau_cuts(graph, [tau]))
     members, ends = np.asarray(graph.ids, dtype=np.int64)[order].tolist(), np.cumsum(sizes).tolist()
     return ClusterSet(tuple(tuple(members[a:b]) for a, b in zip([0, *ends], ends)), tau)

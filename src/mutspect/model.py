@@ -279,14 +279,15 @@ def _tile_logits(models, depth: int, acts: dict) -> np.ndarray:
 def forward_blocks(original: FcnnClassifier, models, points):
     """Output-layer logits of ``models``, block by block, in tiles of models.
 
-    Yields ``(rows, tiles)`` per row block: the block's slice of the points
-    and a generator of ``(members, logits)``, the ascending indices into
-    ``models`` of one tile (the first starts with the first model) and their
-    ``(len(members), rows, q)`` logits.  Each model resumes from the
-    original's activation at its first changed layer, so a caller that
-    needs the original's logits passes it as a model; models equal to the
-    original yield a read-only broadcast of its array.  Every block counts
-    |models| forward passes per row.
+    Yields one flat stream of ``(rows, members, logits)``: a row block's
+    slice of the points, the ascending indices into ``models`` of one tile
+    and their ``(len(members), rows, q)`` logits.  A block's tiles come
+    together, the first starting with the first model, and each tile is
+    computed before it is yielded, so a caller may keep it past the next
+    block.  Each model resumes from the original's activation at its first
+    changed layer, so a caller that needs the original's logits passes it
+    as a model; models equal to the original yield a read-only broadcast of
+    its array.  Every block counts |models| forward passes per row.
     """
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != original.input_dim:
@@ -311,14 +312,13 @@ def forward_blocks(original: FcnnClassifier, models, points):
         for lo, hi in zip(depths, depths[1:]):
             acts[hi] = _resume(original.layers[lo:hi], acts[lo])
         tiles = (g[i : i + per_tile] for g in groups.values() for i in range(0, len(g), per_tile))
-        yield rows, ((tile, _tile_logits([models[k] for k in tile], starts[tile[0]], acts))
-                     for tile in tiles)
+        for tile in tiles:
+            yield rows, tile, _tile_logits([models[k] for k in tile], starts[tile[0]], acts)
 
 
 def _logits(model: FcnnClassifier, points) -> np.ndarray:
     """Output-layer logits of ``model``, one row per point."""
-    parts = [logits[0] for _, tiles in forward_blocks(model, (model,), points)
-             for _, logits in tiles]
+    parts = [logits[0] for _, _, logits in forward_blocks(model, (model,), points)]
     return np.concatenate(parts) if parts else np.empty((0, model.num_outputs))
 
 

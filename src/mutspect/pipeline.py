@@ -27,6 +27,7 @@ from .clustering import (
     ReductionConstraint,
     RepresentativeMap,
     XRound,
+    check_tau,
     draw_picks,
     hac_cluster,
     mutant_reduction_rate,
@@ -53,13 +54,17 @@ from .testing import (
     mutation_score,
     vanilla_test,
 )
-from .util import derived_seed, phase_timer
+from .util import check_seed, derived_seed, phase_timer
 
 
 @dataclass(frozen=True)
 class Seeds:
     sampling: int = 0
     representative: int = 0
+
+    def __post_init__(self):
+        check_seed(self.sampling)
+        check_seed(self.representative)
 
 
 def _graph_at(mutants: MutantSet, dataset: LabeledDataset, transform: str, sampling_seed: int,
@@ -161,6 +166,7 @@ def run_accelerated(
     if fixed_tau is not None:
         if fixed_per_class is None:
             raise ParameterError("a fixed tau requires a fixed sampling rate")
+        check_tau(fixed_tau)
         sample, graph = build(fixed_per_class)
         with phase_timer(phases, "clustering"):
             clusters = hac_cluster(graph, fixed_tau)

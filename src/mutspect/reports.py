@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import astuple, fields
+from dataclasses import asdict, astuple, fields
 
 from .clustering import NOT_SATISFIABLE_MESSAGE
 from .errors import FormatError, ReportMismatchError, ValidationError
@@ -103,19 +103,7 @@ def run_report_payload(
 
 
 def _search_metadata(result: PipelineResult) -> dict:
-    return {
-        "rounds": [
-            {
-                "per_class_rate": r.per_class_rate,
-                "iterations": r.iterations,
-                "taus": r.taus,
-                "rates": r.rates,
-                "cluster_counts": r.cluster_counts,
-                "stop_reason": r.stop_reason,
-            }
-            for r in result.search_rounds
-        ]
-    }
+    return {"rounds": [{**asdict(r), "iterations": r.iterations} for r in result.search_rounds]}
 
 
 def strip_timing(payload: dict) -> dict:

@@ -8,18 +8,18 @@ exp(-distance), giving edge weights in [0, 1] for a complete graph.
 
 Signatures come from one walk of the forward engine over the sample with
 every mutant, each resuming from the original's activation at its first
-changed layer.  The walk writes each block's logits class-major into one
-(|M|, q, |S|) array; one pass in id order then takes chunks of consecutive
-mutants (CHUNK_BYTES each), applies softmax over their class axis,
-quarantines the mutants with non-finite outputs, compacts the array in
-place and, under DFT, replaces each kept mutant's outputs with their
-magnitude spectra, so ``SpectraSet.ids`` lists exactly the graph's nodes in
-id order.  Chunks make one numpy call serve many mutants, where a call per
-mutant on a few sampled points costs mostly call overhead.  The graph reads
-that array one output at a time through views, so neither step copies the
-whole set, and keeps its running maximum over outputs on condensed
-distances (``pdist``: each of the n(n-1)/2 pairs once), expanding to the
-square table only at the end.
+changed layer.  The walk yields finished tiles, and each tile's logits land
+class-major in one (|M|, q, |S|) array; one pass in id order then takes
+chunks of consecutive mutants (CHUNK_BYTES each), applies softmax over their
+class axis, quarantines the mutants with non-finite outputs, compacts the
+array in place and, under DFT, replaces each kept mutant's outputs with
+their magnitude spectra, so ``SpectraSet.ids`` lists exactly the graph's
+nodes in id order.  Chunks make one numpy call serve many mutants, where a
+call per mutant on a few sampled points costs mostly call overhead.  The
+graph reads that array one output at a time through views, so neither step
+copies the whole set, and keeps its running maximum over outputs on
+condensed distances (``pdist``: each of the n(n-1)/2 pairs once), expanding
+to the square table only at the end.
 """
 
 from __future__ import annotations
@@ -176,9 +176,8 @@ def mutant_spectra(
     points = dataset.features[sample.indices]
     values = np.empty((len(records), mutants.original.num_outputs, len(sample)))
     walk = forward_blocks(mutants.original, [r.model for r in records], points)
-    for rows, tiles in walk:
-        for members, logits in tiles:
-            values[members, :, rows] = logits.transpose(0, 2, 1)
+    for rows, members, logits in walk:
+        values[members, :, rows] = logits.transpose(0, 2, 1)
     ids, failed = [], []
     step = max(1, CHUNK_BYTES // values[0].nbytes)  # a set has at least one mutant
     for lo in range(0, len(records), step):

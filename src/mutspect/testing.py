@@ -16,9 +16,11 @@ logged.
 vanilla_test walks the test set in row blocks (model.forward_blocks) with the
 original as the first model: the original runs once per block, and each
 mutant resumes from the original's cached activation at its first changed
-layer.  The walk yields logits, and model.predicted_classes reads the
-softmax argmax off them without computing the softmax (rows with a near-tie
-within model.NEAR_TIE of their maximum excepted).  Per mutant it
+layer.  The walk yields one flat stream of tiles of logits, a block's tiles
+together and the first starting with the original, so the original's
+predictions on a block come before any mutant's.  model.predicted_classes
+reads the softmax argmax off the logits without computing the softmax (rows
+with a near-tie within model.NEAR_TIE of their maximum excepted).  Per mutant it
 accumulates the killed labels, whether any prediction differs from the
 original's, and the count of non-finite rows; verdicts and warnings follow
 in id order.
@@ -141,16 +143,14 @@ def vanilla_test(
         killed = np.zeros((len(models), len(present)), dtype=bool)
         differs = np.zeros(len(models), dtype=bool)
         non_finite = np.zeros(len(models), dtype=np.int64)
-        for rows, tiles in forward_blocks(original, models, dataset.features):
-            labels = dataset.labels[rows]
-            block_labels = label_index[rows]
-            for members, logits in tiles:
-                for k, out in zip(members, logits):
-                    preds = predicted_classes(out)
-                    original_preds = preds if k == 0 else original_preds
-                    killed[k, block_labels[_kills(original_preds, preds, labels)]] = True
-                    differs[k] |= (preds != original_preds).any()
-                    non_finite[k] += np.count_nonzero(preds == -1)
+        for rows, members, logits in forward_blocks(original, models, dataset.features):
+            labels, block_labels = dataset.labels[rows], label_index[rows]
+            for k, out in zip(members, logits):
+                preds = predicted_classes(out)
+                original_preds = preds if k == 0 else original_preds
+                killed[k, block_labels[_kills(original_preds, preds, labels)]] = True
+                differs[k] |= (preds != original_preds).any()
+                non_finite[k] += np.count_nonzero(preds == -1)
         if non_finite[0]:
             raise ValidationError("original model produced non-finite outputs")
         verdicts = {}

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import FormatError, ParameterError
 
 
-def _seed(seed) -> int:
+def check_seed(seed) -> int:
     """``seed`` as a Python int; anything but a non-negative integer raises
     ParameterError (numpy would raise a bare error, or draw from OS entropy
     for ``None``)."""
@@ -29,12 +29,12 @@ def philox_rng(seed: int) -> np.random.Generator:
     All randomness in the package flows through this constructor so that
     every draw sequence can be replayed from its integer seed alone.
     """
-    return np.random.Generator(np.random.Philox(_seed(seed)))
+    return np.random.Generator(np.random.Philox(check_seed(seed)))
 
 
 def derived_seed(*parts: int) -> int:
     """Deterministic child seed from a tuple of integers (SeedSequence-based)."""
-    seeds = [_seed(part) for part in parts]
+    seeds = [check_seed(part) for part in parts]
     return int(np.random.SeedSequence(seeds).generate_state(1, np.uint64)[0])
 
 

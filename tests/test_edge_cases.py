@@ -7,6 +7,7 @@ from mutspect.baselines import rms_test
 from mutspect.clustering import ClusterSet, select_representatives
 from mutspect.dataset import LabeledDataset
 from mutspect.errors import ParameterError
+from mutspect.model import count_forward_passes
 from mutspect.mutants import MutatorKind, generate_mutant_set, rebuild_mutant
 from mutspect.pipeline import Seeds, SweepSpec, run_accelerated, run_sweep
 from mutspect.spectra import stratified_sample
@@ -94,6 +95,26 @@ def _seeding_world():
 def test_a_seed_that_is_not_a_non_negative_integer_is_a_parameter_error(call):
     with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
         call(*_seeding_world())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda m, ms, ds: run_sweep(m, ms, ds, SweepSpec((1,), (0.5,), 1), seeds=Seeds(0, -1)),
+     "seed must be a non-negative integer"),
+    (lambda m, ms, ds: run_sweep(m, ms, ds, SweepSpec((1,), (0.5,), 1), seeds=Seeds(-1, 0)),
+     "seed must be a non-negative integer"),
+    (lambda m, ms, ds: run_accelerated(m, ms, ds, seeds=Seeds(0, -1)),
+     "seed must be a non-negative integer"),
+    (lambda m, ms, ds: run_accelerated(m, ms, ds, fixed_per_class=2, fixed_tau=1.5),
+     "tau must lie in"),
+    (lambda m, ms, ds: run_accelerated(m, ms, ds, fixed_per_class=2, fixed_tau="0.5"),
+     "tau must lie in"),
+], ids=["sweep-representative", "sweep-sampling", "accelerated-representative", "fixed-tau",
+        "fixed-tau-text"])
+def test_bad_seeds_and_a_bad_fixed_tau_raise_before_any_forward_pass(call, message):
+    world = _seeding_world()
+    with count_forward_passes() as counter, pytest.raises(ParameterError, match=message):
+        call(*world)
+    assert counter.count == 0
 
 
 def test_numpy_integer_seeds_draw_as_python_ints():

@@ -143,6 +143,8 @@ def paired_columns(draw):
     return column(), column()
 
 
+@pytest.mark.one_blas_thread
+@pytest.mark.oldest_supported
 class TestRhoOracle:
     """spearman_rho is scipy's rho without the p-value: scipy's average
     ranks, then np.corrcoef.  Its bits rest on numpy's corrcoef and scipy's

@@ -381,6 +381,7 @@ def test_batch_outputs_never_writes_the_points(random_net):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.one_blas_thread
 class TestWalkOracle:
     @pytest.fixture(scope="class")
     def world(self):
@@ -400,15 +401,15 @@ class TestWalkOracle:
         parts, covered = [[] for _ in range(len(models) + 1)], []
         with count_forward_passes() as counter:
             # the original runs as the first model, as vanilla_test runs it
-            for rows, tiles in forward_blocks(original, [original, *models], points):
-                covered.append(rows)
-                for members, logits in tiles:
-                    for k, out in zip(members, logits):
-                        parts[k].append(out)
-                        if k and depths[k - 1] == len(original.layers):
-                            # nothing left to run: a read-only view of the original's rows
-                            assert np.shares_memory(out, parts[0][-1])
-                            assert not out.flags.writeable
+            for rows, members, logits in forward_blocks(original, [original, *models], points):
+                if not covered or covered[-1] != rows:
+                    covered.append(rows)
+                for k, out in zip(members, logits):
+                    parts[k].append(out)
+                    if k and depths[k - 1] == len(original.layers):
+                        # nothing left to run: a read-only view of the original's rows
+                        assert np.shares_memory(out, parts[0][-1])
+                        assert not out.flags.writeable
         assert counter.count == (len(models) + 1) * n
         assert covered == _row_blocks(n, rows_per_block)
         assert len(covered) == -(-n // rows_per_block)
@@ -421,6 +422,23 @@ class TestWalkOracle:
             assert np.ascontiguousarray(t.T).tobytes() == reference_outputs(model, points).tobytes()
         exploded = [reference_outputs(m, points) for m in models[-3:-1]]
         assert not all(np.isfinite(out).all() for out in exploded)  # the inputs do explode
+
+    def test_tiles_read_after_the_whole_walk_keep_their_logits(self, world):
+        # two blocks of one size: a tile computed only when read would take
+        # the other block's activations and still have the right shape
+        original, records, _ = world
+        models = [original, *(r.model for r in records)]
+        n = 2 * _block_rows(64)
+        points = np.random.default_rng(2).normal(size=(n, original.input_dim))
+        walk = list(forward_blocks(original, models, points))
+        spans = sorted({(rows.start, rows.stop) for rows, _, _ in walk})
+        assert spans == [(0, n // 2), (n // 2, n)]
+        parts = [[] for _ in models]
+        for _, members, logits in walk:
+            for k, out in zip(members, logits):
+                parts[k].append(out)
+        for model, blocks in zip(models, parts):
+            assert np.concatenate(blocks).tobytes() == reference_logits(model, points).tobytes()
 
     def test_batch_outputs_matches_the_full_product_across_blocks(self, world):
         original = world[0]
@@ -467,6 +485,8 @@ def tile_world():
     return original, models, list(range(len(models) - 4, len(models)))
 
 
+@pytest.mark.one_blas_thread
+@pytest.mark.oldest_supported
 class TestTileOracle:
     """Tiles hold at most TILE_BYTES // (8 * width * rows) models, so a
     budget of 512 * n * t bytes walks n rows at width 64 in tiles of t.  A
@@ -480,22 +500,27 @@ class TestTileOracle:
     @staticmethod
     def walk(original, models, points, per_tile):
         """Each model's logits, checking the tiles: at most ``per_tile``
-        models each, members ascending, the first model first, every model
-        once per block."""
+        models each, members ascending, a block's tiles together, the first
+        model first, every model once per block.  Returns the logits and the
+        last block's tiles."""
         parts = [[] for _ in models]
+        starts, blocks = [], []  # per block, its first row and its tiles' members
         with count_forward_passes() as counter:
-            for rows, tiles in forward_blocks(original, models, points):
-                seen = []
-                for members, logits in tiles:
-                    assert 1 <= len(members) <= per_tile and members == sorted(members)
-                    assert logits.shape == (len(members), rows.stop - rows.start, 5)
-                    for k, out in zip(members, logits):
-                        parts[k].append(out)
-                    seen.append(members)
-                assert seen[0][0] == 0
-                assert sorted(k for members in seen for k in members) == list(range(len(models)))
+            for rows, members, logits in forward_blocks(original, models, points):
+                assert 1 <= len(members) <= per_tile and members == sorted(members)
+                assert logits.shape == (len(members), rows.stop - rows.start, 5)
+                for k, out in zip(members, logits):
+                    parts[k].append(out)
+                if not starts or starts[-1] != rows.start:
+                    starts.append(rows.start)
+                    blocks.append([])
+                blocks[-1].append(members)
+        assert starts == sorted(set(starts))
+        for seen in blocks:
+            assert seen[0][0] == 0
+            assert sorted(k for members in seen for k in members) == list(range(len(models)))
         assert counter.count == len(models) * len(points)
-        return [np.concatenate(blocks) for blocks in parts], seen
+        return [np.concatenate(blocks) for blocks in parts], blocks[-1]
 
     @pytest.mark.parametrize("n", [1, 2, 5, 37])
     @pytest.mark.parametrize("tile", ["1", "2", "all"])
@@ -524,9 +549,10 @@ class TestTileOracle:
     def test_byte_duplicates_share_a_tile(self, world):
         original, models, _ = world
         points = np.zeros((5, original.input_dim))
-        _, tiles = next(forward_blocks(original, models, points))
+        tiles = [members for rows, members, _ in forward_blocks(original, models, points)
+                 if rows.start == 0]
         twins = [len(models) - 6, len(models) - 5]
-        assert any(set(twins) <= set(members) for members, _ in tiles)
+        assert any(set(twins) <= set(members) for members in tiles)
 
     def test_spectra_equal_the_per_model_walk(self, world, monkeypatch):
         import mutspect.model as model_module
@@ -556,10 +582,12 @@ class TestTileOracle:
         original = small_stack(seed=1, input_dim=12, hidden=(16, 16), outputs=5)
         twins = [mu.gaussian_fuzz(original, 1, 2, 1.0, seed=3).model for _ in range(500)]
         for n, sizes in ((5, [102] * 4 + [92]), (2000, [1] * 500)):  # x = 1 signatures; a tester block
-            _, tiles = next(forward_blocks(original, twins, np.zeros((n, 12))))
-            assert [len(members) for members, _ in tiles] == sizes
+            walk = forward_blocks(original, twins, np.zeros((n, 12)))
+            assert [len(members) for rows, members, _ in walk if rows.start == 0] == sizes
 
 
+# the row split that every walk oracle runs on, rerun beside them
+@pytest.mark.one_blas_thread
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(1, 100_000), rows=st.integers(1, 5_000))
 def test_row_blocks_split_rule(n, rows):
@@ -590,6 +618,7 @@ def nan_blind_bytes(a: np.ndarray) -> bytes:
     return np.where(np.isnan(a), np.nan, a).tobytes()
 
 
+@pytest.mark.oldest_supported
 class TestClassAxisOracle:
     CLASS_COUNTS = (1, 2, 7, 8, 9, 16, 127, 128, 129, 300)
 
@@ -717,6 +746,8 @@ def logit_blocks(draw):
     return np.array(rows)
 
 
+@pytest.mark.one_blas_thread
+@pytest.mark.oldest_supported
 class TestPredictionOracle:
     @settings(max_examples=400, deadline=None)
     @given(logits=logit_blocks())
@@ -756,6 +787,8 @@ class TestPredictionOracle:
                                       reference_classes(reference_softmax(logits)))
 
 
+@pytest.mark.one_blas_thread
+@pytest.mark.oldest_supported
 class TestStackedClassAxisOracle:
     """_class_sum and class_softmax over a stack of class-major blocks (the class
     axis second to last, as mutant_spectra's chunks hold them) equal the
@@ -845,6 +878,8 @@ def products_and_biases(draw):
     return a, b
 
 
+@pytest.mark.one_blas_thread
+@pytest.mark.oldest_supported
 class TestActivationOracle:
     @settings(max_examples=200, deadline=None)
     @given(data=products_and_biases())

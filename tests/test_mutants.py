@@ -114,6 +114,7 @@ class TestWeightShuffle:
         np.testing.assert_array_equal(mutated_row, original_row[perm])
 
 
+@pytest.mark.oldest_supported
 class TestPermutationOracle:
     """_fisher_yates makes all its draws in one broadcast ``integers`` call;
     it must give the permutation of the scalar draw sequence and leave the

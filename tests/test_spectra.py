@@ -334,6 +334,7 @@ def random_shapes(count: int, seed: int = 0):
         yield n, q, max(1, min(s, 20_000_000 // (n * n * q)))
 
 
+@pytest.mark.oldest_supported
 class TestGraphOracle:
     """build_similarity_graph keeps its maximum over outputs on condensed
     distances; its weights must equal square-table ones bit for bit.  CI
@@ -518,6 +519,7 @@ class TestStreamedAssembly:
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.one_blas_thread
 class TestSpectraWalkOracle:
     @pytest.fixture(scope="class")
     def world(self):
@@ -585,6 +587,8 @@ class TestSpectraWalkOracle:
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.one_blas_thread
+@pytest.mark.oldest_supported
 class TestSpectraChunkOracle:
     SAMPLE = 600  # with 3 outputs: 14,400 bytes per mutant
 

@@ -228,6 +228,7 @@ def labelled(original, points, class_count=5, seed=0):
     return LabeledDataset(points, labels, class_count)
 
 
+@pytest.mark.one_blas_thread
 class TestWalkOracle:
     @pytest.fixture(scope="class")
     def world(self):
@@ -254,6 +255,7 @@ class TestWalkOracle:
         assert table.verdicts == reference_verdicts(original, records, dataset)
 
 
+@pytest.mark.one_blas_thread
 class TestBlockedAccounting:
     """vanilla_test over several row blocks of a shrunken budget."""
 
