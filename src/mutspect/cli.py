@@ -123,8 +123,6 @@ def _run_one(config: RunConfig, model, dataset, mutants, repeat: int) -> Pipelin
         table = rms_test(model, mutants, dataset, config.rms_fraction, seed)
     elif config.mode == "bss":
         table = bss_test(model, mutants, dataset, config.bss_threshold)
-    elif config.per_class_rate is None:
-        raise MutspectError("--x is required for rss (same sample size as spectral)")
     else:
         table = rss_test(model, mutants, dataset, config.per_class_rate, seed)
     return PipelineResult(mode=config.mode, table=table)

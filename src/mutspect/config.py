@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .clustering import DEFAULT_REDUCTION, ReductionConstraint
+from .clustering import DEFAULT_REDUCTION, ReductionConstraint, check_tau
 from .errors import ParameterError
 
 MODES = ("vanilla", "spectral", "raw", "rms", "bss", "rss")
@@ -45,9 +45,10 @@ class RunConfig:
             raise ParameterError("bss threshold must be at least 1")
         if self.per_class_rate is not None and self.per_class_rate < 1:
             raise ParameterError("per-class sampling rate must be at least 1")
+        if self.mode == "rss" and self.per_class_rate is None:
+            raise ParameterError("--x is required for rss (same sample size as spectral)")
         if self.tau is not None:
-            if not 0.0 < self.tau < 1.0:
-                raise ParameterError(f"tau must lie in (0, 1), got {self.tau}")
+            check_tau(self.tau)
             if self.per_class_rate is None:
                 raise ParameterError("a fixed tau requires a fixed sampling rate")
         self.constraint()  # validates the interval

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -40,13 +41,14 @@ class LabeledDataset:
             )
         if x.shape[0] == 0:
             raise ValidationError("dataset is empty")
-        if self.class_count < 1:
-            raise ValidationError("class_count must be positive")
+        q = self.class_count
+        if isinstance(q, bool) or not isinstance(q, Integral) or q < 1:
+            raise ValidationError(f"class_count must be an integer of at least 1, got {q!r}")
         if not np.isfinite(x).all():
             raise ValidationError("features must be finite")
-        if y.min() < 0 or y.max() >= self.class_count:
+        if y.min() < 0 or y.max() >= q:
             raise ValidationError(
-                f"labels must lie in [0, {self.class_count}), got "
+                f"labels must lie in [0, {q}), got "
                 f"[{y.min()}, {y.max()}]"
             )
         object.__setattr__(self, "features", readonly(x))

@@ -28,11 +28,11 @@ within NEAR_TIE of their maximum.
 Softmax and predicted_classes reduce over the class axis of a class-major
 copy of the block: numpy runs one inner loop per row when it reduces a
 row-major block over its classes, and one per class row over the copy,
-which is faster for few classes in long blocks and slower for short blocks
-or many classes (README, "Semantics worth knowing").  The class sums repeat
-numpy's own summation order, so the outputs equal row-major reductions bit
-for bit, apart from the sign bit of NaN entries (a row holding one is
-wholly NaN).
+which is faster for few classes in long blocks (README, "Semantics worth
+knowing").  Below 8 classes the class sums repeat numpy's row-sum order;
+from 8 on they are numpy's row sums of a row-major copy.  So the outputs
+equal row-major reductions bit for bit, apart from the sign bit of NaN
+entries (a row holding one is wholly NaN).
 """
 
 from __future__ import annotations
@@ -185,27 +185,14 @@ def _class_sum(t: np.ndarray) -> np.ndarray:
     """Sums over the classes (axis -2) of class-major blocks, bit-equal to
     numpy's ``sum(axis=-1)`` over each row-major block.
 
-    numpy sums a contiguous row pairwise: fewer than 8 values left to right;
-    up to 128 in 8 interleaved accumulators, combined as a fixed tree, then
-    the tail in order; more in two halves split at a multiple of 8.  Here
-    each step is one vector operation over all block rows (of every block,
-    for a stack of blocks): a reduction over the class axis adds the class
-    rows left to right, starting, as numpy's row sum does, from +0.0 (so a
-    row of -0.0 sums to 0.0).
+    numpy sums fewer than 8 values of a contiguous row left to right from
+    +0.0 (so a row of -0.0 sums to 0.0), which a reduction over the class
+    axis repeats, one vector operation per class row over all block rows.
+    Wider rows it sums pairwise, so those are summed as numpy's own rows.
     """
-    q, n = t.shape[-2:]
-    if q < 8:
+    if t.shape[-2] < 8:
         return t.sum(axis=-2)
-    if q > 128:
-        half = q // 2 - q // 2 % 8
-        return _class_sum(t[..., :half, :]) + _class_sum(t[..., half:, :])
-    tail = q - q % 8
-    r = t[..., :tail, :].reshape(*t.shape[:-2], -1, 8, n).sum(axis=-3)
-    r = [r[..., j, :] for j in range(8)]
-    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for k in range(tail, q):
-        s += t[..., k, :]
-    return s
+    return np.ascontiguousarray(t.swapaxes(-1, -2)).sum(axis=-1)
 
 
 def class_softmax(t: np.ndarray) -> np.ndarray:

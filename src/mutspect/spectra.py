@@ -91,7 +91,7 @@ def stratified_sample(dataset: LabeledDataset, per_class: int, seed: int) -> Sam
     sort them.  Classes smaller than ``per_class`` are taken whole and
     recorded in ``truncated_classes``.
     """
-    if not isinstance(per_class, Integral) or per_class < 1:
+    if isinstance(per_class, bool) or not isinstance(per_class, Integral) or per_class < 1:
         raise ParameterError("per-class sampling rate must be an integer of at least 1")
     rng = philox_rng(seed)
     chosen = []

@@ -38,14 +38,13 @@ def fitted_classifier(
     seed: int = 0,
     margin: float = 4.0,
     bias_shift: float = 0.0,
-    ridge: float = 1.0,
 ) -> FcnnClassifier:
     """Random ReLU feature stack with a ridge-regularized softmax readout.
 
     A positive ``bias_shift`` keeps hidden pre-activations above zero for
     typical inputs, so every neuron contributes on every point and local
     weight mutations are visible from any subsample (no dead-on-sample
-    blind spots).  The ridge penalty keeps readout weights moderate even
+    blind spots).  A unit ridge penalty keeps readout weights moderate even
     when hidden features are collinear, which keeps logits in a range where
     softmax outputs stay informative instead of saturating.
     """
@@ -66,7 +65,7 @@ def fitted_classifier(
     targets = np.full((len(dataset), dataset.class_count), -margin)
     targets[np.arange(len(dataset)), dataset.labels] = margin
     design = np.hstack([acts, np.ones((len(dataset), 1))])
-    gram = design.T @ design + ridge * np.eye(design.shape[1])
+    gram = design.T @ design + np.eye(design.shape[1])
     coef = np.linalg.solve(gram, design.T @ targets)
     layers.append(DenseLayer(coef[:-1].T, coef[-1], SOFTMAX))
     return FcnnClassifier(tuple(layers))

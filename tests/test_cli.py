@@ -136,6 +136,16 @@ def test_rss_requires_x(workdir):
     assert rc == 2
 
 
+def test_rss_without_x_fails_before_reading_inputs(workdir, tmp_path, capsys):
+    root, model_path, data_path, manifest = workdir
+    out = tmp_path / "out"
+    rc = main(["run", "--model", str(tmp_path / "missing.fcnn"), "--dataset", str(data_path),
+               "--manifest", str(manifest), "--mode", "rss", "--out", str(out)])
+    assert rc == 2
+    assert "--x" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_baseline_modes_run(workdir):
     for mode, extra in (("rms", ()), ("bss", ()), ("rss", ("--x", "2"))):
         rc, out = run_mode(workdir, mode, f"{mode}_out", extra)

@@ -53,6 +53,19 @@ def test_validation_errors():
         LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 1)
 
 
+@pytest.mark.parametrize("class_count", [2.5, np.float64(3.0), True],
+                         ids=["float", "numpy-float", "bool"])
+def test_non_integer_class_count_is_validation_error(class_count):
+    with pytest.raises(ValidationError, match="class_count must be an integer"):
+        LabeledDataset(np.zeros((2, 2)), np.array([0, 0]), class_count)
+
+
+def test_numpy_integer_class_count_round_trips(tmp_path):
+    ds = LabeledDataset(np.zeros((2, 2)), np.array([0, 2]), np.int64(3))
+    save_dataset(ds, tmp_path / "d.fdst")
+    assert load_dataset(tmp_path / "d.fdst").class_count == 3
+
+
 def test_truncated_file(tmp_path):
     ds = make_dataset()
     path = tmp_path / "data.fdst"

@@ -72,7 +72,10 @@ def test_fixed_tau_requires_fixed_x(world):
                                                fixed_tau=0.5),
     lambda ds, model, mutants: SweepSpec(x_grid=(1.5,)),
     lambda ds, model, mutants: SweepSpec(repeats=1.5),
-], ids=["sample", "searched", "fixed-tau", "sweep-x", "sweep-repeats"])
+    lambda ds, model, mutants: stratified_sample(ds, True, 0),
+    lambda ds, model, mutants: run_accelerated(model, mutants, ds, fixed_per_class=True),
+], ids=["sample", "searched", "fixed-tau", "sweep-x", "sweep-repeats", "sample-bool",
+        "searched-bool"])
 def test_non_integer_rate_is_a_parameter_error(world, call):
     with pytest.raises(ParameterError, match="integer"):
         call(*world)
