@@ -24,7 +24,7 @@ from .config import (
     parse_config_file,
 )
 from .dataset import load_dataset
-from .errors import MutspectError, ParameterError
+from .errors import MutspectError, ParameterError, ValidationError
 from .model import load_model, save_model
 from .mutants import (
     ALL_KINDS,
@@ -190,6 +190,9 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     vanilla = load_scored_report(args.vanilla)
+    if vanilla["technique"] != "vanilla":
+        raise ValidationError(f"{args.vanilla} is not a vanilla report: "
+                              f"its technique is {vanilla['technique']!r}")
     accelerated = [load_scored_report(p) for p in args.reports]
     rows = compare_rows(vanilla, accelerated)
     print(format_compare_table(rows))

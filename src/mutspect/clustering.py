@@ -19,8 +19,9 @@ the first maximum in C order: the pair with the lowest smallest member, then
 the lowest smallest member of the other cluster.
 
 The tau search binary-searches ``tau`` on one graph until the mutant
-reduction rate lands in the requested constraint interval.  The walk over
-sampling rates, which builds one graph per rate, belongs to the pipeline.
+reduction rate lands in the requested constraint interval; it cuts once, at
+the tau it returns.  The walk over sampling rates, which builds one graph per
+rate, belongs to the pipeline.
 """
 
 from __future__ import annotations
@@ -109,16 +110,21 @@ def _merge_trajectory(weights: np.ndarray):
     return linkage, left, right
 
 
+def _merge_sequence(graph: SimilarityGraph):
+    """The graph's cached ``(floor, left, right)``; a cut at tau keeps the steps before the
+    first linkage below it, ``searchsorted(floor, -tau, side="right")`` of them."""
+    if graph._trajectory is None:
+        linkage, left, right = _merge_trajectory(graph.weights)
+        object.__setattr__(graph, "_trajectory", (-np.minimum.accumulate(linkage), left, right))
+    return graph._trajectory
+
+
 def tau_cuts(graph: SimilarityGraph, taus):
     """Yields ``(order, sizes)`` of ``hac_cluster(graph, tau)`` per tau in ``taus``: node
     positions grouped by cluster, clusters in smallest-member order and members ascending,
-    and the cluster sizes.  A cut keeps the steps before the first linkage below tau, a
-    ``searchsorted`` on their running minimum; a survivor sits below what it absorbs, so
-    pointer jumping finds each node's cluster."""
-    if graph._trajectory is None:
-        graph._trajectory = _merge_trajectory(graph.weights)
-    (linkage, left, right), n = graph._trajectory, graph.n_nodes
-    floor = -np.minimum.accumulate(linkage)  # ascending
+    and the cluster sizes.  A cut keeps the steps that ``_merge_sequence``'s floor counts;
+    a survivor sits below what it absorbs, so pointer jumping finds each node's cluster."""
+    (floor, left, right), n = _merge_sequence(graph), graph.n_nodes
     for p in np.searchsorted(floor, -np.asarray(taus, dtype=np.float64), side="right").tolist():
         root = np.arange(n)
         root[right[:p]] = left[:p]
@@ -175,11 +181,14 @@ def tau_search(graph: SimilarityGraph, constraint: ReductionConstraint,
 
     tau starts at the midpoint of (0, 1); a rate below the constraint lowers
     the upper bound, a rate above it raises the lower bound, and a rate
-    inside returns that cut.  The round gives up when the midpoint leaves
-    [1e-5, 0.99999] or the interval width drops under 1e-6 (plateau guard;
-    the plain midpoint test alone cannot terminate on an interior plateau).
-    Every visited tau and the stop reason are recorded in ``trace``.
+    inside returns ``hac_cluster`` at that tau, the one cut; each midpoint's
+    cluster count is read off the merge sequence.  The round gives up when
+    the midpoint leaves [1e-5, 0.99999] or the interval width drops under
+    1e-6 (plateau guard; the plain midpoint test alone cannot terminate on an
+    interior plateau).  Every visited tau and the stop reason are recorded in
+    ``trace``.
     """
+    floor, n = _merge_sequence(graph)[0], graph.n_nodes
     tau_lo, tau_hi = 0.0, 1.0
     while True:
         tau = tau_lo + (tau_hi - tau_lo) / 2
@@ -189,18 +198,18 @@ def tau_search(graph: SimilarityGraph, constraint: ReductionConstraint,
         if tau_hi - tau_lo < WIDTH_CAP:
             trace.stop_reason = "interval-collapsed"
             return None
-        clusters = hac_cluster(graph, tau)
-        rate = mutant_reduction_rate(graph.n_nodes, len(clusters))
+        count = n - int(np.searchsorted(floor, -tau, side="right"))
+        rate = mutant_reduction_rate(n, count)
         trace.taus.append(tau)
         trace.rates.append(rate)
-        trace.cluster_counts.append(len(clusters))
+        trace.cluster_counts.append(count)
         if rate < constraint.lo:
             tau_hi = tau
         elif rate > constraint.hi:
             tau_lo = tau
         else:
             trace.stop_reason = "satisfied"
-            return clusters
+            return hac_cluster(graph, tau)
 
 
 def select_representatives(clusters: ClusterSet, seed: int) -> RepresentativeMap:

@@ -166,7 +166,8 @@ def _tally(n: int):
 # differ most often, so a block of |T| > R rows is never shorter than R/2.
 BLOCK_BYTES = 512 * 1024
 
-# Byte budget on one tile's widest activation, a signature chunk's size (R / 8 rows).
+# Byte budget on one tile's widest activation (R / 8 rows) and on one signature
+# chunk, whose FFT allocates twice its input, so both stay well inside BLOCK_BYTES.
 TILE_BYTES = BLOCK_BYTES // 8
 
 

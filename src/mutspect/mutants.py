@@ -112,6 +112,11 @@ def _rebuild(model: FcnnClassifier, layer_idx: int, weights, biases) -> FcnnClas
     return FcnnClassifier(tuple(layers))
 
 
+def _check_sigma(sigma: float) -> None:
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise TargetError(f"sigma must be finite and nonnegative, got {sigma!r}")
+
+
 def gaussian_fuzz(
     model: FcnnClassifier,
     layer: int,
@@ -127,8 +132,7 @@ def gaussian_fuzz(
     of the layer's weight matrix; every other parameter is bit-identical.
     """
     _check_target(model, layer, neuron)
-    if not (np.isfinite(sigma) and sigma >= 0):
-        raise TargetError(f"sigma must be finite and nonnegative, got {sigma!r}")
+    _check_sigma(sigma)
     target_layer = model.layers[layer]
     scale = float(sigma * target_layer.weights.std())
     noise = philox_rng(seed).normal(0.0, scale, size=target_layer.in_dim)
@@ -268,6 +272,7 @@ def generate_mutant_set(
     """
     if count < 1:
         raise TargetError("count must be at least 1")
+    _check_sigma(gf_sigma)  # before any draw, whichever kinds are drawn
     if isinstance(seed, int) and seed < 0:  # philox_rng rejects other non-seeds
         raise ParameterError(f"generation seed must be non-negative, got {seed}")
     kinds = [k for k in ALL_KINDS if k in tuple(kinds)]
@@ -326,6 +331,14 @@ def _integer(entry: dict, key: str) -> int:
     return value
 
 
+def _sigma(params: dict) -> float:
+    # "0.5" and true would otherwise load as a sigma
+    value = params["sigma"]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"manifest field 'sigma' must be a number, got {value!r}")
+    return float(value)
+
+
 def rebuild_mutant(original: FcnnClassifier, entry: dict) -> MutantRecord:
     """The one operator dispatch: a manifest entry (or a fresh draw) -> mutant."""
     kind = MutatorKind(entry["kind"])
@@ -334,7 +347,7 @@ def rebuild_mutant(original: FcnnClassifier, entry: dict) -> MutantRecord:
     neuron = _integer(entry, "neuron")
     if kind is MutatorKind.GAUSSIAN_FUZZING:
         return gaussian_fuzz(
-            original, layer, neuron, float(entry["params"]["sigma"]), _integer(entry, "seed"), mid
+            original, layer, neuron, _sigma(entry["params"]), _integer(entry, "seed"), mid
         )
     if kind is MutatorKind.WEIGHT_SHUFFLE:
         return weight_shuffle(original, layer, neuron, _integer(entry, "seed"), mid)

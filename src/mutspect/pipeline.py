@@ -248,13 +248,13 @@ def run_sweep(
 
     A representative tested on the full dataset reproduces its vanilla
     verdict bit for bit, so each cell's accelerated score is assembled from
-    the cached vanilla verdicts.  Per graph, one ``hac_cluster`` call builds
-    the merge sequence; ``tau_cuts`` and ``draw_picks`` then give each
-    cell's sizes and ``select_representatives``' draw, and the killed count
-    is their vanilla counts dotted with the sizes.  Per-cell seconds cover
-    that (the first, the merge build too).  A given ``vanilla`` table must
-    hold a tested count for every mutant and for no other.  Reduction rate
-    against tau is rank-correlated per (x, repeat) and pooled per x.
+    the cached vanilla verdicts.  Per graph, ``tau_cuts`` builds the merge
+    sequence once and, with ``draw_picks``, gives each cell's sizes and
+    ``select_representatives``' draw; the killed count is their vanilla
+    counts dotted with the sizes.  Per-cell seconds cover that (the first,
+    the merge build too).  A given ``vanilla`` table must hold a tested
+    count for every mutant and for no other.  Reduction rate against tau is
+    rank-correlated per (x, repeat) and pooled per x.
     """
     vanilla = vanilla or vanilla_test(original, mutants, dataset)
     counts = vanilla.counts()
@@ -272,7 +272,6 @@ def run_sweep(
             q_total = sum(counts[m] for m in _quarantined(mutants, graph.ids))
             held, n = np.array([counts[m] for m in graph.ids]), graph.n_nodes
             start = time.perf_counter()
-            hac_cluster(graph, spec.tau_grid[0])  # builds the merge sequence the cuts read
             cuts = zip(spec.tau_grid, tau_cuts(graph, spec.tau_grid))
             for k, (tau, (order, sizes)) in enumerate(cuts):
                 picks = draw_picks(sizes, derived_seed(seeds.representative, repeat, x, k))

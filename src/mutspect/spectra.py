@@ -10,7 +10,7 @@ Signatures come from one walk of the forward engine over the sample with
 every mutant, each resuming from the original's activation at its first
 changed layer.  The walk yields finished tiles, and each tile's logits land
 class-major in one (|M|, q, |S|) array; one pass in id order then takes
-chunks of consecutive mutants (CHUNK_BYTES each), applies softmax over their
+chunks of consecutive mutants (TILE_BYTES each), applies softmax over their
 class axis, quarantines the mutants with non-finite outputs, compacts the
 array in place and, under DFT, replaces each kept mutant's outputs with
 their magnitude spectra, so ``SpectraSet.ids`` lists exactly the graph's
@@ -43,17 +43,12 @@ from .errors import (
 # here keeps that trace target resolvable, though the signatures use
 # forward_blocks directly
 from .model import batch_outputs  # noqa: F401
-from .model import BLOCK_BYTES, class_softmax, forward_blocks
+from .model import TILE_BYTES, class_softmax, forward_blocks
 from .mutants import MutantSet
 from .util import philox_rng, readonly, sha256_bytes
 
 TRANSFORM_DFT = "dft-magnitude"
 TRANSFORM_RAW = "raw-output"
-
-# Values per chunk of mutant_spectra's softmax, quarantine and FFT pass.  The
-# FFT allocates twice its input (complex), so a chunk's transient arrays stay
-# well inside the forward engine's BLOCK_BYTES.
-CHUNK_BYTES = BLOCK_BYTES // 8
 
 
 @dataclass(frozen=True)
@@ -138,16 +133,13 @@ class SpectraSet:
                                   f"({len(self.ids)}, q, {len(self.sample)})")
         object.__setattr__(self, "values", readonly(vals))
 
-    def index_of(self, mutant_id: int) -> int:
+    def vectors(self, mutant_id: int) -> np.ndarray:
         if mutant_id in self.failed:
             raise SpectraFailureError(f"mutant {mutant_id} was quarantined")
         try:
-            return self.ids.index(mutant_id)
+            return self.values[self.ids.index(mutant_id)]
         except ValueError:
             raise MissingMutantError(f"mutant {mutant_id} has no spectra") from None
-
-    def vectors(self, mutant_id: int) -> np.ndarray:
-        return self.values[self.index_of(mutant_id)]
 
 
 def mutant_spectra(
@@ -163,7 +155,7 @@ def mutant_spectra(
     reuses the original's logits), so the forward-pass count is |M| * |S|
     regardless of the number of outputs.  Each block's logits land
     class-major in one preallocated (|M|, q, |S|) array.  One pass in id
-    order then takes chunks of consecutive mutants, CHUNK_BYTES of values
+    order then takes chunks of consecutive mutants, TILE_BYTES of values
     each (at least one mutant): softmax over their class axis, quarantine of
     those with a non-finite output (they are not raised; see
     ``model.class_softmax``: a row is non-finite iff its maximum logit is),
@@ -179,7 +171,7 @@ def mutant_spectra(
     for rows, members, logits in walk:
         values[members, :, rows] = logits.transpose(0, 2, 1)
     ids, failed = [], []
-    step = max(1, CHUNK_BYTES // values[0].nbytes)  # a set has at least one mutant
+    step = max(1, TILE_BYTES // values[0].nbytes)  # a set has at least one mutant
     for lo in range(0, len(records), step):
         chunk = values[lo : lo + step]
         kept = np.isfinite(class_softmax(chunk)).all(axis=-1)
@@ -207,7 +199,7 @@ def mutant_similarity(a: int, b: int, spectra: SpectraSet) -> float:
     return float(np.exp(-mutant_distance(a, b, spectra)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimilarityGraph:
     """Complete weighted undirected simple graph over usable mutant ids.
 
@@ -215,12 +207,13 @@ class SimilarityGraph:
     in [0, 1] (exp(-distance) may underflow to 0).  The diagonal is a 1.0
     placeholder, not a self-edge.  The table must be square, sized to
     ``ids``, finite, exactly symmetric and inside [0, 1], with ascending ids;
-    anything else raises ValidationError.
+    anything else raises ValidationError.  The graph is frozen, so the merge
+    sequence that clustering caches on it always belongs to its weights.
     """
 
     ids: tuple[int, ...]
     weights: np.ndarray  # (n, n) symmetric, diagonal 1.0
-    _trajectory: tuple | None = field(default=None, repr=False, compare=False)  # merge sequence
+    _trajectory: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if any(a >= b for a, b in zip(self.ids, self.ids[1:])):

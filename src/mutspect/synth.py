@@ -15,6 +15,10 @@ from .model import RELU, SOFTMAX, DenseLayer, FcnnClassifier
 from .mutants import MutantSet, MutatorKind, _manifest_entry, _target_space, rebuild_mutant
 from .util import philox_rng
 
+# log-uniform sigma ranges of diverse_mutant_set's weak and strong gaussian fuzzing
+WEAK_SIGMA = (1e-4, 0.01)
+STRONG_SIGMA = (0.4, 1.2)
+
 
 def gaussian_blobs(
     n_points: int,
@@ -71,19 +75,13 @@ def fitted_classifier(
     return FcnnClassifier(tuple(layers))
 
 
-def diverse_mutant_set(
-    model: FcnnClassifier,
-    count: int,
-    seed: int,
-    weak_sigma: tuple[float, float] = (1e-4, 0.01),
-    strong_sigma: tuple[float, float] = (0.4, 1.2),
-) -> MutantSet:
+def diverse_mutant_set(model: FcnnClassifier, count: int, seed: int) -> MutantSet:
     """Mutant pool with a bimodal intensity profile.
 
     Even ids are gaussian fuzzing with sigma drawn log-uniform from
-    ``weak_sigma`` (behaviour-preserving on a high-margin model); odd ids
+    ``WEAK_SIGMA`` (behaviour-preserving on a high-margin model); odd ids
     cycle through the structural operators plus strong gaussian fuzzing from
-    ``strong_sigma``.  The log spread keeps similarity values covering (0, 1)
+    ``STRONG_SIGMA``.  The log spread keeps similarity values covering (0, 1)
     at any sample size while avoiding the ambiguous middle band where mutants
     look identical on a small sample but differ on the full dataset.
     """
@@ -99,10 +97,10 @@ def diverse_mutant_set(
     for mutant_id in range(count):
         if mutant_id % 2 == 0:
             kind = MutatorKind.GAUSSIAN_FUZZING
-            sigma_range = weak_sigma
+            sigma_range = WEAK_SIGMA
         else:
             kind = strong[(mutant_id // 2) % len(strong)]
-            sigma_range = strong_sigma
+            sigma_range = STRONG_SIGMA
         space = _target_space(model, kind)
         target = space[int(rng.integers(len(space)))]
         mutant_seed = int(rng.integers(0, 2**63))

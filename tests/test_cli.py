@@ -258,6 +258,21 @@ def test_compare_bad_report_is_exit_2(workdir, tmp_path, capsys, case):
     assert not (tmp_path / "cmp" / "compare.csv").exists()
 
 
+def test_compare_refuses_a_reference_that_is_not_vanilla(workdir, tmp_path, capsys):
+    rc, out_v = run_mode(workdir, "vanilla", "ref_cmp_vanilla")
+    assert rc == 0
+    rc, out_r = run_mode(workdir, "rms", "ref_cmp_rms")
+    assert rc == 0
+    reference = out_r / "report_rms_r0.json"
+    capsys.readouterr()
+    rc = main(["compare", "--vanilla", str(reference), str(out_v / "report_vanilla_r0.json"),
+               "--out", str(tmp_path / "cmp")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {reference} is not a vanilla report") and "'rms'" in err
+    assert not (tmp_path / "cmp" / "compare.csv").exists()
+
+
 def test_report_score_recomputable_from_counts(workdir):
     rc, out = run_mode(workdir, "vanilla", "recompute_out")
     assert rc == 0
@@ -525,10 +540,11 @@ def test_zero_width_layer_is_exit_2(workdir, tmp_path, capsys):
     assert "layer 0:" in capsys.readouterr().err
 
 
-def test_nan_sigma_is_exit_2_and_writes_no_manifest(workdir, tmp_path, capsys):
+@pytest.mark.parametrize("kinds", ["GF", "NEB"])  # NEB draws no GF mutant to check it
+def test_nan_sigma_is_exit_2_and_writes_no_manifest(workdir, tmp_path, capsys, kinds):
     root, model_path, _, _ = workdir
     out = tmp_path / "gen"
-    rc = main(["generate", "--model", str(model_path), "--count", "5", "--kinds", "GF",
+    rc = main(["generate", "--model", str(model_path), "--count", "5", "--kinds", kinds,
                "--sigma", "nan", "--out", str(out)])
     assert rc == 2
     assert "sigma must be finite" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -322,6 +324,9 @@ class TestConstraint:
         assert DEFAULT_REDUCTION.lo == 0.26 and DEFAULT_REDUCTION.hi == 0.56
 
 
+# the search reads each midpoint's cluster count off np.minimum.accumulate of
+# the step linkages with np.searchsorted, properties of the installed numpy
+@pytest.mark.oldest_supported
 class TestTauSearch:
     def test_uniform_graph_first_midpoint(self):
         n = 10
@@ -351,21 +356,39 @@ class TestTauSearch:
         assert tau_search(graph_from_weights(w), ReductionConstraint(0.5, 0.6), trace) is None
         assert trace.stop_reason in ("midpoint-out-of-range", "interval-collapsed")
 
-    def test_planted_blocks_found_and_matches_oracle_trajectory(self):
+    @staticmethod
+    def search_table(kind):
         rng = np.random.default_rng(21)
-        n = 10
-        w = np.where(
-            (np.arange(n)[:, None] < 5) == (np.arange(n)[None, :] < 5),
-            rng.uniform(0.85, 0.95, (n, n)),
-            rng.uniform(0.05, 0.15, (n, n)),
-        )
-        w = np.triu(w, 1) + np.triu(w, 1).T
-        np.fill_diagonal(w, 1.0)
+        if kind == "planted":
+            n = 10
+            w = np.where(
+                (np.arange(n)[:, None] < 5) == (np.arange(n)[None, :] < 5),
+                rng.uniform(0.85, 0.95, (n, n)),
+                rng.uniform(0.05, 0.15, (n, n)),
+            )
+            return symmetric(w)
+        if kind == "dyadic-ties":
+            return symmetric(rng.choice(DYADIC_LEVELS, (12, 12)))
+        if kind == "duplicate-rows":
+            w = symmetric(rng.choice(DYADIC_LEVELS, (12, 12)))
+            return with_duplicates(w, [(0, 3), (0, 7), (5, 9), (10, 11)])
+        # step linkages 0.7, 0.1, 0.10000000000000002: no rate lands in the
+        # goal, so the midpoints close in on 0.1 from both sides
+        return symmetric(np.array([[1, 0.7, 0.1, 0.1], [0, 1, 0.1, 0.1],
+                                   [0, 0, 1, 0.1], [0, 0, 0, 1]]))
+
+    @pytest.mark.parametrize("kind", ["planted", "dyadic-ties", "duplicate-rows", "non-monotone"])
+    def test_planted_blocks_found_and_matches_oracle_trajectory(self, kind):
+        w = self.search_table(kind)
+        n = w.shape[0]
         trace = XRound(per_class_rate=1)
         clusters = tau_search(graph_from_weights(w), DEFAULT_REDUCTION, trace)
-        assert clusters is not None
-        rate = mutant_reduction_rate(n, len(clusters))
-        assert DEFAULT_REDUCTION.lo <= rate <= DEFAULT_REDUCTION.hi
+        assert (clusters is None) == (kind == "non-monotone")
+        if clusters is not None:
+            rate = mutant_reduction_rate(n, len(clusters))
+            assert DEFAULT_REDUCTION.lo <= rate <= DEFAULT_REDUCTION.hi
+            assert clusters.tau == trace.taus[-1]
+            assert as_partition(clusters) == oracle_agglomerate(w, clusters.tau)
         assert trace.iterations <= 25
         # every tau the search visited must agree with the exhaustive oracle
         for tau, count in zip(trace.taus, trace.cluster_counts):
@@ -379,7 +402,9 @@ class TestTauSearch:
         assert trace.iterations <= 25
 
     def test_cuts_go_through_the_module_global(self, monkeypatch):
-        # call tracers wrap clustering.hac_cluster and must see every cut
+        # call tracers wrap clustering.hac_cluster and must see every cut: the
+        # midpoints' counts come off the merge sequence, so a satisfied search
+        # cuts once, at the tau it returns, and an unsatisfiable one never
         import mutspect.clustering as clustering
 
         cuts = []
@@ -391,9 +416,15 @@ class TestTauSearch:
 
         monkeypatch.setattr(clustering, "hac_cluster", counted)
         trace = XRound(per_class_rate=1)
-        tau_search(graph_from_weights(random_weight_table(12, np.random.default_rng(3))),
-                   DEFAULT_REDUCTION, trace)
-        assert cuts == trace.taus and cuts
+        clusters = tau_search(
+            graph_from_weights(random_weight_table(12, np.random.default_rng(3))),
+            DEFAULT_REDUCTION, trace)
+        assert cuts == [clusters.tau] == trace.taus[-1:] and trace.stop_reason == "satisfied"
+        cuts.clear()
+        trace = XRound(per_class_rate=1)
+        assert tau_search(graph_from_weights(np.ones((10, 10))),
+                          ReductionConstraint(0.2, 0.5), trace) is None
+        assert cuts == [] and trace.iterations > 1
 
 
 class TestParameterSearch:
@@ -590,6 +621,16 @@ class TestCutPassOracle:
         # hac_cluster stops at the first step below tau, whatever follows it
         assert len(hac_cluster(graph_from_weights(w), 0.10000000000000002)) == 3
         assert len(hac_cluster(graph_from_weights(w), 0.1)) == 1
+
+    def test_graph_is_frozen(self):
+        # a cut reads the merge sequence cached on the graph, so its weights
+        # and ids may not change under it
+        graph = graph_from_weights(np.eye(3))
+        assert len(hac_cluster(graph, 0.5)) == 3
+        for name, value in (("weights", np.ones((3, 3))), ("ids", (0, 1, 3))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(graph, name, value)
+        assert len(hac_cluster(graph, 0.5)) == 3
 
     def test_graph_ids_must_ascend(self):
         with pytest.raises(ValidationError, match="increasing"):

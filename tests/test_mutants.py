@@ -27,7 +27,7 @@ from mutspect.mutants import (
     save_manifest,
     weight_shuffle,
 )
-from mutspect.synth import diverse_mutant_set
+from mutspect.synth import STRONG_SIGMA, WEAK_SIGMA, diverse_mutant_set
 from mutspect.util import philox_rng
 
 from conftest import small_stack
@@ -267,8 +267,8 @@ class TestGenerate:
 
     def test_diverse_set_replays_direct_operator_calls(self, random_net):
         # reference: the documented draw order, one direct operator call each
-        count, seed, weak, strong_sigma = 40, 23, (1e-4, 0.01), (0.4, 1.2)
-        ms = diverse_mutant_set(random_net, count, seed, weak, strong_sigma)
+        count, seed = 40, 23
+        ms = diverse_mutant_set(random_net, count, seed)
         rng = philox_rng(seed)
         strong = (MutatorKind.WEIGHT_SHUFFLE, MutatorKind.NEURON_EFFECT_BLOCK,
                   MutatorKind.NEURON_ACTIVATION_INVERSE, MutatorKind.NEURON_SWITCH,
@@ -279,7 +279,7 @@ class TestGenerate:
             target = space[int(rng.integers(len(space)))]
             mutant_seed = int(rng.integers(0, 2**63))
             if kind is MutatorKind.GAUSSIAN_FUZZING:
-                lo, hi = weak if i % 2 == 0 else strong_sigma
+                lo, hi = WEAK_SIGMA if i % 2 == 0 else STRONG_SIGMA
                 sigma = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
                 want = gaussian_fuzz(random_net, *target, sigma, mutant_seed, i)
             elif kind is MutatorKind.WEIGHT_SHUFFLE:
@@ -390,6 +390,23 @@ class TestManifest:
         entry[key] = value
         path.write_text(json.dumps(payload))
         with pytest.raises(ValidationError, match=f"'{key}' must be an integer"):
+            load_manifest(path, random_net)
+
+    @pytest.mark.parametrize("sigma", ["0.5", True])
+    def test_non_number_sigma_rejected(self, tmp_path, random_net, sigma):
+        # float() would read "0.5" as 0.5 and true as 1.0; an integer stays a number
+        ms = diverse_mutant_set(random_net, 8, seed=5)
+        path = tmp_path / "manifest.json"
+        save_manifest(ms, path)
+        payload = json.loads(path.read_text())
+        entry = payload["mutants"][0]
+        assert entry["kind"] == "GF"
+        entry["params"]["sigma"] = 1
+        path.write_text(json.dumps(payload))
+        assert load_manifest(path, random_net).mutants[0].params == {"sigma": 1.0}
+        entry["params"]["sigma"] = sigma
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match="'sigma' must be a number"):
             load_manifest(path, random_net)
 
     def test_wrong_original_rejected(self, tmp_path, random_net):

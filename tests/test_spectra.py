@@ -13,10 +13,9 @@ from mutspect.errors import (
     SpectraFailureError,
     ValidationError,
 )
-from mutspect.model import _block_rows, count_forward_passes
+from mutspect.model import TILE_BYTES, _block_rows, count_forward_passes
 from mutspect.mutants import gaussian_fuzz, generate_mutant_set, MutantSet
 from mutspect.spectra import (
-    CHUNK_BYTES,
     TRANSFORM_DFT,
     TRANSFORM_RAW,
     SampleSet,
@@ -579,7 +578,7 @@ class TestSpectraWalkOracle:
 
 
 # ---------------------------------------------------------------------------
-# Softmax, quarantine and FFT run over chunks of CHUNK_BYTES of consecutive
+# Softmax, quarantine and FFT run over chunks of TILE_BYTES of consecutive
 # mutants.  Sets one mutant short of a chunk, a full chunk and one past it,
 # with quarantined mutants at the chunk edges, must give the per-mutant
 # reference bit for bit.  CI runs these on one BLAS thread and on the lowest
@@ -597,7 +596,7 @@ class TestSpectraChunkOracle:
         from conftest import small_stack
 
         original = small_stack(seed=42)
-        chunk = CHUNK_BYTES // (original.num_outputs * self.SAMPLE * 8)
+        chunk = TILE_BYTES // (original.num_outputs * self.SAMPLE * 8)
         assert chunk == 4
         points = np.random.default_rng(3).normal(size=(self.SAMPLE, original.input_dim))
         ds = LabeledDataset(points, np.zeros(self.SAMPLE, dtype=np.int64), 1)
