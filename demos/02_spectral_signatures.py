@@ -34,8 +34,8 @@ print(f"distance({a},{b}) = {ms.mutant_distance(a, b, spectra):.4f}  "
       f"similarity = {ms.mutant_similarity(a, b, spectra):.4f}")
 
 graph = ms.build_similarity_graph(spectra)
-rows, cols = np.triu_indices(graph.n_nodes, k=1)  # one edge per unordered pair
-weights = graph.weights[rows, cols]
+weights = graph.weights  # one edge per unordered pair, condensed: row by row
+rows, cols = np.triu_indices(graph.n_nodes, k=1)  # the pair of each edge
 print(f"\nsimilarity graph: {graph.n_nodes} nodes, {len(weights)} edges, "
       f"weights in [{weights.min():.4f}, {weights.max():.4f}]")
 top = int(np.argmax(weights))

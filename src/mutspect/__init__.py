@@ -21,6 +21,7 @@ from .clustering import (
     ClusterSet,
     ReductionConstraint,
     RepresentativeMap,
+    SimilarityGraph,
     XRound,
     hac_cluster,
     mutant_reduction_rate,
@@ -63,7 +64,6 @@ from .pipeline import (
 )
 from .spectra import (
     SampleSet,
-    SimilarityGraph,
     SpectraSet,
     TRANSFORM_DFT,
     TRANSFORM_RAW,

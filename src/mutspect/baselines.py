@@ -26,7 +26,7 @@ from .model import FcnnClassifier, batch_outputs
 from .mutants import MutantSet
 from .spectra import stratified_sample
 from .testing import UNTESTED, MutantVerdict, VerdictTable, vanilla_test
-from .util import phase_timer, philox_rng
+from .util import is_integer, phase_timer, philox_rng
 
 
 def rms_test(
@@ -42,8 +42,8 @@ def rms_test(
     ids ascending.  Unselected mutants carry provenance "untested" and do
     not enter the score.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ParameterError("fraction must lie in (0, 1]")
+    if isinstance(fraction, bool) or not 0.0 < fraction <= 1.0:  # True would run as 1.0
+        raise ParameterError(f"fraction must lie in (0, 1], got {fraction!r}")
     ids = sorted(mutants.ids())
     k = math.ceil(fraction * len(ids))
     selected = mutants.subset(philox_rng(seed).permutation(np.asarray(ids))[:k].tolist())
@@ -74,8 +74,8 @@ def bss_select(
     (margin, index).  An original with non-finite outputs raises
     ValidationError, as it does in vanilla_test.
     """
-    if threshold < 1:
-        raise ParameterError("threshold must be at least 1")
+    if not is_integer(threshold) or threshold < 1:
+        raise ParameterError(f"threshold must be an integer of at least 1, got {threshold!r}")
     outputs = batch_outputs(original, dataset.features)
     if not np.isfinite(outputs).all():
         raise ValidationError("original model produced non-finite outputs")

@@ -53,6 +53,7 @@ from .reports import (
     write_verdict_csv,
 )
 from .spectra import TRANSFORM_DFT, TRANSFORM_RAW
+from .testing import check_labels
 from .util import derived_seed, sha256_file, write_json
 
 EXIT_OK = 0
@@ -102,6 +103,7 @@ def _load_inputs(config: RunConfig):
             raise MutspectError(f"{name} file not found: {path}")
     model = load_model(config.model)
     dataset = load_dataset(config.dataset)
+    check_labels(model, dataset)
     mutants = load_manifest(config.manifest, model)
     hashes = {name: sha256_file(getattr(config, name)) for name in ("model", "dataset", "manifest")}
     return model, dataset, mutants, hashes

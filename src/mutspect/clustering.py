@@ -1,4 +1,4 @@
-"""Threshold agglomerative clustering and the tau search on one graph.
+"""The similarity graph, threshold agglomerative clustering and the tau search on one graph.
 
 Clustering is sequential average-linkage agglomeration over the similarity
 graph: starting from singletons, repeatedly merge the cluster pair with the
@@ -6,7 +6,7 @@ greatest mean cross-pair similarity while that greatest linkage is at least
 ``tau``.  Average linkage is reducible (a merged cluster's linkage to any
 third cluster never exceeds the linkage just consumed), so the greedy merge
 sequence does not depend on ``tau``; the threshold only picks the stopping
-point.  The sequence is therefore computed once per graph and cached, and a
+point.  The sequence is therefore a cached property of the graph, and a
 clustering at any ``tau`` is a prefix cut of it (``tau_cuts``).
 
 The build keeps the cross-weight sums between clusters and the linkage
@@ -27,13 +27,14 @@ rate, belongs to the pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Real
 
 import numpy as np
+from scipy.spatial.distance import squareform
 
 from .errors import ParameterError, ValidationError
-from .spectra import SimilarityGraph
-from .util import philox_rng
+from .util import philox_rng, readonly
 
 X_GRID = (1, 3, 5, 10, 20, 30, 40, 50, 100, 200, 300)
 TAU_FLOOR = 1e-5
@@ -110,21 +111,50 @@ def _merge_trajectory(weights: np.ndarray):
     return linkage, left, right
 
 
-def _merge_sequence(graph: SimilarityGraph):
-    """The graph's cached ``(floor, left, right)``; a cut at tau keeps the steps before the
-    first linkage below it, ``searchsorted(floor, -tau, side="right")`` of them."""
-    if graph._trajectory is None:
-        linkage, left, right = _merge_trajectory(graph.weights)
-        object.__setattr__(graph, "_trajectory", (-np.minimum.accumulate(linkage), left, right))
-    return graph._trajectory
+@dataclass(frozen=True)
+class SimilarityGraph:
+    """Complete weighted undirected simple graph over ascending mutant ids.
+
+    ``weights`` holds each edge once, condensed in ``pdist`` order, each in
+    [0, 1] (exp(-distance) may underflow to 0); a table of another length or
+    outside [0, 1] raises ValidationError.  The graph is frozen, so its cached
+    merge sequence always belongs to its weights.
+    """
+
+    ids: tuple[int, ...]
+    weights: np.ndarray  # (n(n-1)/2,) condensed
+
+    def __post_init__(self):
+        if any(a >= b for a, b in zip(self.ids, self.ids[1:])):
+            raise ValidationError("graph ids must be strictly increasing")
+        w = np.asarray(self.weights, dtype=np.float64)
+        n = len(self.ids)
+        if w.shape != (n * (n - 1) // 2,):
+            raise ValidationError(f"weight table {w.shape} does not condense {n} ids")
+        # NaN fails both bounds, so this also rejects non-finite weights
+        if not ((w >= 0) & (w <= 1)).all():
+            raise ValidationError("weights must be finite and in [0, 1]")
+        object.__setattr__(self, "weights", readonly(w))
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.ids)
+
+    @cached_property
+    def merge_sequence(self):
+        """``(floor, left, right)``: the negated running minimum of the step linkages and the
+        merged positions (no live linkage reads squareform's zero diagonal); a cut at tau keeps
+        the steps before the first linkage below it, ``searchsorted(floor, -tau, side="right")``."""
+        linkage, left, right = _merge_trajectory(squareform(self.weights))
+        return -np.minimum.accumulate(linkage), left, right
 
 
 def tau_cuts(graph: SimilarityGraph, taus):
     """Yields ``(order, sizes)`` of ``hac_cluster(graph, tau)`` per tau in ``taus``: node
     positions grouped by cluster, clusters in smallest-member order and members ascending,
-    and the cluster sizes.  A cut keeps the steps that ``_merge_sequence``'s floor counts;
+    and the cluster sizes.  A cut keeps the steps that ``merge_sequence``'s floor counts;
     a survivor sits below what it absorbs, so pointer jumping finds each node's cluster."""
-    (floor, left, right), n = _merge_sequence(graph), graph.n_nodes
+    (floor, left, right), n = graph.merge_sequence, graph.n_nodes
     for p in np.searchsorted(floor, -np.asarray(taus, dtype=np.float64), side="right").tolist():
         root = np.arange(n)
         root[right[:p]] = left[:p]
@@ -188,7 +218,7 @@ def tau_search(graph: SimilarityGraph, constraint: ReductionConstraint,
     interior plateau).  Every visited tau and the stop reason are recorded in
     ``trace``.
     """
-    floor, n = _merge_sequence(graph)[0], graph.n_nodes
+    floor, n = graph.merge_sequence[0], graph.n_nodes
     tau_lo, tau_hi = 0.0, 1.0
     while True:
         tau = tau_lo + (tau_hi - tau_lo) / 2

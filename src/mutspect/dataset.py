@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .util import ByteReader, open_fresh, readonly
+from .util import ByteReader, is_integer, open_fresh, readonly
 
 _MAGIC = b"FDST"
 _VERSION = 1
@@ -42,7 +41,7 @@ class LabeledDataset:
         if x.shape[0] == 0:
             raise ValidationError("dataset is empty")
         q = self.class_count
-        if isinstance(q, bool) or not isinstance(q, Integral) or q < 1:
+        if not is_integer(q) or q < 1:
             raise ValidationError(f"class_count must be an integer of at least 1, got {q!r}")
         if not np.isfinite(x).all():
             raise ValidationError("features must be finite")

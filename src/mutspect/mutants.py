@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .model import DenseLayer, FcnnClassifier, model_hash
-from .util import load_json, philox_rng, write_json
+from .util import is_integer, load_json, philox_rng, write_json
 
 DEFAULT_GF_SIGMA = 0.5  # relative to the layer weight std; stand-in default
 
@@ -270,8 +270,8 @@ def generate_mutant_set(
     ``integers(0, 2**63)`` per-mutant seed (consumed even by deterministic
     operators so streams stay aligned).
     """
-    if count < 1:
-        raise TargetError("count must be at least 1")
+    if not is_integer(count) or count < 1:
+        raise TargetError(f"count must be an integer of at least 1, got {count!r}")
     _check_sigma(gf_sigma)  # before any draw, whichever kinds are drawn
     if isinstance(seed, int) and seed < 0:  # philox_rng rejects other non-seeds
         raise ParameterError(f"generation seed must be non-negative, got {seed}")
@@ -326,7 +326,7 @@ def _manifest_entry(kind: MutatorKind, mutant_id: int, target: tuple, seed: int,
 def _integer(entry: dict, key: str) -> int:
     # JSON 1.5, "1" and true would otherwise be coerced to a different target
     value = entry[key]
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_integer(value):
         raise ValidationError(f"manifest field {key!r} must be an integer, got {value!r}")
     return value
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .clustering import (
     ClusterSet,
     ReductionConstraint,
     RepresentativeMap,
+    SimilarityGraph,
     XRound,
     check_tau,
     draw_picks,
@@ -43,7 +44,6 @@ from .mutants import MutantSet
 from .spectra import (
     TRANSFORM_DFT,
     SampleSet,
-    SimilarityGraph,
     build_similarity_graph,
     mutant_spectra,
     stratified_sample,
@@ -54,7 +54,7 @@ from .testing import (
     mutation_score,
     vanilla_test,
 )
-from .util import check_seed, derived_seed, phase_timer
+from .util import check_seed, derived_seed, is_integer, phase_timer
 
 
 @dataclass(frozen=True)
@@ -204,8 +204,7 @@ class SweepSpec:
     repeats: int = 5
 
     def __post_init__(self):
-        if not all(isinstance(v, Integral) and not isinstance(v, bool)
-                   for v in (*self.x_grid, self.repeats)):
+        if not all(map(is_integer, (*self.x_grid, self.repeats))):
             raise ParameterError("x grid values and repeats must be integers")
         if not self.x_grid or not self.tau_grid or self.repeats < 1:
             raise ParameterError("sweep grids must be nonempty and repeats >= 1")

@@ -18,18 +18,17 @@ nodes in id order.  Chunks make one numpy call serve many mutants, where a
 call per mutant on a few sampled points costs mostly call overhead.  The
 graph reads that array one output at a time through views, so neither step
 copies the whole set, and keeps its running maximum over outputs on
-condensed distances (``pdist``: each of the n(n-1)/2 pairs once), expanding
-to the square table only at the end.
+condensed distances (``pdist``: each of the n(n-1)/2 pairs once); the
+graph's weights stay condensed, in that order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from numbers import Integral
-
+from dataclasses import dataclass
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import pdist
 
+from .clustering import SimilarityGraph
 from .dataset import LabeledDataset
 from .errors import (
     DegenerateGraphError,
@@ -45,7 +44,7 @@ from .errors import (
 from .model import batch_outputs  # noqa: F401
 from .model import TILE_BYTES, class_softmax, forward_blocks
 from .mutants import MutantSet
-from .util import philox_rng, readonly, sha256_bytes
+from .util import is_integer, philox_rng, readonly, sha256_bytes
 
 TRANSFORM_DFT = "dft-magnitude"
 TRANSFORM_RAW = "raw-output"
@@ -86,7 +85,7 @@ def stratified_sample(dataset: LabeledDataset, per_class: int, seed: int) -> Sam
     sort them.  Classes smaller than ``per_class`` are taken whole and
     recorded in ``truncated_classes``.
     """
-    if isinstance(per_class, bool) or not isinstance(per_class, Integral) or per_class < 1:
+    if not is_integer(per_class) or per_class < 1:
         raise ParameterError("per-class sampling rate must be an integer of at least 1")
     rng = philox_rng(seed)
     chosen = []
@@ -199,45 +198,12 @@ def mutant_similarity(a: int, b: int, spectra: SpectraSet) -> float:
     return float(np.exp(-mutant_distance(a, b, spectra)))
 
 
-@dataclass(frozen=True)
-class SimilarityGraph:
-    """Complete weighted undirected simple graph over usable mutant ids.
-
-    ``weights[i, j]`` is the edge between ``ids[i]`` and ``ids[j]``; it lies
-    in [0, 1] (exp(-distance) may underflow to 0).  The diagonal is a 1.0
-    placeholder, not a self-edge.  The table must be square, sized to
-    ``ids``, finite, exactly symmetric and inside [0, 1], with ascending ids;
-    anything else raises ValidationError.  The graph is frozen, so the merge
-    sequence that clustering caches on it always belongs to its weights.
-    """
-
-    ids: tuple[int, ...]
-    weights: np.ndarray  # (n, n) symmetric, diagonal 1.0
-    _trajectory: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if any(a >= b for a, b in zip(self.ids, self.ids[1:])):
-            raise ValidationError("graph ids must be strictly increasing")
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (len(self.ids),) * 2:
-            raise ValidationError(f"weight table {w.shape} does not fit {len(self.ids)} ids")
-        # NaN fails both bounds, so this also rejects non-finite weights
-        if not (((w >= 0) & (w <= 1)).all() and np.array_equal(w, w.T)):
-            raise ValidationError("weights must be finite, symmetric and in [0, 1]")
-        object.__setattr__(self, "weights", readonly(w))
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.ids)
-
-
 def build_similarity_graph(spectra: SpectraSet) -> SimilarityGraph:
     """Pairwise similarities over every mutant with spectra, in ``spectra.ids`` order.
 
-    Quarantined mutants have no rows, so they are not nodes.  Distances are
-    condensed (each pair once, in a fixed reduction order) and the maximum
-    over outputs is taken on them; the table mirrors them, so the result is
-    exactly symmetric and scheduling-independent.
+    Quarantined mutants have no rows, so they are not nodes.  The maximum
+    over outputs is taken on condensed distances (each pair once, in a fixed
+    reduction order), so the condensed weights are scheduling-independent.
     """
     n, q = spectra.values.shape[:2]
     if n < 2:
@@ -245,6 +211,4 @@ def build_similarity_graph(spectra: SpectraSet) -> SimilarityGraph:
     delta = pdist(spectra.values[:, 0])  # (n, |S|) view: one output at a time
     for output in range(1, q):
         np.maximum(delta, pdist(spectra.values[:, output]), out=delta)
-    weights = squareform(np.exp(-delta))
-    np.fill_diagonal(weights, 1.0)
-    return SimilarityGraph(spectra.ids, weights)
+    return SimilarityGraph(spectra.ids, np.exp(-delta))

@@ -11,9 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import LabeledDataset
+from .errors import ValidationError
 from .model import RELU, SOFTMAX, DenseLayer, FcnnClassifier
 from .mutants import MutantSet, MutatorKind, _manifest_entry, _target_space, rebuild_mutant
-from .util import philox_rng
+from .util import is_integer, philox_rng
 
 # log-uniform sigma ranges of diverse_mutant_set's weak and strong gaussian fuzzing
 WEAK_SIGMA = (1e-4, 0.01)
@@ -85,6 +86,8 @@ def diverse_mutant_set(model: FcnnClassifier, count: int, seed: int) -> MutantSe
     at any sample size while avoiding the ambiguous middle band where mutants
     look identical on a small sample but differ on the full dataset.
     """
+    if not is_integer(count) or count < 1:  # a mutant set needs a mutant
+        raise ValidationError(f"count must be an integer of at least 1, got {count!r}")
     rng = philox_rng(seed)
     strong = (
         MutatorKind.WEIGHT_SHUFFLE,

@@ -110,6 +110,15 @@ def killing_labels(
     return {int(label) for label in np.unique(dataset.labels[kills])}
 
 
+def check_labels(original: FcnnClassifier, dataset: LabeledDataset) -> None:
+    """ValidationError when a label is one the original cannot predict: such a
+    label can never kill a mutant, yet it would count in the score's |L|."""
+    top = int(dataset.labels.max())
+    if top >= original.num_outputs:
+        raise ValidationError(f"dataset labels need {top + 1} classes, "
+                              f"but the model has {original.num_outputs} outputs")
+
+
 def mutation_score(table: VerdictTable) -> float:
     """sum of killingLabels sizes over (scored mutants * label-set size).
 
@@ -133,6 +142,7 @@ def vanilla_test(
     This is the one tester: the subset baselines and the accelerated run
     call it on the mutants or points they select.
     """
+    check_labels(original, dataset)
     phases: dict[str, float] = {}
     with phase_timer(phases, "testing"):
         records = sorted(mutants.mutants, key=lambda m: m.mutant_id)

@@ -8,17 +8,23 @@ import os
 import stat
 import time
 from contextlib import contextmanager, suppress
+from numbers import Integral
 
 import numpy as np
 
 from .errors import FormatError, ParameterError
 
 
+def is_integer(value) -> bool:
+    """True for a non-bool ``Integral``: a Python or numpy integer, not True or 2.5."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def check_seed(seed) -> int:
     """``seed`` as a Python int; anything but a non-negative integer raises
     ParameterError (numpy would raise a bare error, or draw from OS entropy
     for ``None``)."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
     return int(seed)
 

@@ -631,3 +631,61 @@ def test_negative_seed_in_a_config_file_is_exit_2(workdir, tmp_path, capsys):
     # the library entry point refuses one too, instead of numpy's ValueError
     with pytest.raises(ParameterError, match="generation seed must be non-negative, got -2"):
         generate_mutant_set(load_model(model_path), 5, seed=-2)
+
+
+def test_unpredictable_labels_are_exit_2_before_any_forward_pass(workdir, tmp_path, capsys):
+    # the workdir model has 4 outputs; labels 4 and 5 could never be killed
+    from mutspect.model import count_forward_passes
+
+    root, model_path, _, manifest = workdir
+    wide = tmp_path / "six.fdst"
+    save_dataset(gaussian_blobs(60, 6, 8, seed=3), wide)
+    for command in ("run", "sweep"):
+        out = tmp_path / command
+        with count_forward_passes() as counter:
+            rc = main([command, "--model", str(model_path), "--dataset", str(wide),
+                       "--manifest", str(manifest), "--out", str(out)])
+        assert rc == 2 and counter.count == 0 and not out.exists()
+        assert "labels need 6 classes, but the model has 4 outputs" in capsys.readouterr().err
+
+
+def test_outputs_identical_across_processes_and_hash_seeds(workdir, tmp_path):
+    # each run in a fresh interpreter with its own string-hash seed: the
+    # manifest, reports without timing, verdicts and sweep files match
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import mutspect
+
+    root, model_path, data_path, _ = workdir
+    src = str(Path(mutspect.__file__).resolve().parent.parent)
+    inputs = ["--model", str(model_path), "--dataset", str(data_path)]
+
+    def cli(hash_seed, out, *argv):
+        # relative paths under ``out``, so that the reports echo the same config
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "mutspect.cli", *argv], env=env, cwd=out,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+    outs = []
+    for hash_seed in (1, 2):
+        out = tmp_path / f"hash{hash_seed}"
+        out.mkdir()
+        cli(hash_seed, out, "generate", "--model", str(model_path), "--count", "30",
+            "--seed", "11", "--out", ".")
+        cli(hash_seed, out, "run", *inputs, "--manifest", "manifest.json", "--mode", "spectral",
+            "--repeats", "2", "--out", "run")
+        cli(hash_seed, out, "sweep", *inputs, "--manifest", "manifest.json", "--x-grid", "1,3",
+            "--out", "sweep")
+        outs.append(out)
+    first, second = outs
+    for r in range(2):
+        report = f"run/report_spectral_r{r}.json"
+        assert strip_timing(load_json(first / report)) == strip_timing(load_json(second / report))
+    for name in ("manifest.json", "run/verdicts_spectral_r0.csv", "run/verdicts_spectral_r1.csv",
+                 "sweep/rho.csv", "sweep/sweep_meta.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import squareform
 
 from mutspect.clustering import (
     DEFAULT_REDUCTION,
@@ -11,6 +12,7 @@ from mutspect.clustering import (
     X_GRID,
     ClusterSet,
     ReductionConstraint,
+    SimilarityGraph,
     XRound,
     _merge_trajectory,
     hac_cluster,
@@ -23,15 +25,15 @@ from mutspect.clustering import (
 from mutspect.errors import ParameterError, ValidationError
 from mutspect.pipeline import TAU_SWEEP_GRID, parameter_search
 from mutspect.reports import run_report_payload
-from mutspect.spectra import SimilarityGraph
 from mutspect.util import philox_rng
 
 
 def graph_from_weights(weights, ids=None):
+    """The graph of a square table: its upper triangle, condensed row by row."""
     w = np.asarray(weights, dtype=np.float64)
     n = w.shape[0]
     ids = tuple(range(n)) if ids is None else tuple(ids)
-    return SimilarityGraph(ids, w)
+    return SimilarityGraph(ids, squareform(w, checks=False))
 
 
 def random_weight_table(n, rng):
@@ -311,7 +313,7 @@ class TestReductionRate:
             with pytest.raises(ValidationError):
                 mutant_reduction_rate(n, c)
         with pytest.raises(ValidationError):
-            tau_search(SimilarityGraph((), np.empty((0, 0))), DEFAULT_REDUCTION,
+            tau_search(SimilarityGraph((), np.empty(0)), DEFAULT_REDUCTION,
                        XRound(per_class_rate=1))
 
 
@@ -537,7 +539,7 @@ def loop_cut(graph, tau):
     of tau_cuts: each step joins its right node to its left one until the
     first linkage below tau; clusters in smallest-member order, members
     ascending."""
-    linkage, left, right = _merge_trajectory(graph.weights)
+    linkage, left, right = _merge_trajectory(squareform(graph.weights))
     parent = list(range(graph.n_nodes))
     for link, i, j in zip(linkage.tolist(), left.tolist(), right.tolist()):
         if link < tau:
@@ -627,10 +629,48 @@ class TestCutPassOracle:
         # and ids may not change under it
         graph = graph_from_weights(np.eye(3))
         assert len(hac_cluster(graph, 0.5)) == 3
-        for name, value in (("weights", np.ones((3, 3))), ("ids", (0, 1, 3))):
+        for name, value in (("weights", np.ones(3)), ("ids", (0, 1, 3))):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(graph, name, value)
         assert len(hac_cluster(graph, 0.5)) == 3
+
+    @staticmethod
+    def counted_builds(monkeypatch):
+        import mutspect.clustering as clustering
+
+        built = []
+        real = clustering._merge_trajectory
+
+        def counted(weights):
+            built.append(weights.shape)
+            return real(weights)
+
+        monkeypatch.setattr(clustering, "_merge_trajectory", counted)
+        return built
+
+    def test_one_merge_build_per_graph(self, monkeypatch):
+        # the search, its cut, further cuts and the sweep's cuts all read the
+        # sequence cached on the graph; a second graph builds its own
+        built = self.counted_builds(monkeypatch)
+        rng = np.random.default_rng(3)
+        graphs = [graph_from_weights(random_weight_table(n, rng)) for n in (12, 7)]
+        for graph in graphs:
+            trace = XRound(per_class_rate=1)
+            clusters = tau_search(graph, DEFAULT_REDUCTION, trace)
+            assert trace.iterations > 1 and clusters is not None
+            hac_cluster(graph, 0.3)
+            assert len(list(tau_cuts(graph, TAU_SWEEP_GRID))) == len(TAU_SWEEP_GRID)
+        assert built == [(12, 12), (7, 7)]
+
+    def test_replace_gives_a_graph_without_the_cached_sequence(self, monkeypatch):
+        built = self.counted_builds(monkeypatch)
+        graph = graph_from_weights(random_weight_table(6, np.random.default_rng(4)))
+        singletons = hac_cluster(graph, 0.999).clusters
+        copy = dataclasses.replace(graph)
+        assert "merge_sequence" in vars(graph) and "merge_sequence" not in vars(copy)
+        assert hac_cluster(copy, 0.999).clusters == singletons and len(built) == 2
+        joined = dataclasses.replace(graph, weights=np.ones(15))
+        assert hac_cluster(joined, 0.999).clusters == (tuple(range(6)),) and len(built) == 3
 
     def test_graph_ids_must_ascend(self):
         with pytest.raises(ValidationError, match="increasing"):

@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
-from mutspect.baselines import rms_test
+from mutspect.baselines import bss_select, rms_test
 from mutspect.clustering import ClusterSet, select_representatives
 from mutspect.dataset import LabeledDataset
-from mutspect.errors import ParameterError
+from mutspect.errors import ParameterError, TargetError, ValidationError
 from mutspect.model import count_forward_passes
 from mutspect.mutants import MutatorKind, generate_mutant_set, rebuild_mutant
 from mutspect.pipeline import Seeds, SweepSpec, run_accelerated, run_sweep
 from mutspect.spectra import stratified_sample
-from mutspect.synth import fitted_classifier
+from mutspect.synth import diverse_mutant_set, fitted_classifier
 from mutspect.testing import mutation_score, vanilla_test
-from mutspect.util import derived_seed, philox_rng
+from mutspect.util import derived_seed, is_integer, philox_rng
 
 
 def test_label_gaps_are_respected():
@@ -121,3 +121,31 @@ def test_numpy_integer_seeds_draw_as_python_ints():
     assert philox_rng(np.uint64(7)).integers(1 << 60) == philox_rng(7).integers(1 << 60)
     assert derived_seed(np.int64(3), np.uint64(2**63)) == derived_seed(3, 2**63)
 
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda m, ms, ds: generate_mutant_set(m, 2.5), TargetError),
+    (lambda m, ms, ds: generate_mutant_set(m, True), TargetError),
+    (lambda m, ms, ds: diverse_mutant_set(m, 2.5, 0), ValidationError),
+    (lambda m, ms, ds: diverse_mutant_set(m, True, 0), ValidationError),
+    (lambda m, ms, ds: bss_select(m, ds, True), ParameterError),
+    (lambda m, ms, ds: bss_select(m, ds, 2.5), ParameterError),
+    (lambda m, ms, ds: rms_test(m, ms, ds, fraction=True), ParameterError),
+], ids=["generate-float", "generate-bool", "diverse-float", "diverse-bool", "bss-bool",
+        "bss-float", "rms-bool"])
+def test_counts_and_thresholds_must_be_integers(call, error):
+    # True would count as 1 (one mutant, every point, the whole mutant set)
+    # and 2.5 would reach range() or be rounded up silently
+    world = _seeding_world()
+    with count_forward_passes() as counter, pytest.raises(error, match="got (2.5|True)"):
+        call(*world)
+    assert counter.count == 0
+
+
+def test_numpy_integer_counts_and_thresholds_are_accepted():
+    model, mutants, ds = _seeding_world()
+    assert [is_integer(v) for v in (3, np.int64(3), np.uint8(3), True, 3.0, "3")] == [
+        True, True, True, False, False, False]
+    assert len(generate_mutant_set(model, np.int64(3), seed=1)) == 3
+    assert len(diverse_mutant_set(model, np.int32(3), 0)) == 3
+    assert bss_select(model, ds, np.int64(4)).tolist() == bss_select(model, ds, 4).tolist()

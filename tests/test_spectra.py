@@ -2,8 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, squareform
 
+from mutspect.clustering import SimilarityGraph
 from mutspect.dataset import LabeledDataset
 from mutspect.errors import (
     DegenerateGraphError,
@@ -19,7 +20,6 @@ from mutspect.spectra import (
     TRANSFORM_DFT,
     TRANSFORM_RAW,
     SampleSet,
-    SimilarityGraph,
     SpectraSet,
     build_similarity_graph,
     dft_magnitude,
@@ -277,7 +277,7 @@ class TestSimilarityGraph:
         ms = MutantSet(random_net, [a, b], 0)
         spectra = mutant_spectra(ms, ds, stratified_sample(ds, 1, 0))
         graph = build_similarity_graph(spectra)
-        assert graph.ids == (0, 1) and graph.weights[0, 1] == 1.0
+        assert graph.ids == (0, 1) and graph.weights.tolist() == [1.0]
 
     def test_completeness_and_symmetry(self, random_net):
         ds = blob_dataset(dim=random_net.input_dim)
@@ -285,12 +285,11 @@ class TestSimilarityGraph:
         spectra = mutant_spectra(ms, ds, stratified_sample(ds, 2, 3))
         graph = build_similarity_graph(spectra)
         assert graph.ids == tuple(sorted(ms.ids()))
+        # one weight per pair, condensed: row by row over the upper triangle
         rows, cols = np.triu_indices(graph.n_nodes, k=1)
-        assert len(rows) == 15  # C(6, 2)
-        for i, j in zip(rows, cols):
-            w = graph.weights[i, j]
+        assert len(rows) == len(graph.weights) == 15  # C(6, 2)
+        for i, j, w in zip(rows, cols, graph.weights):
             assert 0 < w <= 1
-            assert graph.weights[j, i] == w
             # brute-force pairwise recomputation
             a, b = graph.ids[i], graph.ids[j]
             assert w == pytest.approx(mutant_similarity(a, b, spectra), abs=1e-12)
@@ -306,16 +305,13 @@ class TestSimilarityGraph:
 
 def reference_weights(values: np.ndarray) -> np.ndarray:
     """Square distance tables per output, their running maximum, and the
-    upper triangle of exp(-distance) mirrored: a test-side graph oracle."""
+    upper triangle of exp(-distance) row by row: a test-side graph oracle."""
     n = len(values)
     delta = np.zeros((n, n))
     for output in range(values.shape[1]):
         feats = values[:, output]
         np.maximum(delta, cdist(feats, feats), out=delta)
-    upper = np.triu(np.exp(-delta), 1)
-    weights = upper + upper.T
-    np.fill_diagonal(weights, 1.0)
-    return weights
+    return np.exp(-delta)[np.triu_indices(n, k=1)]
 
 
 def graph_of(values: np.ndarray) -> SimilarityGraph:
@@ -336,8 +332,9 @@ def random_shapes(count: int, seed: int = 0):
 @pytest.mark.oldest_supported
 class TestGraphOracle:
     """build_similarity_graph keeps its maximum over outputs on condensed
-    distances; its weights must equal square-table ones bit for bit.  CI
-    runs these on the lowest supported scipy as well."""
+    distances; its condensed weights must equal the upper triangle of
+    square-table ones bit for bit, and ``squareform`` must expand them to
+    that table.  CI runs these on the lowest supported scipy as well."""
 
     @pytest.mark.parametrize("shape", [(2, 1, 1), (2, 10, 1600), (200, 1, 1), (200, 10, 1600),
                                        *random_shapes(25)],
@@ -352,9 +349,13 @@ class TestGraphOracle:
         graph = graph_of(values)
         expected = reference_weights(values)
         assert graph.weights.tobytes() == expected.tobytes()
-        assert graph.weights[0, n - 1] == 1.0
+        square = squareform(graph.weights)
+        mirrored = np.zeros((n, n))
+        mirrored[np.triu_indices(n, k=1)] = expected
+        assert square.tobytes() == (mirrored + mirrored.T).tobytes()
+        assert square[0, n - 1] == square[n - 1, 0] == 1.0
         if n > 3:
-            assert graph.weights[2, 1] == 0.0
+            assert square[2, 1] == square[1, 2] == 0.0
 
     def test_non_contiguous_values_view(self):
         rng = np.random.default_rng(5)
@@ -366,39 +367,48 @@ class TestGraphOracle:
         values[7] = values[3]
         graph = graph_of(values)
         assert graph.weights.tobytes() == reference_weights(values).tobytes()
-        assert graph.weights[3, 7] == 1.0
+        assert squareform(graph.weights)[3, 7] == 1.0
 
 
 class TestSimilarityGraphValidation:
-    def make(self, weights, ids=None):
-        w = np.asarray(weights, dtype=np.float64)
-        ids = tuple(range(w.shape[0])) if ids is None else ids
-        return SimilarityGraph(ids, w)
+    """Tables are condensed: one weight per pair of ids."""
+
+    def make(self, weights, ids=(0, 1)):
+        return SimilarityGraph(ids, np.asarray(weights, dtype=np.float64))
 
     def test_nan_weight(self):
         with pytest.raises(ValidationError):
-            self.make([[1.0, np.nan], [np.nan, 1.0]])
+            self.make([np.nan])
 
     def test_infinite_or_out_of_range_weight(self):
         for bad in (np.inf, -np.inf, 1.5, -0.25):
             with pytest.raises(ValidationError):
-                self.make([[1.0, bad], [bad, 1.0]])
+                self.make([bad])
+            with pytest.raises(ValidationError):
+                self.make([0.5, bad, 0.5], ids=(0, 1, 2))
 
     def test_ids_do_not_fit_table(self):
         with pytest.raises(ValidationError):
-            self.make(np.eye(2), ids=(0, 1, 2))
+            self.make([0.5], ids=(0, 1, 2))
 
     def test_non_square_table(self):
         with pytest.raises(ValidationError):
             self.make(np.ones((2, 3)), ids=(0, 1))
 
-    def test_asymmetric_table(self):
-        with pytest.raises(ValidationError):
-            self.make([[1.0, 0.5], [np.nextafter(0.5, 1.0), 1.0]])
+    def test_wrong_length_table(self):
+        # n(n-1)/2 weights for n ids; a square table is not a condensed one
+        for n, length in ((0, 1), (1, 1), (2, 0), (2, 2), (4, 5), (4, 7)):
+            with pytest.raises(ValidationError, match="does not condense"):
+                self.make(np.full(length, 0.5), ids=tuple(range(n)))
+        for n in (1, 2, 4):
+            with pytest.raises(ValidationError, match="does not condense"):
+                self.make(np.eye(n), ids=tuple(range(n)))
+        assert [self.make(np.full(n * (n - 1) // 2, 0.5), tuple(range(n))).n_nodes
+                for n in (0, 1, 2, 4)] == [0, 1, 2, 4]
 
     def test_zero_weight_accepted(self):
         # exp(-distance) underflows to exactly 0 for very distant mutants
-        assert self.make([[1.0, 0.0], [0.0, 1.0]]).weights[0, 1] == 0.0
+        assert self.make([0.0]).weights.tolist() == [0.0]
 
 
 class TestSpectraIO:
@@ -487,11 +497,9 @@ class TestStreamedAssembly:
         spectra = mutant_spectra(ms, ds, stratified_sample(ds, 3, 1))
         graph = build_similarity_graph(spectra)
         assert graph.ids == spectra.ids == (2, 5, 9)
-        for i, a in enumerate(graph.ids):
-            for j, b in enumerate(graph.ids):
-                if a != b:
-                    assert graph.weights[i, j] == pytest.approx(
-                        mutant_similarity(a, b, spectra), rel=1e-12, abs=0)
+        for i, j, w in zip(*np.triu_indices(3, k=1), graph.weights):
+            assert w == pytest.approx(
+                mutant_similarity(graph.ids[i], graph.ids[j], spectra), rel=1e-12, abs=0)
 
     def test_peak_memory_is_one_values_array(self, random_net):
         import tracemalloc

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 import mutspect.model as mm
+from mutspect.baselines import bss_test, rms_test, rss_test
 from mutspect.clustering import ClusterSet, select_representatives
 from mutspect.dataset import LabeledDataset
 from mutspect.errors import UndefinedScoreError, ValidationError
 from mutspect.model import count_forward_passes, predictions_with_flags
 from mutspect.mutants import MutantSet, gaussian_fuzz, generate_mutant_set
+from mutspect.pipeline import run_accelerated, run_vanilla
 from mutspect.testing import (
     PROPAGATED,
     TESTED,
@@ -16,6 +18,7 @@ from mutspect.testing import (
     TimingRecord,
     VerdictTable,
     accelerated_test,
+    check_labels,
     killing_labels,
     mutation_score,
     vanilla_test,
@@ -30,6 +33,39 @@ def blob_world():
     ds = gaussian_blobs(60, 3, 6, seed=5, spread=0.25)
     model = fitted_classifier(ds, hidden=(8,), seed=3, margin=5.0, bias_shift=2.0)
     return ds, model
+
+
+class TestUnpredictableLabels:
+    """A label at or above the original's output count can never kill a
+    mutant, yet it would count in the score's |L|: every tester refuses it."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        narrow = gaussian_blobs(50, 5, 4, seed=1)
+        model = fitted_classifier(narrow, hidden=(6,), seed=0)
+        return model, generate_mutant_set(model, 6, seed=0), gaussian_blobs(70, 7, 4, seed=1)
+
+    @pytest.mark.parametrize("run", [
+        lambda m, ms, ds: vanilla_test(m, ms, ds),
+        lambda m, ms, ds: run_vanilla(m, ms, ds),
+        lambda m, ms, ds: run_accelerated(m, ms, ds),
+        lambda m, ms, ds: accelerated_test(
+            m, ms, ds, select_representatives(ClusterSet(((0, 1, 2, 3, 4, 5),), 0.5), 0)),
+        lambda m, ms, ds: bss_test(m, ms, ds),
+        lambda m, ms, ds: rms_test(m, ms, ds),
+        lambda m, ms, ds: rss_test(m, ms, ds, 3),
+    ], ids=["vanilla-test", "run-vanilla", "run-accelerated", "accelerated-test", "bss", "rms",
+            "rss"])
+    def test_labels_beyond_the_outputs_raise(self, world, run):
+        with pytest.raises(ValidationError, match="labels need 7 classes, but the model has 5"):
+            run(*world)
+
+    def test_a_wide_class_count_with_predictable_labels_is_accepted(self, world):
+        model, mutants, _ = world
+        narrow = gaussian_blobs(50, 5, 4, seed=2)
+        wide = LabeledDataset(narrow.features, narrow.labels, 9)
+        check_labels(model, wide)
+        assert vanilla_test(model, mutants, wide).labels == (0, 1, 2, 3, 4)
 
 
 class TestKillingLabels:
@@ -249,9 +285,15 @@ class TestWalkOracle:
         original, records = world
         n = 2 * mm._block_rows(64) + 1
         points = np.random.default_rng(3).normal(size=(n, original.input_dim))
+        mutants = MutantSet(original, records, 0)
         dataset = labelled(original, points, class_count=2**32 - 1)
-        table = vanilla_test(original, MutantSet(original, records, 0), dataset)
-        assert table.labels == (0, 1, 2, 3, 4, 2**32 - 2)
+        with pytest.raises(ValidationError, match=f"need {2**32 - 1} classes, but the model has 5"):
+            vanilla_test(original, mutants, dataset)
+        # a class count of 2**32 - 1 with label 3 absent: columns for 0, 1, 2 and 4 only
+        labels = np.where(dataset.labels >= 3, 4, dataset.labels)
+        dataset = LabeledDataset(dataset.features, labels, 2**32 - 1)
+        table = vanilla_test(original, mutants, dataset)
+        assert table.labels == (0, 1, 2, 4)
         assert table.verdicts == reference_verdicts(original, records, dataset)
 
 
