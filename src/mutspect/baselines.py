@@ -25,7 +25,7 @@ from .errors import ParameterError, ValidationError
 from .model import FcnnClassifier, batch_outputs
 from .mutants import MutantSet
 from .spectra import stratified_sample
-from .testing import UNTESTED, MutantVerdict, VerdictTable, vanilla_test
+from .testing import UNTESTED, MutantVerdict, VerdictTable, check_labels, vanilla_test
 from .util import is_integer, phase_timer, philox_rng
 
 
@@ -96,6 +96,7 @@ def bss_test(
     threshold: int = 10,
 ) -> VerdictTable:
     """All mutants tested, but only on the boundary subset of the dataset."""
+    check_labels(original, dataset)
     return _test_on_subset(original, mutants, dataset, "bss",
                            lambda: bss_select(original, dataset, threshold))
 

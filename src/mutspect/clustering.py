@@ -9,9 +9,9 @@ sequence does not depend on ``tau``; the threshold only picks the stopping
 point.  The sequence is therefore a cached property of the graph, and a
 clustering at any ``tau`` is a prefix cut of it (``tau_cuts``).
 
-The build keeps the cross-weight sums between clusters and the linkage
-table, and picks each step's pair with one flat argmax over that table:
-O(n^2) per step, O(n^3) in total, and a few n x n float64 tables of memory.
+The build expands the condensed weights once, into the cross-weight sums
+between clusters, and picks each step's pair with one flat argmax over the
+linkage table: O(n^2) per step, O(n^3) in total, two n x n float64 tables.
 Up to about 350-400 nodes this is faster than caching each row's maximum.
 Linkage is the sum divided by the size product, which is exact whenever the
 sums are (e.g. dyadic weights), so equal linkages stay equal.  Ties go to
@@ -83,20 +83,21 @@ class RepresentativeMap:
 def _merge_trajectory(weights: np.ndarray):
     """Greedy average-linkage merge sequence: step linkages, survivors i, absorbed j > i.
 
-    A cluster lives at its smallest member's position.  ``sums`` holds the
-    cross-weight sums between clusters; ``link`` holds sum / (size product)
-    over the upper triangle, -inf elsewhere and for absorbed clusters.  Each
-    step takes the first argmax of the whole table, the first maximum in C
-    order: the lowest (smallest member, other smallest member) pair among
-    the greatest linkages, which is the documented tie rule.  A live link of
-    0.0 still beats the -inf cells.
+    A cluster lives at its smallest member's position.  ``sums``, the condensed
+    ``weights`` expanded by squareform into a new table, holds the cross-weight
+    sums between clusters; ``link`` holds sum / (size product) over the upper
+    triangle, -inf elsewhere and for absorbed clusters, so no live link reads
+    the diagonal.  Each step takes the first argmax of the whole table, the
+    first maximum in C order: the lowest (smallest member, other smallest
+    member) pair among the greatest linkages, which is the documented tie
+    rule.  A live link of 0.0 still beats the -inf cells.
     """
-    n = weights.shape[0]
+    sums = squareform(weights)
+    n = sums.shape[0]
     linkage, left, right = np.empty(max(n - 1, 0)), *np.empty((2, max(n - 1, 0)), dtype=np.intp)
-    sums = np.array(weights, dtype=np.float64)
     sizes = np.ones(n)
     gone = np.zeros(n)  # 0.0 for live clusters, -inf once absorbed
-    link = np.where(np.triu(np.ones((n, n), dtype=bool), 1), sums, -np.inf)
+    link = np.where(np.tri(n, dtype=bool), -np.inf, sums)
     for s in range(n - 1):
         i, j = divmod(int(link.argmax()), n)
         linkage[s], left[s], right[s] = link[i, j], i, j
@@ -143,9 +144,9 @@ class SimilarityGraph:
     @cached_property
     def merge_sequence(self):
         """``(floor, left, right)``: the negated running minimum of the step linkages and the
-        merged positions (no live linkage reads squareform's zero diagonal); a cut at tau keeps
-        the steps before the first linkage below it, ``searchsorted(floor, -tau, side="right")``."""
-        linkage, left, right = _merge_trajectory(squareform(self.weights))
+        merged positions; a cut at tau keeps the steps before the first linkage below it,
+        ``searchsorted(floor, -tau, side="right")``."""
+        linkage, left, right = _merge_trajectory(self.weights)
         return -np.minimum.accumulate(linkage), left, right
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import rankdata
 
+from .clustering import mutant_reduction_rate
 from .errors import ValidationError
 from .testing import VerdictTable, mutation_score
 
@@ -57,7 +58,7 @@ def measures(accel: VerdictTable, vanilla: VerdictTable) -> MeasureReport:
         score_accel=ms_0,
         score_error=score_error(ms_v, ms_0),
         speed_up=speed_up(t_v, t_0),
-        mutant_reduction=(n_mutants - accel.timing.tested_count) / n_mutants,
+        mutant_reduction=mutant_reduction_rate(n_mutants, accel.timing.tested_count),
         tested_vanilla=vanilla.timing.tested_count,
         tested_accel=accel.timing.tested_count,
         seconds_vanilla=t_v,

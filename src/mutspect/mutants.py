@@ -231,28 +231,17 @@ def neuron_switch(
 
 
 def _target_space(model: FcnnClassifier, kind: MutatorKind) -> list[tuple]:
-    """Enumerated valid targets, in documented order (layer asc, neuron asc)."""
-    hidden = range(len(model.layers) - 1)
-    if kind in (MutatorKind.GAUSSIAN_FUZZING, MutatorKind.WEIGHT_SHUFFLE):
-        return [
-            (layer, neuron)
-            for layer in range(len(model.layers))
-            for neuron in range(model.layers[layer].out_dim)
-        ]
-    if kind in (MutatorKind.NEURON_EFFECT_BLOCK, MutatorKind.NEURON_ACTIVATION_INVERSE):
-        return [
-            (layer, neuron)
-            for layer in hidden
-            for neuron in range(model.layers[layer].out_dim)
-        ]
+    """Enumerated valid targets, in documented order (layer asc, neuron asc).
+
+    GF and WS rewrite a neuron's incoming weights, so they may target any
+    layer; NEB, NAI and NS need a hidden layer."""
+    any_layer = kind in (MutatorKind.GAUSSIAN_FUZZING, MutatorKind.WEIGHT_SHUFFLE)
+    layers = model.layers if any_layer else model.layers[:-1]
+    widths = list(enumerate(layer.out_dim for layer in layers))
     if kind is MutatorKind.NEURON_SWITCH:
-        return [
-            (layer, i, j)
-            for layer in hidden
-            for i in range(model.layers[layer].out_dim)
-            for j in range(i + 1, model.layers[layer].out_dim)
-        ]
-    raise TargetError(f"unknown mutator kind {kind}")
+        return [(layer, i, j) for layer, width in widths
+                for i in range(width) for j in range(i + 1, width)]
+    return [(layer, neuron) for layer, width in widths for neuron in range(width)]
 
 
 def generate_mutant_set(

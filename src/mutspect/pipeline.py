@@ -51,6 +51,7 @@ from .spectra import (
 from .testing import (
     VerdictTable,
     accelerated_test,
+    check_labels,
     mutation_score,
     vanilla_test,
 )
@@ -159,6 +160,7 @@ def run_accelerated(
     The phase times (sampling, spectra, graph, clustering) are folded into
     the table's timing beside the tester's, so its total covers the run.
     """
+    check_labels(original, dataset)
     mode = "spectral" if transform == TRANSFORM_DFT else "raw"
     phases: dict[str, float] = {}
     build = partial(_graph_at, mutants, dataset, transform, seeds.sampling, phases)
@@ -252,16 +254,18 @@ def run_sweep(
     ``select_representatives``' draw; the killed count is their vanilla
     counts dotted with the sizes.  Per-cell seconds cover that (the first,
     the merge build too).  A given ``vanilla`` table must hold a tested
-    count for every mutant and for no other.  Reduction rate against tau is
-    rank-correlated per (x, repeat) and pooled per x.
+    count for every mutant and for no other, over the dataset's label set.
+    Reduction rate against tau is rank-correlated per (x, repeat), pooled per x.
     """
+    check_labels(original, dataset)
     vanilla = vanilla or vanilla_test(original, mutants, dataset)
     counts = vanilla.counts()
     if set(counts) != set(mutants.ids()):
         raise ValidationError("the vanilla table must hold a tested verdict for each mutant")
+    if vanilla.labels != tuple(dataset.labels_present().tolist()):
+        raise ValidationError("the vanilla table must be over the dataset's label set")
     ms_vanilla = mutation_score(vanilla)
     n_total = len(mutants)
-    labels = vanilla.labels
     cells: list[SweepCell] = []
 
     for repeat in range(spec.repeats):
@@ -275,7 +279,7 @@ def run_sweep(
             for k, (tau, (order, sizes)) in enumerate(cuts):
                 picks = draw_picks(sizes, derived_seed(seeds.representative, repeat, x, k))
                 killed = q_total + int(held[order[np.cumsum(sizes) - sizes + picks]] @ sizes)
-                err = score_error(ms_vanilla, killed / (n_total * len(labels)))
+                err = score_error(ms_vanilla, killed / (n_total * len(vanilla.labels)))
                 rate, now = mutant_reduction_rate(n, len(sizes)), time.perf_counter()
                 cells.append(SweepCell(x, tau, repeat, rate, len(sizes), err, now - start))
                 start = now

@@ -11,7 +11,7 @@ import csv
 import math
 from dataclasses import asdict, astuple, fields
 
-from .clustering import NOT_SATISFIABLE_MESSAGE
+from .clustering import NOT_SATISFIABLE_MESSAGE, mutant_reduction_rate
 from .errors import FormatError, ReportMismatchError, ValidationError
 from .metrics import score_error, speed_up
 from .mutants import MutantSet
@@ -184,7 +184,7 @@ def compare_rows(vanilla: dict, accelerated: list[dict]) -> list[dict]:
         losses, reductions, speedups = [], [], []
         for report in by_technique[technique]:
             losses.append(score_error(ms_v, report["mutation_score"]))
-            reductions.append((n - report["tested_count"]) / n)
+            reductions.append(mutant_reduction_rate(n, report["tested_count"]))
             speedups.append(speed_up(t_v, report["timing"]["total_seconds"]))
         row = {"technique": technique, "runs": len(by_technique[technique])}
         for name, values in (

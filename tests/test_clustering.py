@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from mutspect.clustering import (
 from mutspect.errors import ParameterError, ValidationError
 from mutspect.pipeline import TAU_SWEEP_GRID, parameter_search
 from mutspect.reports import run_report_payload
+from mutspect.synth import fitted_classifier, gaussian_blobs
 from mutspect.util import philox_rng
 
 
@@ -117,9 +119,23 @@ def assert_matches_oracle(w, taus):
 
 
 # the merge build rests on ndarray.argmax returning the first maximum of a
-# table holding -inf, a property of the installed numpy
+# table holding -inf, a property of the installed numpy, and writes into the
+# new table scipy's squareform expands the condensed graph into
 @pytest.mark.oldest_supported
 class TestHacCluster:
+    def test_merge_build_holds_two_square_tables(self):
+        # the expanded sums and the linkage table, plus a boolean mask; a
+        # copy of an expanded graph would make three float64 tables
+        n = 300
+        graph = graph_from_weights(random_weight_table(n, np.random.default_rng(5)))
+        tracemalloc.start()
+        try:
+            graph.merge_sequence
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * n * 8
+
     def test_tau_above_all_weights_gives_singletons(self):
         rng = np.random.default_rng(0)
         w = random_weight_table(6, rng) * 0.5
@@ -247,7 +263,8 @@ class TestHacCluster:
             n = int(rng.integers(3, 10))
             tables.append(symmetric(rng.choice(levels[k % 3], (n, n))))
         for w in tables:
-            got = list(zip(*(column.tolist() for column in _merge_trajectory(w))))
+            steps = _merge_trajectory(squareform(w, checks=False))
+            got = list(zip(*(column.tolist() for column in steps)))
             assert got == rescan_trajectory(w)
 
     @pytest.mark.parametrize("n", [50, 100, 200])
@@ -264,7 +281,8 @@ class TestHacCluster:
             srcs = rng.choice(n, n // 5, replace=False)
             dups = rng.choice(np.setdiff1d(np.arange(n), srcs), n // 5, replace=False)
             w = with_duplicates(w, [(int(a), int(b)) for a, b in zip(srcs, dups)])
-        got = list(zip(*(column.tolist() for column in _merge_trajectory(w))))
+        steps = _merge_trajectory(squareform(w, checks=False))
+        got = list(zip(*(column.tolist() for column in steps)))
         assert got == rescan_trajectory(w)
 
     def test_nan_weight_rejected_before_clustering(self):
@@ -468,10 +486,13 @@ class TestParameterSearch:
         constraint = ReductionConstraint(0.5, 0.6)
         rounds, _, clusters = parameter_search(self.build_for(w), constraint, X_GRID, {})
         assert clusters is None and len(rounds) == 11
-        # the run reports the exhausted search as a value with the goal message
+        # the run reports the exhausted search as a value with the goal message;
+        # the faked graphs never read the mutants
         build = self.build_for(w)
         monkeypatch.setattr(pipeline, "_graph_at", lambda *args: build(args[-1]))
-        res = pipeline.run_accelerated(None, None, None, constraint=constraint)
+        dataset = gaussian_blobs(20, 2, 3, seed=0)
+        original = fitted_classifier(dataset, hidden=(4,), seed=0)
+        res = pipeline.run_accelerated(original, None, dataset, constraint=constraint)
         assert not res.found and res.table is None
         assert run_report_payload(res, {}, {})["message"] == NOT_SATISFIABLE_MESSAGE
         assert len(res.search_rounds) == 11
@@ -539,7 +560,7 @@ def loop_cut(graph, tau):
     of tau_cuts: each step joins its right node to its left one until the
     first linkage below tau; clusters in smallest-member order, members
     ascending."""
-    linkage, left, right = _merge_trajectory(squareform(graph.weights))
+    linkage, left, right = _merge_trajectory(graph.weights)
     parent = list(range(graph.n_nodes))
     for link, i, j in zip(linkage.tolist(), left.tolist(), right.tolist()):
         if link < tau:
@@ -606,7 +627,7 @@ class TestCutPassOracle:
         rng = np.random.default_rng(19)
         for k in range(20):
             w = random_weight_table(int(rng.integers(2, 30)), rng)
-            linkage = _merge_trajectory(w)[0]
+            linkage = _merge_trajectory(squareform(w, checks=False))[0]
             taus = [float(t) for t in np.unique(linkage) if 0 < t < 1]
             taus += [float(np.nextafter(t, side)) for side in (0, 1) for t in taus]
             self.assert_cuts_match(graph_from_weights(w), taus, seed=k)
@@ -616,7 +637,7 @@ class TestCutPassOracle:
         # 2 and 3; the last step's mean of 0.1s rounds above the step before
         w = symmetric(np.array([[1, 0.7, 0.1, 0.1], [0, 1, 0.1, 0.1],
                                 [0, 0, 1, 0.1], [0, 0, 0, 1]]))
-        linkage = _merge_trajectory(w)[0]
+        linkage = _merge_trajectory(squareform(w, checks=False))[0]
         assert linkage.tolist() == [0.7, 0.1, 0.10000000000000002]
         taus = [0.1, 0.10000000000000002, float(np.nextafter(0.1, 0)), 0.7, 0.5]
         self.assert_cuts_match(graph_from_weights(w), taus)
@@ -660,7 +681,7 @@ class TestCutPassOracle:
             assert trace.iterations > 1 and clusters is not None
             hac_cluster(graph, 0.3)
             assert len(list(tau_cuts(graph, TAU_SWEEP_GRID))) == len(TAU_SWEEP_GRID)
-        assert built == [(12, 12), (7, 7)]
+        assert built == [(66,), (21,)]
 
     def test_replace_gives_a_graph_without_the_cached_sequence(self, monkeypatch):
         built = self.counted_builds(monkeypatch)

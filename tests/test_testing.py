@@ -10,7 +10,7 @@ from mutspect.dataset import LabeledDataset
 from mutspect.errors import UndefinedScoreError, ValidationError
 from mutspect.model import count_forward_passes, predictions_with_flags
 from mutspect.mutants import MutantSet, gaussian_fuzz, generate_mutant_set
-from mutspect.pipeline import run_accelerated, run_vanilla
+from mutspect.pipeline import SweepSpec, run_accelerated, run_sweep, run_vanilla
 from mutspect.testing import (
     PROPAGATED,
     TESTED,
@@ -27,6 +27,14 @@ from mutspect.synth import fitted_classifier, gaussian_blobs
 
 from conftest import WALK_SIZES, reference_predictions, walk_world
 
+SMALL_SWEEP = SweepSpec(x_grid=(1,), tau_grid=(0.5,), repeats=1)
+
+
+def killless_table(mutants, labels):
+    """A vanilla table that killed nothing, over the given label set."""
+    verdicts = {m: MutantVerdict(m, 0, False, TESTED) for m in mutants.ids()}
+    return VerdictTable(verdicts, TimingRecord(), "vanilla", labels)
+
 
 @pytest.fixture(scope="module")
 def blob_world():
@@ -37,7 +45,8 @@ def blob_world():
 
 class TestUnpredictableLabels:
     """A label at or above the original's output count can never kill a
-    mutant, yet it would count in the score's |L|: every tester refuses it."""
+    mutant, yet it would count in the score's |L|: every tester refuses it
+    before its first forward pass."""
 
     @pytest.fixture(scope="class")
     def world(self):
@@ -54,11 +63,25 @@ class TestUnpredictableLabels:
         lambda m, ms, ds: bss_test(m, ms, ds),
         lambda m, ms, ds: rms_test(m, ms, ds),
         lambda m, ms, ds: rss_test(m, ms, ds, 3),
+        lambda m, ms, ds: run_sweep(m, ms, ds, SMALL_SWEEP),
+        lambda m, ms, ds: run_sweep(m, ms, ds, SMALL_SWEEP,
+                                    vanilla=killless_table(ms, (0, 1, 2, 3, 4))),
     ], ids=["vanilla-test", "run-vanilla", "run-accelerated", "accelerated-test", "bss", "rms",
-            "rss"])
+            "rss", "sweep", "sweep-given-vanilla"])
     def test_labels_beyond_the_outputs_raise(self, world, run):
-        with pytest.raises(ValidationError, match="labels need 7 classes, but the model has 5"):
-            run(*world)
+        with count_forward_passes() as counter:
+            with pytest.raises(ValidationError, match="labels need 7 classes, but the model has 5"):
+                run(*world)
+        assert counter.count == 0
+
+    def test_sweep_refuses_a_vanilla_table_over_another_label_set(self, world):
+        model, mutants, _ = world
+        narrow = gaussian_blobs(50, 5, 4, seed=2)
+        with count_forward_passes() as counter:
+            with pytest.raises(ValidationError, match="label set"):
+                run_sweep(model, mutants, narrow, SMALL_SWEEP,
+                          vanilla=killless_table(mutants, (0, 1, 2, 3)))
+        assert counter.count == 0
 
     def test_a_wide_class_count_with_predictable_labels_is_accepted(self, world):
         model, mutants, _ = world
