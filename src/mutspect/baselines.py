@@ -109,6 +109,7 @@ def rss_test(
     seed: int = 0,
 ) -> VerdictTable:
     """All mutants tested on a stratified sample of the dataset."""
+    check_labels(original, dataset)
     return _test_on_subset(original, mutants, dataset, "rss",
                            lambda: stratified_sample(dataset, per_class, seed).indices)
 

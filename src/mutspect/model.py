@@ -3,16 +3,18 @@
 A model is a stack of fully-connected layers, ReLU activations on every
 hidden layer and softmax on the last one.  All parameters are float64 and
 arrays are frozen after construction, so every forward pass is a pure
-function of (model, input).  There is one forward engine, forward_blocks: it
-splits the points into row blocks sized so that the original's widest
-activation fits BLOCK_BYTES, runs the original once per block as far as
-some model needs it, keeping its activation only at the depths where a model
-first differs from it, and resumes each model there.  A model equal to the
-original (the original itself included) resumes after the last layer and
-costs nothing more.  Each layer allocates one array (the product with the
-weights) and applies the bias and ReLU to it in place.  The engine stops at
-the output layer's logits and never raises on overflow: rows may carry
-NaN/Inf, and each caller decides what a non-finite row means.
+function of (model, input).  Layers are equal when their digests are (the
+sha256 of their activation, shape and raw parameter bytes, cached on the
+layer), and models when all their layers are.  There is one forward engine,
+forward_blocks: it splits the points into row blocks sized so that the
+original's widest activation fits BLOCK_BYTES, runs the original once per
+block as far as some model needs it, keeping its activation only at the
+depths where a model first differs from it, and resumes each model there.  A
+model equal to the original (the original itself included) resumes after the
+last layer and costs nothing more.  Each layer allocates one array (the
+product with the weights) and applies the bias and ReLU to it in place.  The
+engine stops at the output layer's logits and never raises on overflow: rows
+may carry NaN/Inf, and each caller decides what a non-finite row means.
 
 Models sharing their resume depth, that layer's shape and activation, and
 every later layer object run in tiles whose activations fit TILE_BYTES: one
@@ -37,6 +39,8 @@ entries (a row holding one is wholly NaN).
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import struct
 import threading
 from contextlib import contextmanager
@@ -88,6 +92,15 @@ class DenseLayer:
     @property
     def in_dim(self) -> int:
         return self.weights.shape[1]
+
+    @functools.cached_property
+    def digest(self) -> bytes:
+        """sha256 of the activation, the shape and the raw weight and bias
+        bytes (so -0.0 differs from 0.0): equal digests stand for equal layers."""
+        h = hashlib.sha256(f"{self.activation} {self.out_dim} {self.in_dim}".encode())
+        h.update(self.weights)
+        h.update(self.biases)
+        return h.digest()
 
 
 @dataclass(frozen=True)
@@ -234,20 +247,13 @@ def _resume(layers, a: np.ndarray) -> np.ndarray:
 def _first_change(original: FcnnClassifier, model: FcnnClassifier) -> int:
     """Depth of the first layer of ``model`` that differs from the original's.
 
-    A layer differs in its activation, its shape or the bytes of its weights
-    or biases (so -0.0 differs from 0.0); a layer object shared by identity
-    is equal.  Models with different layer counts differ within the shorter
-    stack, where one has its softmax layer and the other a ReLU layer.
+    A layer differs when its digest does (see DenseLayer.digest); a layer
+    object shared by identity is equal.  Models with different layer counts
+    differ within the shorter stack, where one has its softmax layer and the
+    other a ReLU layer.
     """
     for depth, (mine, theirs) in enumerate(zip(original.layers, model.layers)):
-        if theirs is mine:
-            continue
-        if (
-            theirs.activation != mine.activation
-            or theirs.weights.shape != mine.weights.shape
-            or theirs.weights.tobytes() != mine.weights.tobytes()
-            or theirs.biases.tobytes() != mine.biases.tobytes()
-        ):
+        if theirs is not mine and theirs.digest != mine.digest:
             return depth
     return len(original.layers)
 

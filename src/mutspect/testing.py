@@ -1,6 +1,6 @@
 """Kill analysis, vanilla and representative-propagated mutation testing.
 
-Two kill semantics coexist and are computed in one pass per mutant:
+Two kill semantics coexist and are computed in one pass per model:
 
 * label-kill counts: |killingLabels(mutant)| where a point kills a mutant iff
   the original predicts the point's label correctly and the mutant does not.
@@ -13,17 +13,20 @@ Mutants whose outputs go non-finite on a point are treated as mispredicting
 that point (an exploded mutant is maximally different) and the event is
 logged.
 
-vanilla_test walks the test set in row blocks (model.forward_blocks) with the
-original as the first model: the original runs once per block, and each
+vanilla_test walks the test set in row blocks (model.forward_blocks) with
+the original as the first model and each distinct mutant model after it,
+once: models are equal when their layers' digests are
+(model.DenseLayer.digest), and a mutant equal to the original or to a lower
+id reads that model's verdict.  The original runs once per block, and each
 mutant resumes from the original's cached activation at its first changed
 layer.  The walk yields one flat stream of tiles of logits, a block's tiles
 together and the first starting with the original, so the original's
 predictions on a block come before any mutant's.  model.predicted_classes
 reads the softmax argmax off the logits without computing the softmax (rows
-with a near-tie within model.NEAR_TIE of their maximum excepted).  Per mutant it
-accumulates the killed labels, whether any prediction differs from the
-original's, and the count of non-finite rows; verdicts and warnings follow
-in id order.
+with a near-tie within model.NEAR_TIE of their maximum excepted).  Per model
+it accumulates the killed labels, whether any prediction differs from the
+original's, and the count of non-finite rows; every mutant's verdict and
+warning follow from its model's, in id order.
 """
 
 from __future__ import annotations
@@ -131,13 +134,18 @@ def mutation_score(table: VerdictTable) -> float:
     return sum(counts.values()) / (len(counts) * len(table.labels))
 
 
+def _layer_digests(model: FcnnClassifier) -> tuple[bytes, ...]:
+    return tuple(layer.digest for layer in model.layers)
+
+
 def vanilla_test(
     original: FcnnClassifier,
     mutants: MutantSet,
     dataset: LabeledDataset,
     mode: str = "vanilla",
 ) -> VerdictTable:
-    """Exhaustive testing: every mutant against every point of the dataset.
+    """Exhaustive testing: every mutant gets a verdict over every point of the
+    dataset, and each distinct model is evaluated once.
 
     This is the one tester: the subset baselines and the accelerated run
     call it on the mutants or points they select.
@@ -148,8 +156,14 @@ def vanilla_test(
         records = sorted(mutants.mutants, key=lambda m: m.mutant_id)
         present = dataset.labels_present()
         label_index = np.searchsorted(present, dataset.labels)
-        # the original runs as the first model, so it leads each block's first tile
-        models = [original, *(r.model for r in records)]
+        # one row per distinct model, the original's first, so it leads each
+        # block's first tile; equal models share the first one's row
+        keys = [_layer_digests(r.model) for r in records]
+        first = {_layer_digests(original): original}
+        for key, record in zip(keys, records):
+            first.setdefault(key, record.model)
+        row = {key: k for k, key in enumerate(first)}
+        models = list(first.values())
         killed = np.zeros((len(models), len(present)), dtype=bool)
         differs = np.zeros(len(models), dtype=bool)
         non_finite = np.zeros(len(models), dtype=np.int64)
@@ -164,7 +178,7 @@ def vanilla_test(
         if non_finite[0]:
             raise ValidationError("original model produced non-finite outputs")
         verdicts = {}
-        for k, record in enumerate(records, 1):
+        for record, k in zip(records, map(row.get, keys)):
             if non_finite[k]:
                 # -1 rows (non-finite outputs) mispredict everything by policy
                 log.warning(

@@ -37,6 +37,18 @@ def test_labels_present():
     assert ds.labels_present().tolist() == [0, 2, 3]
 
 
+@pytest.mark.parametrize("labels, class_count", [
+    ([2, 0, 2, 3, 7, 3], 9),  # gaps at 1, 4-6 and above the largest label
+    ([4, 4, 4], 5),  # a single label, the last class
+    ([0], 1),
+    ([6, 1, 0, 6, 3, 2, 5, 4], 7),  # every class, up to class_count - 1
+])
+def test_labels_present_equals_np_unique(labels, class_count):
+    ds = LabeledDataset(np.zeros((len(labels), 2)), np.array(labels), class_count)
+    got, want = ds.labels_present(), np.unique(ds.labels)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
 def test_subset_preserves_order():
     ds = make_dataset()
     sub = ds.subset([5, 1, 3])

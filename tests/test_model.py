@@ -208,6 +208,35 @@ def test_invalid_architectures_rejected():
             DenseLayer(np.zeros(shape), np.zeros(shape[0]), SOFTMAX)
 
 
+class TestLayerDigest:
+    """Equal digests stand for equal activations, shapes and parameter bytes."""
+
+    def test_layers_built_apart_from_equal_bytes_share_a_digest(self, random_net):
+        layer = random_net.layers[0]
+        twin = DenseLayer(layer.weights.copy(), layer.biases.copy(), layer.activation)
+        assert twin is not layer and twin.digest == layer.digest
+        assert layer.digest is layer.digest  # computed once per layer object
+
+    def test_a_negative_zero_differs_from_zero(self):
+        zero, signed = np.zeros((2, 3)), np.zeros((2, 3))
+        signed[1, 2] = -0.0
+        parameters = ((zero, np.zeros(2)), (signed, np.zeros(2)), (zero, -np.zeros(2)))
+        assert len({DenseLayer(w, b, RELU).digest for w, b in parameters}) == 3
+
+    def test_a_changed_activation_differs(self, random_net):
+        layer = random_net.layers[0]
+        assert DenseLayer(layer.weights, layer.biases, SOFTMAX).digest != layer.digest
+
+    def test_reshaped_weights_of_the_same_bytes_differ(self):
+        w = np.arange(6.0)
+        assert DenseLayer(w.reshape(2, 3), np.zeros(2), RELU).digest != \
+            DenseLayer(w.reshape(3, 2), np.zeros(3), RELU).digest
+        # parameters equal end to end: 6 weights and 2 biases against 4 and 4
+        p = np.arange(8.0)
+        assert DenseLayer(p[:6].reshape(2, 3), p[6:], RELU).digest != \
+            DenseLayer(p[:4].reshape(4, 1), p[4:], RELU).digest
+
+
 class TestModelFormat:
     def test_round_trip_bit_exact(self, tmp_path, random_net):
         path = tmp_path / "net.fcnn"

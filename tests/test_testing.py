@@ -8,8 +8,15 @@ from mutspect.baselines import bss_test, rms_test, rss_test
 from mutspect.clustering import ClusterSet, select_representatives
 from mutspect.dataset import LabeledDataset
 from mutspect.errors import UndefinedScoreError, ValidationError
-from mutspect.model import count_forward_passes, predictions_with_flags
-from mutspect.mutants import MutantSet, gaussian_fuzz, generate_mutant_set
+from mutspect.model import count_forward_passes, predictions_with_flags, serialize_model
+from mutspect.mutants import (
+    MutantRecord,
+    MutantSet,
+    MutatorKind,
+    gaussian_fuzz,
+    generate_mutant_set,
+    neuron_effect_block,
+)
 from mutspect.pipeline import SweepSpec, run_accelerated, run_sweep, run_vanilla
 from mutspect.testing import (
     PROPAGATED,
@@ -25,7 +32,7 @@ from mutspect.testing import (
 )
 from mutspect.synth import fitted_classifier, gaussian_blobs
 
-from conftest import WALK_SIZES, reference_predictions, walk_world
+from conftest import WALK_SIZES, _replace_layer, exploding_mutant, reference_predictions, walk_world
 
 SMALL_SWEEP = SweepSpec(x_grid=(1,), tau_grid=(0.5,), repeats=1)
 
@@ -275,6 +282,42 @@ def reference_verdicts(original, records, dataset):
     return verdicts
 
 
+def expected_warnings(records, dataset):
+    """The tester's warnings, one per mutant id with non-finite rows, in id order."""
+    expected = []
+    for record in sorted(records, key=lambda r: r.mutant_id):
+        bad = int((reference_predictions(record.model, dataset.features) == -1).sum())
+        if bad:
+            expected.append(f"mutant {record.mutant_id} produced non-finite outputs on "
+                            f"{bad} points; counted as mispredictions")
+    return expected
+
+
+def distinct_models(original, records):
+    """Mutant models whose bytes differ from the original's and from each other's."""
+    return len({serialize_model(r.model) for r in records} - {serialize_model(original)})
+
+
+def with_twins(original, records):
+    """``records`` and, after their ids, byte-equal twins built as separate
+    objects: a walk_world record rebuilt twice (NEB), a fuzz made twice from
+    one seed, the -0.0 record rebuilt, and an exploding mutant made twice."""
+    signed = original.layers[1].weights.copy()
+    signed[3, 7] = -0.0  # walk_world's -0.0 record
+    models = [
+        neuron_effect_block(original, 0, 3).model,
+        gaussian_fuzz(original, 1, 7, 0.5, seed=9).model,
+        exploding_mutant(original, 0).model,
+        neuron_effect_block(original, 0, 3).model,
+        _replace_layer(original, 1, signed, original.layers[1].biases),
+        gaussian_fuzz(original, 1, 7, 0.5, seed=9).model,
+        exploding_mutant(original, 0).model,
+    ]
+    return [*records, *(
+        MutantRecord(len(records) + i, MutatorKind.GAUSSIAN_FUZZING, 0, 0, None, {}, 0, model)
+        for i, model in enumerate(models))]
+
+
 def labelled(original, points, class_count=5, seed=0):
     """Labels mostly equal to the original's predictions, so that mutants
     can be killed, with every fifth point relabelled at random."""
@@ -303,6 +346,21 @@ class TestWalkOracle:
         table = vanilla_test(original, MutantSet(original, records, 0), dataset)
         assert table.verdicts == reference_verdicts(original, records, dataset)
         assert list(table.verdicts) == sorted(table.verdicts)
+
+    @pytest.mark.parametrize("size", WALK_SIZES.values(), ids=WALK_SIZES.keys())
+    def test_byte_equal_mutants_keep_their_reference_verdicts(self, world, size, caplog):
+        # pins the verdicts byte-equal mutants share: the no-op and the
+        # original read the original's row, each set of twins its first copy's,
+        # and every id keeps its reference verdict and its own warning
+        original, records = world
+        pool = with_twins(original, records)
+        n = size(mm._block_rows(64))
+        points = np.random.default_rng(n).normal(size=(n, original.input_dim))
+        dataset = labelled(original, points)
+        with caplog.at_level(logging.WARNING, logger="mutspect.testing"):
+            table = vanilla_test(original, MutantSet(original, pool[::-1], 0), dataset)
+        assert table.verdicts == reference_verdicts(original, pool, dataset)
+        assert [r.getMessage() for r in caplog.records] == expected_warnings(pool, dataset)
 
     def test_labels_indexed_over_the_labels_present(self, world):
         original, records = world
@@ -335,10 +393,24 @@ class TestBlockedAccounting:
         return original, records, labelled(original, points)
 
     def test_forward_passes_are_exact(self, world):
+        # one pass per point for the original and each distinct mutant model:
+        # the no-op and the original itself share the original's, while the
+        # -0.0 record is a model of its own
         original, records, dataset = world
         with count_forward_passes() as counter:
             vanilla_test(original, MutantSet(original, records, 0), dataset)
-        assert counter.count == (len(records) + 1) * len(dataset)
+        assert distinct_models(original, records) == len(records) - 2
+        assert counter.count == (distinct_models(original, records) + 1) * len(dataset)
+
+    def test_byte_equal_twins_share_one_evaluation(self, world):
+        original, records, dataset = world
+        pool = with_twins(original, records)
+        with count_forward_passes() as counter:
+            vanilla_test(original, MutantSet(original, pool, 0), dataset)
+        # the fuzz and the explosion are new models, each made twice; the
+        # other twins repeat walk_world records
+        assert distinct_models(original, pool) == len(records) - 2 + 2
+        assert counter.count == (distinct_models(original, pool) + 1) * len(dataset)
 
     def test_original_overflow_in_the_last_block_raises(self, world, caplog):
         original, records, dataset = world
@@ -357,11 +429,6 @@ class TestBlockedAccounting:
         shuffled = [records[i] for i in np.random.default_rng(0).permutation(len(records))]
         with caplog.at_level(logging.WARNING, logger="mutspect.testing"):
             vanilla_test(original, MutantSet(original, shuffled, 0), dataset)
-        expected = []
-        for record in records:
-            bad = int((reference_predictions(record.model, dataset.features) == -1).sum())
-            if bad:
-                expected.append(f"mutant {record.mutant_id} produced non-finite outputs on "
-                                f"{bad} points; counted as mispredictions")
+        expected = expected_warnings(records, dataset)
         assert len(expected) == 2
         assert [r.getMessage() for r in caplog.records] == expected
