@@ -61,10 +61,13 @@ class LabeledDataset:
         return self.features.shape[1]
 
     def labels_present(self) -> np.ndarray:
-        """Sorted distinct labels occurring in the dataset (the label set), from
-        a count per label up to the largest: a caller that may meet a wide class
-        count checks the labels against the model's outputs first."""
-        return np.flatnonzero(np.bincount(self.labels))
+        """Sorted distinct labels occurring in the dataset (the label set): a count
+        per label up to the largest while that is below a few counts per point,
+        ``np.unique`` (the same sorted int64 array) above, so a label in the
+        billions allocates nothing per possible label."""
+        if self.labels.max() < 4 * len(self):
+            return np.flatnonzero(np.bincount(self.labels))
+        return np.unique(self.labels)
 
     def subset(self, indices) -> "LabeledDataset":
         """Dataset restricted to the given point indices, in the given order."""

@@ -133,6 +133,11 @@ class FcnnClassifier:
     def num_outputs(self) -> int:
         return self.layers[-1].out_dim
 
+    @functools.cached_property
+    def digests(self) -> tuple[bytes, ...]:
+        """Each layer's digest: models are equal when these are."""
+        return tuple(layer.digest for layer in self.layers)
+
 
 # ---------------------------------------------------------------------------
 # Forward-pass instrumentation.  A counter registered through

@@ -76,11 +76,9 @@ class MutantSet:
         ids = [m.mutant_id for m in self.mutants]
         if len(set(ids)) != len(ids):
             raise ValidationError("mutant ids must be unique")
+        dims = (self.original.input_dim, self.original.num_outputs)
         for m in self.mutants:
-            if (
-                m.model.input_dim != self.original.input_dim
-                or m.model.num_outputs != self.original.num_outputs
-            ):
+            if (m.model.input_dim, m.model.num_outputs) != dims:
                 raise ValidationError(f"mutant {m.mutant_id} changed model dimensions")
 
     def __len__(self) -> int:

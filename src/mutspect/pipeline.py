@@ -3,7 +3,9 @@
 The accelerated run owns the walk over sampling rates: per rate it builds the
 sample, signatures and similarity graph once and runs the clustering layer's
 tau search on that graph, until one rate's search lands in the reduction
-goal.  Representative selection and propagated testing follow.  Each phase
+goal.  The signature pass walks one record per distinct model, and the
+graph holds every mutant as a node.  Representative selection and
+propagated testing follow.  Each phase
 (sampling, spectra, graph, clustering, testing) is timed where it runs, so
 the phases are disjoint and sum to no more than the run's wall clock.
 Nothing is cached across rates.  The no-transform variant ("raw" mode) is
@@ -14,7 +16,7 @@ as features.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from numbers import Real
 
@@ -68,13 +70,35 @@ class Seeds:
         check_seed(self.representative)
 
 
-def _graph_at(mutants: MutantSet, dataset: LabeledDataset, transform: str, sampling_seed: int,
-              phases: dict, per_class: int) -> tuple[SampleSet, SimilarityGraph]:
-    """Sample, signatures and graph at one rate, timed into ``phases``."""
+def _distinct_models(mutants: MutantSet) -> tuple[MutantSet, dict[int, tuple[int, ...]]]:
+    """The lowest-id record of each distinct model, and the ids of each one's mutants by
+    that lowest id, empty when no two mutants share a model.  Models are equal when
+    their ``digests`` are, the vanilla tester's key, so a -0.0 parameter makes a
+    model of its own."""
+    groups: dict[tuple[bytes, ...], list[int]] = {}
+    firsts = []
+    for record in sorted(mutants.mutants, key=lambda m: m.mutant_id):
+        ids = groups.setdefault(record.model.digests, [])
+        if not ids:
+            firsts.append(record)
+        ids.append(record.mutant_id)
+    if len(firsts) == len(mutants):
+        return mutants, {}
+    members = {ids[0]: tuple(ids) for ids in groups.values()}
+    return MutantSet(mutants.original, firsts, mutants.generation_seed), members
+
+
+def _graph_at(distinct: MutantSet, members: dict[int, tuple[int, ...]], dataset: LabeledDataset,
+              transform: str, sampling_seed: int, phases: dict,
+              per_class: int) -> tuple[SampleSet, SimilarityGraph]:
+    """Sample, signatures and graph at one rate, timed into ``phases``: one signature row
+    per record of ``distinct``, holding its ``members`` (``_distinct_models``' pair)."""
     with phase_timer(phases, "sampling"):
         sample = stratified_sample(dataset, per_class, sampling_seed)
     with phase_timer(phases, "spectra"):
-        spectra = mutant_spectra(mutants, dataset, sample, transform)
+        spectra = mutant_spectra(distinct, dataset, sample, transform)
+        if members:
+            spectra = replace(spectra, members=tuple([members[m] for m in spectra.ids]))
     with phase_timer(phases, "graph"):
         graph = build_similarity_graph(spectra)
     return sample, graph
@@ -163,7 +187,9 @@ def run_accelerated(
     check_labels(original, dataset)
     mode = "spectral" if transform == TRANSFORM_DFT else "raw"
     phases: dict[str, float] = {}
-    build = partial(_graph_at, mutants, dataset, transform, seeds.sampling, phases)
+    with phase_timer(phases, "spectra"):
+        distinct, members = _distinct_models(mutants)
+    build = partial(_graph_at, distinct, members, dataset, transform, seeds.sampling, phases)
     search_rounds: list[XRound] = []
     if fixed_tau is not None:
         if fixed_per_class is None:
@@ -267,11 +293,12 @@ def run_sweep(
     ms_vanilla = mutation_score(vanilla)
     n_total = len(mutants)
     cells: list[SweepCell] = []
+    distinct, members = _distinct_models(mutants)
 
     for repeat in range(spec.repeats):
         sampling_seed = derived_seed(seeds.sampling, repeat)
         for x in spec.x_grid:
-            _, graph = _graph_at(mutants, dataset, TRANSFORM_DFT, sampling_seed, {}, x)
+            _, graph = _graph_at(distinct, members, dataset, TRANSFORM_DFT, sampling_seed, {}, x)
             q_total = sum(counts[m] for m in _quarantined(mutants, graph.ids))
             held, n = np.array([counts[m] for m in graph.ids]), graph.n_nodes
             start = time.perf_counter()

@@ -14,17 +14,22 @@ chunks of consecutive mutants (TILE_BYTES each), applies softmax over their
 class axis, quarantines the mutants with non-finite outputs, compacts the
 array in place and, under DFT, replaces each kept mutant's outputs with
 their magnitude spectra, so ``SpectraSet.ids`` lists exactly the graph's
-nodes in id order.  Chunks make one numpy call serve many mutants, where a
+rows in id order.  Chunks make one numpy call serve many mutants, where a
 call per mutant on a few sampled points costs mostly call overhead.  The
-graph reads that array one output at a time through views, so neither step
-copies the whole set, and keeps its running maximum over outputs on
-condensed distances (``pdist``: each of the n(n-1)/2 pairs once); the
-graph's weights stay condensed, in that order.
+pipeline walks one record per distinct model and names each row's
+byte-equal mutants in ``SpectraSet.members``, so twins cost no signature
+pass and no row; the graph's nodes are every member.  The graph reads that
+array one output at a time through views, so neither step copies the whole
+set, and keeps its running maximum over outputs on condensed distances
+(``pdist``: each of the d(d-1)/2 row pairs once); the graph's weights stay
+condensed, in that order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+
 import numpy as np
 from scipy.spatial.distance import pdist
 
@@ -116,7 +121,9 @@ class SpectraSet:
 
     ``values[i, k]`` is the signature of output k of mutant ``ids[i]``.
     Mutants whose sampled outputs were non-finite are quarantined in
-    ``failed`` and carry no rows.
+    ``failed`` and carry no rows.  ``members`` lists, per row, the mutant ids
+    whose models equal the row's byte for byte, the row's own id first; left
+    empty, each row is its own mutant's alone.
     """
 
     ids: tuple[int, ...]
@@ -124,12 +131,15 @@ class SpectraSet:
     sample: SampleSet
     transform: str
     failed: tuple[int, ...] = ()
+    members: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 3 or vals.shape[::2] != (len(self.ids), len(self.sample)):
             raise ValidationError(f"spectra values {vals.shape} do not fit "
                                   f"({len(self.ids)}, q, {len(self.sample)})")
+        if self.members and [row[0] for row in self.members] != list(self.ids):
+            raise ValidationError("spectra members must list each row's own id first")
         object.__setattr__(self, "values", readonly(vals))
 
     def vectors(self, mutant_id: int) -> np.ndarray:
@@ -199,16 +209,19 @@ def mutant_similarity(a: int, b: int, spectra: SpectraSet) -> float:
 
 
 def build_similarity_graph(spectra: SpectraSet) -> SimilarityGraph:
-    """Pairwise similarities over every mutant with spectra, in ``spectra.ids`` order.
+    """Pairwise similarities between the rows of ``spectra``, over every mutant they hold.
 
-    Quarantined mutants have no rows, so they are not nodes.  The maximum
-    over outputs is taken on condensed distances (each pair once, in a fixed
-    reduction order), so the condensed weights are scheduling-independent.
+    The graph's nodes are the rows' members (each row's own id when
+    ``members`` is empty) and its weights pair the rows, so byte-equal
+    mutants cost one row.  Quarantined mutants have no rows, so they are not
+    nodes.  The maximum over outputs is taken on condensed distances (each
+    pair once, in a fixed reduction order), so the condensed weights are
+    scheduling-independent.
     """
-    n, q = spectra.values.shape[:2]
-    if n < 2:
-        raise DegenerateGraphError(f"need at least 2 usable mutants, have {n}")
-    delta = pdist(spectra.values[:, 0])  # (n, |S|) view: one output at a time
-    for output in range(1, q):
+    ids = tuple(sorted(chain.from_iterable(spectra.members))) or spectra.ids
+    if len(ids) < 2:
+        raise DegenerateGraphError(f"need at least 2 usable mutants, have {len(ids)}")
+    delta = pdist(spectra.values[:, 0])  # (rows, |S|) view: one output at a time
+    for output in range(1, spectra.values.shape[1]):
         np.maximum(delta, pdist(spectra.values[:, output]), out=delta)
-    return SimilarityGraph(spectra.ids, np.exp(-delta))
+    return SimilarityGraph(ids, np.exp(-delta), spectra.members)

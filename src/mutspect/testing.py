@@ -134,10 +134,6 @@ def mutation_score(table: VerdictTable) -> float:
     return sum(counts.values()) / (len(counts) * len(table.labels))
 
 
-def _layer_digests(model: FcnnClassifier) -> tuple[bytes, ...]:
-    return tuple(layer.digest for layer in model.layers)
-
-
 def vanilla_test(
     original: FcnnClassifier,
     mutants: MutantSet,
@@ -158,8 +154,8 @@ def vanilla_test(
         label_index = np.searchsorted(present, dataset.labels)
         # one row per distinct model, the original's first, so it leads each
         # block's first tile; equal models share the first one's row
-        keys = [_layer_digests(r.model) for r in records]
-        first = {_layer_digests(original): original}
+        keys = [r.model.digests for r in records]
+        first = {original.digests: original}
         for key, record in zip(keys, records):
             first.setdefault(key, record.model)
         row = {key: k for k, key in enumerate(first)}

@@ -13,6 +13,7 @@ from mutspect.dataset import (
     serialize_dataset,
 )
 from mutspect.errors import FormatError, ValidationError
+from mutspect.spectra import stratified_sample
 
 
 def make_dataset(n=12, dim=3, classes=4, seed=0):
@@ -47,6 +48,15 @@ def test_labels_present_equals_np_unique(labels, class_count):
     ds = LabeledDataset(np.zeros((len(labels), 2)), np.array(labels), class_count)
     got, want = ds.labels_present(), np.unique(ds.labels)
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+def test_labels_present_far_above_the_point_count():
+    # a count per possible label would take 8 PiB here
+    ds = LabeledDataset(np.zeros((2, 1)), [0, 2**50], 2**51)
+    got = ds.labels_present()
+    assert got.dtype == np.int64 and got.tolist() == [0, 2**50]
+    sample = stratified_sample(ds, 1, 0)
+    assert sample.indices.tolist() == [0, 1] and sample.truncated_classes == ()
 
 
 def test_subset_preserves_order():

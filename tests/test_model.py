@@ -216,6 +216,9 @@ class TestLayerDigest:
         twin = DenseLayer(layer.weights.copy(), layer.biases.copy(), layer.activation)
         assert twin is not layer and twin.digest == layer.digest
         assert layer.digest is layer.digest  # computed once per layer object
+        # a model's key is its layers' digests, computed once per model object
+        assert random_net.digests == tuple(x.digest for x in random_net.layers)
+        assert random_net.digests is random_net.digests
 
     def test_a_negative_zero_differs_from_zero(self):
         zero, signed = np.zeros((2, 3)), np.zeros((2, 3))

@@ -7,10 +7,16 @@ from mutspect.baselines import rms_test
 from mutspect.clustering import X_GRID, ReductionConstraint, hac_cluster, select_representatives
 from mutspect.errors import ParameterError, ValidationError
 from mutspect.metrics import measures
-from mutspect.mutants import MutantSet, gaussian_fuzz
+from mutspect.model import count_forward_passes
+from mutspect.mutants import MutantSet, gaussian_fuzz, neuron_effect_block
 from mutspect.pipeline import Seeds, SweepSpec, run_accelerated, run_sweep, run_vanilla
 from mutspect.reports import run_report_payload
-from mutspect.spectra import build_similarity_graph, mutant_spectra, stratified_sample
+from mutspect.spectra import (
+    TRANSFORM_DFT,
+    build_similarity_graph,
+    mutant_spectra,
+    stratified_sample,
+)
 from mutspect.synth import diverse_mutant_set, fitted_classifier, gaussian_blobs
 from mutspect.testing import TESTED, mutation_score, vanilla_test
 from mutspect.util import derived_seed
@@ -192,12 +198,33 @@ def test_quarantine_equals_failed_spectra(exploding_world, fixed, seed):
         assert verdict.killing_count == vanilla.verdict(m).killing_count
 
 
-def test_sweep_cell_scores_match_direct_propagation(exploding_world):
-    # each cell recomputed test-side: its sample, graph and clusters, the
-    # representatives drawn from the cell's seed, each member scored with
-    # its representative's vanilla count and each quarantined mutant with
-    # its own
-    ds, model, pool, vanilla = exploding_world
+@pytest.fixture(scope="module")
+def twin_world(exploding_world):
+    """The exploding pool plus byte-equal twins: a repeated NEB target, a fuzz
+    repeated from one seed, two no-ops and a twin of exploding mutant 40."""
+    ds, model, pool, _ = exploding_world
+    twins = [
+        neuron_effect_block(model, 0, 3, mutant_id=42),
+        gaussian_fuzz(model, 0, 5, 0.5, seed=11, mutant_id=43),
+        gaussian_fuzz(model, 0, 0, 0.0, seed=1, mutant_id=44),
+        neuron_effect_block(model, 0, 3, mutant_id=45),
+        exploding_mutant(model, 46),
+        gaussian_fuzz(model, 0, 0, 0.0, seed=2, mutant_id=47),
+        gaussian_fuzz(model, 0, 5, 0.5, seed=11, mutant_id=48),
+    ]
+    twin_pool = MutantSet(model, [*pool.mutants, *twins], 0)
+    return ds, model, twin_pool, vanilla_test(model, twin_pool, ds)
+
+
+@pytest.mark.parametrize("pool_world,failed", [("exploding_world", (40, 41)),
+                                               ("twin_world", (40, 41, 46))],
+                         ids=["exploding", "twins"])
+def test_sweep_cell_scores_match_direct_propagation(pool_world, failed, request):
+    # each cell recomputed test-side from a graph with a row per mutant: its
+    # sample, graph and clusters, the representatives drawn from the cell's
+    # seed, each member scored with its representative's vanilla count and
+    # each quarantined mutant with its own
+    ds, model, pool, vanilla = request.getfixturevalue(pool_world)
     spec = SweepSpec(x_grid=(1, 3), tau_grid=(0.3, 0.6, 0.9), repeats=2)
     seeds = Seeds(9, 10)
     sweep = run_sweep(model, pool, ds, spec, seeds, vanilla=vanilla)
@@ -208,7 +235,7 @@ def test_sweep_cell_scores_match_direct_propagation(exploding_world):
         for x in spec.x_grid:
             sample = stratified_sample(ds, x, derived_seed(seeds.sampling, repeat))
             spectra = mutant_spectra(pool, ds, sample)
-            assert spectra.failed == (40, 41)
+            assert spectra.failed == failed
             graph = build_similarity_graph(spectra)
             for k, tau in enumerate(spec.tau_grid):
                 clusters = hac_cluster(graph, tau)
@@ -250,3 +277,30 @@ def test_one_graph_per_round_and_per_sweep_rate(exploding_world, monkeypatch):
     spec = SweepSpec(x_grid=(1, 3, 5), tau_grid=(0.3, 0.6), repeats=2)
     run_sweep(model, pool, ds, spec, Seeds(5, 6), vanilla=vanilla)
     assert calls == list(spec.x_grid) * spec.repeats
+
+
+def test_signature_pass_runs_each_distinct_model_once(twin_world, monkeypatch):
+    # distinct(M) * |S| forward passes per round, where every mutant's own
+    # walk would take |M| * |S|; the clusters are those of the graph with a
+    # row per mutant, and a twin of a quarantined model is quarantined with it
+    import mutspect.pipeline as pipeline
+
+    ds, model, pool, _ = twin_world
+    passes = []
+    real = pipeline.mutant_spectra
+
+    def counted(mutants, dataset, sample, transform):
+        with count_forward_passes() as counter:
+            spectra = real(mutants, dataset, sample, transform)
+        passes.append((counter.count, len(sample)))
+        return spectra
+
+    monkeypatch.setattr(pipeline, "mutant_spectra", counted)
+    res = run_accelerated(model, pool, ds, seeds=Seeds(1, 2))
+    distinct = len({m.model.digests for m in pool.mutants})
+    assert distinct == len(pool) - 4  # 45 and 46-48 are twins of lower ids
+    assert passes and all(count == distinct * size for count, size in passes)
+    assert res.quarantined == (40, 41, 46)
+    sample = stratified_sample(ds, res.sample.per_class_rate, 1)
+    graph = build_similarity_graph(real(pool, ds, sample, TRANSFORM_DFT))
+    assert res.clusters == hac_cluster(graph, res.clusters.tau)
