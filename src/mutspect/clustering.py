@@ -9,18 +9,10 @@ sequence does not depend on ``tau``; the threshold only picks the stopping
 point.  The sequence is therefore a cached property of the graph, and a
 clustering at any ``tau`` is a prefix cut of it (``tau_cuts``).
 
-The graph's nodes are mutants, but its weights hold one row per distinct
-model: byte-equal mutants share a row, at similarity 1.0.  The sequence
-starts with each model's other members merged at linkage 1.0 into its
-smallest; the build then runs on the d models from the sums a build over
-every mutant holds at that point.  Its floor and cuts are that build's bit
-for bit while no two distinct models have a weight of exactly 1.0, whose
-merge that build interleaves with the twins', in position order.
-
 The build expands the condensed weights once, into the cross-weight sums
 between clusters, and picks each step's pair with one flat argmax over the
-linkage table: O(d^2) per step, O(d^3) in total, two d x d float64 tables.
-Up to about 350-400 rows this is faster than caching each row's maximum.
+linkage table: O(n^2) per step, O(n^3) in total, two n x n float64 tables.
+Up to about 350-400 nodes this is faster than caching each row's maximum.
 Linkage is the sum divided by the size product, which is exact whenever the
 sums are (e.g. dyadic weights), so equal linkages stay equal.  Ties go to
 the first maximum in C order: the pair with the lowest smallest member, then
@@ -36,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from numbers import Real
 
 import numpy as np
@@ -89,42 +80,24 @@ class RepresentativeMap:
         return [rep for rep, _ in self.pairs]
 
 
-def _merge_trajectory(weights: np.ndarray, counts: np.ndarray):
-    """Greedy average-linkage merge sequence over models of ``counts`` mutants each: step
-    linkages, survivors i, absorbed j > i, as model positions.
+def _merge_trajectory(weights: np.ndarray):
+    """Greedy average-linkage merge sequence: step linkages, survivors i, absorbed j > i.
 
     A cluster lives at its smallest member's position.  ``sums``, the condensed
     ``weights`` expanded by squareform into a new table, holds the cross-weight
     sums between clusters; ``link`` holds sum / (size product) over the upper
     triangle, -inf elsewhere and for absorbed clusters, so no live link reads
-    the diagonal.  A model of k mutants first takes the sums that a build over
-    every mutant reaches once the model's smallest member has absorbed the
-    others at linkage 1.0, models in position order: k sequential additions of
-    its row, which already holds those of the models before it (never k times
-    the row, which rounds differently).  Unit counts leave the table as it is.
-    Each step takes the first argmax of the whole table, the first maximum in C
-    order: the lowest (smallest member, other smallest member) pair among the
-    greatest linkages, which is the documented tie rule.  A live link of 0.0
-    still beats the -inf cells.
+    the diagonal.  Each step takes the first argmax of the whole table, the
+    first maximum in C order: the lowest (smallest member, other smallest
+    member) pair among the greatest linkages, which is the documented tie
+    rule.  A live link of 0.0 still beats the -inf cells.
     """
     sums = squareform(weights)
     n = sums.shape[0]
     linkage, left, right = np.empty(max(n - 1, 0)), *np.empty((2, max(n - 1, 0)), dtype=np.intp)
-    sizes = np.array(counts, dtype=np.float64)
+    sizes = np.ones(n)
     gone = np.zeros(n)  # 0.0 for live clusters, -inf once absorbed
     link = np.where(np.tri(n, dtype=bool), -np.inf, sums)
-
-    def relink(i):
-        row = sums[i] / (sizes[i] * sizes) + gone
-        link[i, i + 1:] = row[i + 1:]
-        link[:i, i] = row[:i]
-
-    for i in np.flatnonzero(sizes > 1).tolist():
-        row = sums[i].copy()
-        for _ in range(int(sizes[i]) - 1):
-            sums[i] += row
-        sums[:, i] = sums[i]
-        relink(i)
     for s in range(n - 1):
         i, j = divmod(int(link.argmax()), n)
         linkage[s], left[s], right[s] = link[i, j], i, j
@@ -133,7 +106,9 @@ def _merge_trajectory(weights: np.ndarray, counts: np.ndarray):
         sizes[i] += sizes[j]
         gone[j] = -np.inf
         link[j] = link[:, j] = -np.inf
-        relink(i)
+        row = sums[i] / (sizes[i] * sizes) + gone
+        link[i, i + 1:] = row[i + 1:]
+        link[:i, i] = row[:i]
     return linkage, left, right
 
 
@@ -141,59 +116,37 @@ def _merge_trajectory(weights: np.ndarray, counts: np.ndarray):
 class SimilarityGraph:
     """Complete weighted undirected simple graph over ascending mutant ids.
 
-    ``weights`` holds each edge between distinct models once, condensed in
-    ``pdist`` order over ``members``, each in [0, 1] (exp(-distance) may
-    underflow to 0); a table of another length or outside [0, 1] raises
-    ValidationError.  ``members`` lists each model's mutant ids, ascending,
-    models in order of their smallest member, together exactly ``ids``; left
-    empty, each id is its own model.  The graph is frozen, so its cached merge
-    sequence always belongs to its weights.
+    ``weights`` holds each edge once, condensed in ``pdist`` order, each in
+    [0, 1] (exp(-distance) may underflow to 0); a table of another length or
+    outside [0, 1] raises ValidationError.  The graph is frozen, so its cached
+    merge sequence always belongs to its weights.
     """
 
     ids: tuple[int, ...]
-    weights: np.ndarray  # (d(d-1)/2,) condensed over the d models
-    members: tuple[tuple[int, ...], ...] = ()
+    weights: np.ndarray  # (n(n-1)/2,) condensed
 
     def __post_init__(self):
         if any(a >= b for a, b in zip(self.ids, self.ids[1:])):
             raise ValidationError("graph ids must be strictly increasing")
-        members = self.members or tuple(zip(self.ids))
-        if self.members and (
-                sorted(chain.from_iterable(members)) != list(self.ids)
-                or any(not model or list(model) != sorted(model) for model in members)
-                or any(a[0] >= b[0] for a, b in zip(members, members[1:]))):
-            raise ValidationError("graph members must split its ids into ascending models, "
-                                  "in order of their smallest member")
         w = np.asarray(self.weights, dtype=np.float64)
-        d = len(members)
-        if w.shape != (d * (d - 1) // 2,):
-            raise ValidationError(f"weight table {w.shape} does not condense {d} models")
+        n = len(self.ids)
+        if w.shape != (n * (n - 1) // 2,):
+            raise ValidationError(f"weight table {w.shape} does not condense {n} ids")
         # NaN fails both bounds, so this also rejects non-finite weights
         if not ((w >= 0) & (w <= 1)).all():
             raise ValidationError("weights must be finite and in [0, 1]")
         object.__setattr__(self, "weights", readonly(w))
-        object.__setattr__(self, "members", members)
 
     @property
     def n_nodes(self) -> int:
-        """The graph's mutants, each a position of every cut."""
         return len(self.ids)
 
     @cached_property
     def merge_sequence(self):
         """``(floor, left, right)``: the negated running minimum of the step linkages and the
         merged positions; a cut at tau keeps the steps before the first linkage below it,
-        ``searchsorted(floor, -tau, side="right")``.  Each model's members other than its
-        smallest lead, merged into that smallest member at linkage 1.0."""
-        counts = np.fromiter(map(len, self.members), np.intp, len(self.members))
-        linkage, left, right = _merge_trajectory(self.weights, counts)
-        if len(counts) < len(self.ids):  # model positions to mutant positions
-            at = np.searchsorted(self.ids, list(chain.from_iterable(self.members)))
-            starts = np.cumsum(counts) - counts
-            heads, twins = at[starts], np.delete(at, starts)
-            linkage = np.concatenate([np.ones(len(twins)), linkage])
-            left = np.concatenate([np.repeat(heads, counts - 1), heads[left]])
-            right = np.concatenate([twins, heads[right]])
+        ``searchsorted(floor, -tau, side="right")``."""
+        linkage, left, right = _merge_trajectory(self.weights)
         return -np.minimum.accumulate(linkage), left, right
 
 

@@ -8,6 +8,7 @@ The points are one packed array of the structured dtype ``_point_dtype``.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -61,13 +62,13 @@ class LabeledDataset:
         return self.features.shape[1]
 
     def labels_present(self) -> np.ndarray:
-        """Sorted distinct labels occurring in the dataset (the label set): a count
-        per label up to the largest while that is below a few counts per point,
-        ``np.unique`` (the same sorted int64 array) above, so a label in the
-        billions allocates nothing per possible label."""
-        if self.labels.max() < 4 * len(self):
-            return np.flatnonzero(np.bincount(self.labels))
-        return np.unique(self.labels)
+        """Sorted distinct labels occurring in the dataset (the label set), read-only."""
+        return self._label_set
+
+    @functools.cached_property
+    def _label_set(self) -> np.ndarray:
+        # once per dataset: a run asks at every sampling rate and in the tester
+        return readonly(np.unique(self.labels))
 
     def subset(self, indices) -> "LabeledDataset":
         """Dataset restricted to the given point indices, in the given order."""

@@ -5,9 +5,9 @@ sample, signatures and similarity graph once and runs the clustering layer's
 tau search on that graph, until one rate's search lands in the reduction
 goal.  The signature pass walks one record per distinct model, and the
 graph holds every mutant as a node.  Representative selection and
-propagated testing follow.  Each phase
-(sampling, spectra, graph, clustering, testing) is timed where it runs, so
-the phases are disjoint and sum to no more than the run's wall clock.
+propagated testing follow.  Each phase (sampling, spectra, graph,
+clustering, testing) is timed where it runs, so the phases are disjoint
+and sum to no more than the run's wall clock.
 Nothing is cached across rates.  The no-transform variant ("raw" mode) is
 the same call with ``transform=TRANSFORM_RAW``: raw sampled output columns
 as features.
@@ -42,7 +42,7 @@ from .dataset import LabeledDataset
 from .errors import ParameterError, ValidationError
 from .metrics import score_error, spearman_rho
 from .model import FcnnClassifier
-from .mutants import MutantSet
+from .mutants import MutantRecord, MutantSet
 from .spectra import (
     TRANSFORM_DFT,
     SampleSet,
@@ -75,17 +75,14 @@ def _distinct_models(mutants: MutantSet) -> tuple[MutantSet, dict[int, tuple[int
     that lowest id, empty when no two mutants share a model.  Models are equal when
     their ``digests`` are, the vanilla tester's key, so a -0.0 parameter makes a
     model of its own."""
-    groups: dict[tuple[bytes, ...], list[int]] = {}
-    firsts = []
+    groups: dict[tuple[bytes, ...], list[MutantRecord]] = {}
     for record in sorted(mutants.mutants, key=lambda m: m.mutant_id):
-        ids = groups.setdefault(record.model.digests, [])
-        if not ids:
-            firsts.append(record)
-        ids.append(record.mutant_id)
-    if len(firsts) == len(mutants):
+        groups.setdefault(record.model.digests, []).append(record)
+    if len(groups) == len(mutants):
         return mutants, {}
-    members = {ids[0]: tuple(ids) for ids in groups.values()}
-    return MutantSet(mutants.original, firsts, mutants.generation_seed), members
+    members = {g[0].mutant_id: tuple(r.mutant_id for r in g) for g in groups.values()}
+    return MutantSet(mutants.original, [g[0] for g in groups.values()],
+                     mutants.generation_seed), members
 
 
 def _graph_at(distinct: MutantSet, members: dict[int, tuple[int, ...]], dataset: LabeledDataset,

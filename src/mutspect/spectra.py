@@ -18,11 +18,13 @@ rows in id order.  Chunks make one numpy call serve many mutants, where a
 call per mutant on a few sampled points costs mostly call overhead.  The
 pipeline walks one record per distinct model and names each row's
 byte-equal mutants in ``SpectraSet.members``, so twins cost no signature
-pass and no row; the graph's nodes are every member.  The graph reads that
-array one output at a time through views, so neither step copies the whole
-set, and keeps its running maximum over outputs on condensed distances
-(``pdist``: each of the d(d-1)/2 row pairs once); the graph's weights stay
-condensed, in that order.
+pass and no row.  The graph reads that array one output at a time through
+views, so neither step copies the whole set, and keeps its running maximum
+over outputs on condensed distances (``pdist``: each of the d(d-1)/2 row
+pairs once, each pair alone).  The graph's nodes are every member, and
+its weights stay condensed in ``pdist`` order over them: each pair takes
+its rows' weight and a pair of twins 1.0, the weights of a row per member
+bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import pdist, squareform
 
 from .clustering import SimilarityGraph
 from .dataset import LabeledDataset
@@ -209,19 +211,29 @@ def mutant_similarity(a: int, b: int, spectra: SpectraSet) -> float:
 
 
 def build_similarity_graph(spectra: SpectraSet) -> SimilarityGraph:
-    """Pairwise similarities between the rows of ``spectra``, over every mutant they hold.
+    """Pairwise similarities over every mutant that ``spectra`` holds, in id order.
 
-    The graph's nodes are the rows' members (each row's own id when
-    ``members`` is empty) and its weights pair the rows, so byte-equal
-    mutants cost one row.  Quarantined mutants have no rows, so they are not
-    nodes.  The maximum over outputs is taken on condensed distances (each
-    pair once, in a fixed reduction order), so the condensed weights are
-    scheduling-independent.
+    Distances are taken once per pair of rows.  A pair of nodes takes its
+    rows' weight and twins, sharing a row, 1.0: ``pdist`` computes each pair
+    alone, so these are the weights of a row per mutant bit for bit.
+    Quarantined mutants have no rows, so they are not nodes.  The maximum
+    over outputs is taken on condensed distances (each pair once, in a fixed
+    reduction order), so the condensed weights are scheduling-independent.
     """
-    ids = tuple(sorted(chain.from_iterable(spectra.members))) or spectra.ids
-    if len(ids) < 2:
-        raise DegenerateGraphError(f"need at least 2 usable mutants, have {len(ids)}")
+    members = spectra.members or tuple(zip(spectra.ids))
+    n = sum(map(len, members))
+    if n < 2:
+        raise DegenerateGraphError(f"need at least 2 usable mutants, have {n}")
     delta = pdist(spectra.values[:, 0])  # (rows, |S|) view: one output at a time
     for output in range(1, spectra.values.shape[1]):
         np.maximum(delta, pdist(spectra.values[:, output]), out=delta)
-    return SimilarityGraph(ids, np.exp(-delta), spectra.members)
+    weights = np.exp(-delta)
+    if n == len(members):
+        return SimilarityGraph(spectra.ids, weights)
+    flat = np.fromiter(chain.from_iterable(members), np.intp, n)
+    by_id = flat.argsort()
+    row = np.repeat(np.arange(len(members)), [len(m) for m in members])[by_id]  # per node
+    table = squareform(weights)
+    np.fill_diagonal(table, 1.0)  # twins share a row
+    return SimilarityGraph(tuple(flat[by_id].tolist()),
+                           squareform(table.take(row, 0).take(row, 1), checks=False))

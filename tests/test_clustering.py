@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import squareform
 
 from mutspect.clustering import (
     DEFAULT_REDUCTION,
@@ -26,6 +26,7 @@ from mutspect.clustering import (
 from mutspect.errors import ParameterError, ValidationError
 from mutspect.pipeline import TAU_SWEEP_GRID, parameter_search
 from mutspect.reports import run_report_payload
+from mutspect.spectra import TRANSFORM_DFT, SampleSet, SpectraSet, build_similarity_graph
 from mutspect.synth import fitted_classifier, gaussian_blobs
 from mutspect.util import philox_rng
 
@@ -263,7 +264,7 @@ class TestHacCluster:
             n = int(rng.integers(3, 10))
             tables.append(symmetric(rng.choice(levels[k % 3], (n, n))))
         for w in tables:
-            steps = _merge_trajectory(squareform(w, checks=False), np.ones(len(w)))
+            steps = _merge_trajectory(squareform(w, checks=False))
             got = list(zip(*(column.tolist() for column in steps)))
             assert got == rescan_trajectory(w)
 
@@ -281,7 +282,7 @@ class TestHacCluster:
             srcs = rng.choice(n, n // 5, replace=False)
             dups = rng.choice(np.setdiff1d(np.arange(n), srcs), n // 5, replace=False)
             w = with_duplicates(w, [(int(a), int(b)) for a, b in zip(srcs, dups)])
-        steps = _merge_trajectory(squareform(w, checks=False), np.ones(len(w)))
+        steps = _merge_trajectory(squareform(w, checks=False))
         got = list(zip(*(column.tolist() for column in steps)))
         assert got == rescan_trajectory(w)
 
@@ -561,7 +562,7 @@ def loop_cut(graph, tau):
     of tau_cuts: each step joins its right node to its left one until the
     first linkage below tau; clusters in smallest-member order, members
     ascending."""
-    linkage, left, right = _merge_trajectory(graph.weights, np.ones(graph.n_nodes))
+    linkage, left, right = _merge_trajectory(graph.weights)
     parent = list(range(graph.n_nodes))
     for link, i, j in zip(linkage.tolist(), left.tolist(), right.tolist()):
         if link < tau:
@@ -574,70 +575,67 @@ def loop_cut(graph, tau):
     return sorted(map(tuple, groups.values()), key=lambda c: c[0])
 
 
-def model_and_mutant_graphs(rows, counts, rng):
-    """Two graphs of the same mutants, placed at shuffled positions: one with a weight
-    row per model of ``rows``, ``counts`` byte-equal members each, and one with a
-    row per mutant, where each member repeats its model's row (similarity 1.0).
-    Both take weights exp(-pdist) of their rows, as ``build_similarity_graph`` does."""
-    owner = rng.permutation(np.repeat(np.arange(len(rows)), counts))  # model per position
+def row_and_member_graphs(rows, counts, rng):
+    """Graphs of the same mutants at shuffled ids, built from two spectra: one with a
+    row per model of ``rows`` and ``counts`` byte-equal members each, and one with a
+    row per mutant, where each member repeats its model's row."""
+    owner = rng.permutation(np.repeat(np.arange(len(rows)), counts))  # model per node
     ids = np.arange(len(owner)) * 3 + 5
     models = np.argsort(np.unique(owner, return_index=True)[1])  # by smallest member
     members = tuple(tuple(ids[owner == k].tolist()) for k in models)
-    by_model = SimilarityGraph(tuple(ids.tolist()), np.exp(-pdist(rows[models])), members)
-    by_mutant = SimilarityGraph(tuple(ids.tolist()), np.exp(-pdist(rows[owner])))
-    return by_model, by_mutant
+    sample = SampleSet(np.arange(rows.shape[2]), 1, 0)
+    by_row = SpectraSet(tuple(m[0] for m in members), rows[models], sample, TRANSFORM_DFT,
+                        members=members)
+    by_member = SpectraSet(tuple(ids.tolist()), rows[owner], sample, TRANSFORM_DFT)
+    return build_similarity_graph(by_row), build_similarity_graph(by_member)
 
 
-# the model graph's weights pair fewer rows than the mutant graph's, and its
-# build must give the mutant graph's floor bit for bit, which rests on pdist
-# computing each pair alone and on the summation order of the repeated
-# additions that seed a model pair's cross sum
+# the graph from a row per model must hold the weights of the graph from a row
+# per member bit for bit, which rests on pdist computing each pair alone: a
+# pair's distance depends neither on the other rows nor on which row leads
 @pytest.mark.oldest_supported
-class TestModelMultiplicityOracle:
-    """A graph with one weight row per distinct model and member counts 1-6 gives
-    the floor, bit for bit, and the cuts of the graph with one row per mutant."""
+class TestTwinRowOracle:
+    """Spectra with one row per distinct model and member counts 1-6 give the
+    weights, bit for bit, the floor and the cuts of spectra with a row per mutant."""
 
     TAUS = np.linspace(0.02, 0.98, 49)
 
-    def assert_same_sequence(self, rows, counts, rng):
-        by_model, by_mutant = model_and_mutant_graphs(rows, counts, rng)
-        assert by_model.n_nodes == by_mutant.n_nodes == int(np.sum(counts))
-        assert by_model.merge_sequence[0].tobytes() == by_mutant.merge_sequence[0].tobytes()
-        for got, want in zip(tau_cuts(by_model, self.TAUS), tau_cuts(by_mutant, self.TAUS),
+    def assert_same_graph(self, rows, counts, rng):
+        by_row, by_member = row_and_member_graphs(rows, counts, rng)
+        assert by_row.ids == by_member.ids and by_row.n_nodes == int(np.sum(counts))
+        assert by_row.weights.tobytes() == by_member.weights.tobytes()
+        assert by_row.merge_sequence[0].tobytes() == by_member.merge_sequence[0].tobytes()
+        for got, want in zip(tau_cuts(by_row, self.TAUS), tau_cuts(by_member, self.TAUS),
                              strict=True):
             assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
 
     def test_gaussian_rows(self):
         rng = np.random.default_rng(31)
         for _ in range(60):
-            d = int(rng.integers(1, 30))
-            rows = rng.normal(scale=float(rng.uniform(0.1, 0.6)), size=(d, 4))
-            self.assert_same_sequence(rows, rng.integers(1, 7, d), rng)
+            d = int(rng.integers(2, 30))
+            rows = rng.normal(scale=float(rng.uniform(0.1, 0.6)), size=(d, 2, 3))
+            self.assert_same_graph(rows, rng.integers(1, 7, d), rng)
 
     def test_tie_heavy_integer_grid_rows(self):
-        # few distinct distances, so most steps are decided by the tie rule
-        # and by the exact rounding of each cross sum
+        # few distinct distances, so most steps are decided by the tie rule;
+        # rows repeat, so distinct models also sit at a weight of exactly 1.0
         rng = np.random.default_rng(32)
+        equal_rows = 0
         for _ in range(60):
-            grid = np.unique(rng.integers(0, 3, size=(40, 3)), axis=0)
-            rows = rng.permutation(grid)[: int(rng.integers(1, len(grid) + 1))] * 0.5
-            self.assert_same_sequence(rows, rng.integers(1, 7, len(rows)), rng)
+            rows = rng.integers(0, 3, size=(int(rng.integers(2, 30)), 2, 2)) * 0.5
+            equal_rows += len(np.unique(rows, axis=0)) < len(rows)
+            self.assert_same_graph(rows, rng.integers(1, 7, len(rows)), rng)
+        assert equal_rows > 20
 
-    def test_twins_lead_the_sequence_at_linkage_one(self):
-        graph = SimilarityGraph((2, 4, 6, 9), np.array([0.25]), ((2, 6, 9), (4,)))
-        floor, left, right = graph.merge_sequence
-        assert floor.tolist() == [-1.0, -1.0, -0.25]
-        assert left.tolist() == [0, 0, 0] and right.tolist() == [2, 3, 1]
+    def test_twins_sit_at_weight_one(self):
+        sample = SampleSet(np.arange(2), 1, 0)
+        rows = np.array([[[0.0, 0.0]], [[3.0, 4.0]]])  # distance 5
+        graph = build_similarity_graph(SpectraSet((2, 4), rows, sample, TRANSFORM_DFT,
+                                                  members=((2, 6, 9), (4,))))
+        w = float(np.exp(-5.0))
+        assert graph.ids == (2, 4, 6, 9)
+        assert graph.weights.tolist() == [w, 1.0, 1.0, w, w, 1.0]
         assert hac_cluster(graph, 0.5).clusters == ((2, 6, 9), (4,))
-
-    def test_members_must_split_the_ids(self):
-        for members in (((0, 1), (1, 2)), ((0,), (1,)), ((1, 0), (2,)), ((1,), (0, 2)),
-                        ((0, 1, 2), ())):
-            with pytest.raises(ValidationError, match="members"):
-                SimilarityGraph((0, 1, 2), np.full(len(members) * (len(members) - 1) // 2, 0.5),
-                                members)
-        with pytest.raises(ValidationError, match="does not condense 2 models"):
-            SimilarityGraph((0, 1, 2), np.full(3, 0.5), ((0, 1), (2,)))
 
 
 @pytest.mark.one_blas_thread
@@ -694,7 +692,7 @@ class TestCutPassOracle:
         rng = np.random.default_rng(19)
         for k in range(20):
             w = random_weight_table(int(rng.integers(2, 30)), rng)
-            linkage = _merge_trajectory(squareform(w, checks=False), np.ones(len(w)))[0]
+            linkage = _merge_trajectory(squareform(w, checks=False))[0]
             taus = [float(t) for t in np.unique(linkage) if 0 < t < 1]
             taus += [float(np.nextafter(t, side)) for side in (0, 1) for t in taus]
             self.assert_cuts_match(graph_from_weights(w), taus, seed=k)
@@ -704,7 +702,7 @@ class TestCutPassOracle:
         # 2 and 3; the last step's mean of 0.1s rounds above the step before
         w = symmetric(np.array([[1, 0.7, 0.1, 0.1], [0, 1, 0.1, 0.1],
                                 [0, 0, 1, 0.1], [0, 0, 0, 1]]))
-        linkage = _merge_trajectory(squareform(w, checks=False), np.ones(len(w)))[0]
+        linkage = _merge_trajectory(squareform(w, checks=False))[0]
         assert linkage.tolist() == [0.7, 0.1, 0.10000000000000002]
         taus = [0.1, 0.10000000000000002, float(np.nextafter(0.1, 0)), 0.7, 0.5]
         self.assert_cuts_match(graph_from_weights(w), taus)
@@ -729,9 +727,9 @@ class TestCutPassOracle:
         built = []
         real = clustering._merge_trajectory
 
-        def counted(weights, counts):
+        def counted(weights):
             built.append(weights.shape)
-            return real(weights, counts)
+            return real(weights)
 
         monkeypatch.setattr(clustering, "_merge_trajectory", counted)
         return built

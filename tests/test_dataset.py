@@ -36,6 +36,9 @@ def test_round_trip_bit_exact(tmp_path):
 def test_labels_present():
     ds = LabeledDataset(np.zeros((4, 2)), np.array([2, 0, 2, 3]), 5)
     assert ds.labels_present().tolist() == [0, 2, 3]
+    # computed once per dataset and shared, so callers cannot write into it
+    assert ds.labels_present() is ds.labels_present()
+    assert not ds.labels_present().flags.writeable
 
 
 @pytest.mark.parametrize("labels, class_count", [

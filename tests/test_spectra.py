@@ -420,7 +420,7 @@ class TestSpectraIO:
 
     def test_members_follow_the_rows(self):
         # each row's members start with the row's own id; the graph's nodes
-        # are every member, its weights pair the rows
+        # are every member, each pair at its rows' weight and twins at 1.0
         sample = SampleSet(np.arange(3), 1, 0)
         values = np.arange(18.0).reshape(2, 3, 3)
         for members in (((1, 4), (0,)), ((0, 4),), ((0,), (1,), (2,))):
@@ -428,8 +428,9 @@ class TestSpectraIO:
                 SpectraSet((0, 1), values, sample, TRANSFORM_DFT, members=members)
         spectra = SpectraSet((0, 1), values, sample, TRANSFORM_DFT, members=((0, 4), (1, 2)))
         graph = build_similarity_graph(spectra)
-        assert graph.ids == (0, 1, 2, 4) and graph.members == ((0, 4), (1, 2))
-        assert graph.weights.tolist() == pytest.approx([np.exp(-np.sqrt(81.0 * 3))])
+        w = float(np.exp(-np.sqrt(81.0 * 3)))
+        assert graph.ids == (0, 1, 2, 4)
+        assert graph.weights.tolist() == pytest.approx([w, w, 1.0, 1.0, w, w])
 
     def test_raw_transform_uses_output_columns(self, random_net):
         ds = blob_dataset(dim=random_net.input_dim)
