@@ -6,8 +6,11 @@ greatest mean cross-pair similarity while that greatest linkage is at least
 ``tau``.  Average linkage is reducible (a merged cluster's linkage to any
 third cluster never exceeds the linkage just consumed), so the greedy merge
 sequence does not depend on ``tau``; the threshold only picks the stopping
-point.  The sequence is therefore a cached property of the graph, and a
-clustering at any ``tau`` is a prefix cut of it (``tau_cuts``).
+point, and a clustering at any ``tau`` is a prefix cut of the sequence
+(``tau_cuts``).  A cut at ``tau`` reads only the steps down to the first
+linkage below it, so each graph builds its sequence lazily: a request for
+``tau`` runs the build until that step, a later, lower request resumes it,
+and the working tables are freed once the last step is taken.
 
 The build expands the condensed weights once, into the cross-weight sums
 between clusters, and picks each step's pair with one flat argmax over the
@@ -26,8 +29,8 @@ rate, belongs to the pipeline.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from functools import cached_property
 from numbers import Real
 
 import numpy as np
@@ -81,7 +84,8 @@ class RepresentativeMap:
 
 
 def _merge_trajectory(weights: np.ndarray):
-    """Greedy average-linkage merge sequence: step linkages, survivors i, absorbed j > i.
+    """Greedy average-linkage merge steps, yielded one at a time: (linkage, survivor i,
+    absorbed j > i).
 
     A cluster lives at its smallest member's position.  ``sums``, the condensed
     ``weights`` expanded by squareform into a new table, holds the cross-weight
@@ -90,17 +94,18 @@ def _merge_trajectory(weights: np.ndarray):
     the diagonal.  Each step takes the first argmax of the whole table, the
     first maximum in C order: the lowest (smallest member, other smallest
     member) pair among the greatest linkages, which is the documented tie
-    rule.  A live link of 0.0 still beats the -inf cells.
+    rule.  A live link of 0.0 still beats the -inf cells.  Nothing is expanded
+    before the first step is asked for, and a step's merge is applied only when
+    the next one is.
     """
     sums = squareform(weights)
     n = sums.shape[0]
-    linkage, left, right = np.empty(max(n - 1, 0)), *np.empty((2, max(n - 1, 0)), dtype=np.intp)
     sizes = np.ones(n)
     gone = np.zeros(n)  # 0.0 for live clusters, -inf once absorbed
     link = np.where(np.tri(n, dtype=bool), -np.inf, sums)
-    for s in range(n - 1):
+    for _ in range(n - 1):
         i, j = divmod(int(link.argmax()), n)
-        linkage[s], left[s], right[s] = link[i, j], i, j
+        yield link[i, j], i, j
         sums[i] += sums[j]
         sums[:, i] = sums[i]
         sizes[i] += sizes[j]
@@ -109,7 +114,44 @@ def _merge_trajectory(weights: np.ndarray):
         row = sums[i] / (sizes[i] * sizes) + gone
         link[i, i + 1:] = row[i + 1:]
         link[:i, i] = row[:i]
-    return linkage, left, right
+
+
+class _MergeBuild:
+    """One graph's merge sequence, built as deep as its readers have asked.
+
+    ``prefix(tau)`` takes steps from ``_merge_trajectory`` until the first
+    linkage below ``tau`` (or the last step), under the build's lock, and returns
+    the steps taken so far; a later, lower ``tau`` resumes the same build.  The
+    build's tables live in the trajectory's frame, which is closed once the last
+    step is taken.  A step that raises ends the trajectory, so the next request
+    starts it over.
+    """
+
+    def __init__(self, weights: np.ndarray, n: int):
+        self.lock = threading.Lock()
+        self.weights = weights
+        self.steps = _merge_trajectory(weights)
+        self.linkage, self.floor = np.empty((2, max(n - 1, 0)))
+        self.left, self.right = np.empty((2, max(n - 1, 0)), dtype=np.intp)
+        self.taken = 0
+
+    def prefix(self, tau: float):
+        with self.lock:
+            k = start = self.taken
+            if k < len(self.linkage) and (k == 0 or -self.floor[k - 1] >= tau):
+                try:
+                    for k, (link, i, j) in enumerate(self.steps, start + 1):
+                        self.linkage[k - 1], self.left[k - 1], self.right[k - 1] = link, i, j
+                        if link < tau:
+                            break
+                except BaseException:
+                    self.steps, self.taken = _merge_trajectory(self.weights), 0
+                    raise
+                if k == len(self.linkage):
+                    self.steps.close()
+                self.floor[start:k] = -np.minimum.accumulate(self.linkage[:k])[start:]
+                self.taken = k
+        return self.floor[:k], self.left[:k], self.right[:k]
 
 
 @dataclass(frozen=True)
@@ -118,8 +160,9 @@ class SimilarityGraph:
 
     ``weights`` holds each edge once, condensed in ``pdist`` order, each in
     [0, 1] (exp(-distance) may underflow to 0); a table of another length or
-    outside [0, 1] raises ValidationError.  The graph is frozen, so its cached
-    merge sequence always belongs to its weights.
+    outside [0, 1] raises ValidationError.  The graph is frozen, so its merge
+    build always belongs to its weights; ``dataclasses.replace`` gives a graph
+    with a build of its own.
     """
 
     ids: tuple[int, ...]
@@ -136,34 +179,47 @@ class SimilarityGraph:
         if not ((w >= 0) & (w <= 1)).all():
             raise ValidationError("weights must be finite and in [0, 1]")
         object.__setattr__(self, "weights", readonly(w))
+        object.__setattr__(self, "_build", _MergeBuild(self.weights, n))
 
     @property
     def n_nodes(self) -> int:
         return len(self.ids)
 
-    @cached_property
+    def merge_prefix(self, tau: float):
+        """``(floor, left, right)`` of the merge steps down to the first linkage below
+        ``tau``, or all of them: the negated running minimum of the step linkages and the
+        merged positions.  A cut at any tau' >= tau keeps the steps before the first
+        linkage below tau', ``searchsorted(floor, -tau', side="right")``."""
+        return self._build.prefix(tau)
+
+    @property
     def merge_sequence(self):
-        """``(floor, left, right)``: the negated running minimum of the step linkages and the
-        merged positions; a cut at tau keeps the steps before the first linkage below it,
-        ``searchsorted(floor, -tau, side="right")``."""
-        linkage, left, right = _merge_trajectory(self.weights)
-        return -np.minimum.accumulate(linkage), left, right
+        """The whole merge sequence, ``merge_prefix`` with no step left out."""
+        return self.merge_prefix(-np.inf)
 
 
 def tau_cuts(graph: SimilarityGraph, taus):
     """Yields ``(order, sizes)`` of ``hac_cluster(graph, tau)`` per tau in ``taus``: node
     positions grouped by cluster, clusters in smallest-member order and members ascending,
-    and the cluster sizes.  A cut keeps the steps that ``merge_sequence``'s floor counts;
-    a survivor sits below what it absorbs, so pointer jumping finds each node's cluster."""
-    (floor, left, right), n = graph.merge_sequence, graph.n_nodes
-    for p in np.searchsorted(floor, -np.asarray(taus, dtype=np.float64), side="right").tolist():
-        root = np.arange(n)
-        root[right[:p]] = left[:p]
-        up = root[root]
-        while (up != root).any():
-            root, up = up, up[up]
-        sizes = np.bincount(root, minlength=n)
-        yield np.argsort(root, kind="stable"), sizes[sizes > 0]
+    and the cluster sizes.  The build runs down to the lowest tau, and every tau's cut
+    comes from one pass over a taus x n table: a cut keeps the steps that the floor
+    counts, and a survivor sits below what it absorbs, so pointer jumping along each
+    row finds each node's cluster."""
+    taus = np.asarray(taus, dtype=np.float64)
+    if not taus.size:
+        return
+    (floor, left, right), n = graph.merge_prefix(taus.min()), graph.n_nodes
+    kept = np.arange(len(floor)) < np.searchsorted(floor, -taus, side="right")[:, None]
+    rows, steps = np.nonzero(kept)
+    root = np.tile(np.arange(n), (len(taus), 1))
+    root[rows, right[steps]] = left[steps]
+    up = np.take_along_axis(root, root, axis=1)
+    while (up != root).any():
+        root, up = up, np.take_along_axis(up, up, axis=1)
+    sizes = np.bincount((root + n * np.arange(len(taus))[:, None]).ravel(),
+                        minlength=len(taus) * n).reshape(len(taus), n)
+    for order, row in zip(np.argsort(root, axis=1, kind="stable"), sizes):
+        yield order, row[row > 0]
 
 
 def check_tau(tau: float) -> None:
@@ -176,7 +232,7 @@ def hac_cluster(graph: SimilarityGraph, tau: float) -> ClusterSet:
     """Partition of the graph's mutants at linkage threshold ``tau``.
 
     Equivalent to merging the best pair while its average linkage >= tau;
-    implemented as a prefix cut of the cached merge sequence.
+    implemented as a prefix cut of the graph's merge sequence, built down to tau.
     """
     check_tau(tau)
     order, sizes = next(tau_cuts(graph, [tau]))
@@ -213,13 +269,13 @@ def tau_search(graph: SimilarityGraph, constraint: ReductionConstraint,
     tau starts at the midpoint of (0, 1); a rate below the constraint lowers
     the upper bound, a rate above it raises the lower bound, and a rate
     inside returns ``hac_cluster`` at that tau, the one cut; each midpoint's
-    cluster count is read off the merge sequence.  The round gives up when
-    the midpoint leaves [1e-5, 0.99999] or the interval width drops under
-    1e-6 (plateau guard; the plain midpoint test alone cannot terminate on an
-    interior plateau).  Every visited tau and the stop reason are recorded in
-    ``trace``.
+    cluster count is read off the merge sequence, built down to that midpoint.
+    The round gives up when the midpoint leaves [1e-5, 0.99999] or the interval
+    width drops under 1e-6 (plateau guard; the plain midpoint test alone cannot
+    terminate on an interior plateau).  Every visited tau and the stop reason
+    are recorded in ``trace``.
     """
-    floor, n = graph.merge_sequence[0], graph.n_nodes
+    n = graph.n_nodes
     tau_lo, tau_hi = 0.0, 1.0
     while True:
         tau = tau_lo + (tau_hi - tau_lo) / 2
@@ -229,7 +285,7 @@ def tau_search(graph: SimilarityGraph, constraint: ReductionConstraint,
         if tau_hi - tau_lo < WIDTH_CAP:
             trace.stop_reason = "interval-collapsed"
             return None
-        count = n - int(np.searchsorted(floor, -tau, side="right"))
+        count = n - int(np.searchsorted(graph.merge_prefix(tau)[0], -tau, side="right"))
         rate = mutant_reduction_rate(n, count)
         trace.taus.append(tau)
         trace.rates.append(rate)

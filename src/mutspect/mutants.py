@@ -16,6 +16,7 @@ each docstring so tests can replay them independently.
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass, field
 
@@ -94,7 +95,16 @@ class MutantSet:
         if len(picked) != len(wanted):
             missing = min(wanted - {m.mutant_id for m in picked})
             raise MissingMutantError(f"mutant {missing} is not in the mutant set")
-        return MutantSet(self.original, picked, self.generation_seed)
+        return self.part(picked)
+
+    def part(self, records: list[MutantRecord]) -> MutantSet:
+        """A set of ``records`` taken from this one, with its original and generation
+        seed.  Each record passed this set's checks, so only emptiness is checked again."""
+        if not records:
+            raise ValidationError("a mutant set needs at least one mutant")
+        part = copy.copy(self)
+        part.mutants, part.warnings = records, []
+        return part
 
 
 def _check_target(model: FcnnClassifier, layer: int, neuron: int):

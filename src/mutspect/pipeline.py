@@ -81,8 +81,7 @@ def _distinct_models(mutants: MutantSet) -> tuple[MutantSet, dict[int, tuple[int
     if len(groups) == len(mutants):
         return mutants, {}
     members = {g[0].mutant_id: tuple(r.mutant_id for r in g) for g in groups.values()}
-    return MutantSet(mutants.original, [g[0] for g in groups.values()],
-                     mutants.generation_seed), members
+    return mutants.part([g[0] for g in groups.values()]), members
 
 
 def _graph_at(distinct: MutantSet, members: dict[int, tuple[int, ...]], dataset: LabeledDataset,
@@ -118,6 +117,7 @@ def parameter_search(
         rounds.append(XRound(per_class_rate=x))
         with phase_timer(phases, "clustering"):
             clusters = tau_search(graph, constraint, rounds[-1])
+        del graph  # with any partial merge build, before the next rate's signatures
         if clusters is not None:
             return rounds, sample, clusters
     return rounds, None, None
@@ -195,6 +195,7 @@ def run_accelerated(
         sample, graph = build(fixed_per_class)
         with phase_timer(phases, "clustering"):
             clusters = hac_cluster(graph, fixed_tau)
+        del graph  # with its partial merge build, before testing
     else:
         grid = X_GRID if fixed_per_class is None else (fixed_per_class,)
         search_rounds, sample, clusters = parameter_search(build, constraint, grid, phases)
@@ -273,12 +274,17 @@ def run_sweep(
     A representative tested on the full dataset reproduces its vanilla
     verdict bit for bit, so each cell's accelerated score is assembled from
     the cached vanilla verdicts.  Per graph, ``tau_cuts`` builds the merge
-    sequence once and, with ``draw_picks``, gives each cell's sizes and
-    ``select_representatives``' draw; the killed count is their vanilla
-    counts dotted with the sizes.  Per-cell seconds cover that (the first,
-    the merge build too).  A given ``vanilla`` table must hold a tested
-    count for every mutant and for no other, over the dataset's label set.
-    Reduction rate against tau is rank-correlated per (x, repeat), pooled per x.
+    sequence down to the lowest tau and gives each cell's sizes; the killed
+    count is the representatives' vanilla counts dotted with the sizes, the
+    representatives ``select_representatives``' draw (``draw_picks``).  A cut
+    whose steps each join mutants of one vanilla count holds one count per
+    cluster, so any pick gives the same score and no draw is made.  Per-cell
+    seconds cover that (the first, the merge build and the cuts too).  Each
+    rate's graph is dropped before the next rate's signature pass.  A given
+    ``vanilla`` table must hold a tested count for every mutant and for no
+    other, over the dataset's label set.  Reduction rate against tau is
+    rank-correlated per (x, repeat), pooled per x; with one repeat the pooled
+    cells are that repeat's, and so is rho.
     """
     check_labels(original, dataset)
     vanilla = vanilla or vanilla_test(original, mutants, dataset)
@@ -298,15 +304,23 @@ def run_sweep(
             _, graph = _graph_at(distinct, members, dataset, TRANSFORM_DFT, sampling_seed, {}, x)
             q_total = sum(counts[m] for m in _quarantined(mutants, graph.ids))
             held, n = np.array([counts[m] for m in graph.ids]), graph.n_nodes
+            any_pick = q_total + int(held.sum())
             start = time.perf_counter()
+            _, left, right = graph.merge_prefix(min(spec.tau_grid))
+            # cuts of at most this many steps hold one vanilla count per cluster
+            one_count = np.flatnonzero(np.append(held[left] != held[right], True))[0]
             cuts = zip(spec.tau_grid, tau_cuts(graph, spec.tau_grid))
             for k, (tau, (order, sizes)) in enumerate(cuts):
-                picks = draw_picks(sizes, derived_seed(seeds.representative, repeat, x, k))
-                killed = q_total + int(held[order[np.cumsum(sizes) - sizes + picks]] @ sizes)
+                if n - len(sizes) <= one_count:
+                    killed = any_pick
+                else:
+                    picks = draw_picks(sizes, derived_seed(seeds.representative, repeat, x, k))
+                    killed = q_total + int(held[order[np.cumsum(sizes) - sizes + picks]] @ sizes)
                 err = score_error(ms_vanilla, killed / (n_total * len(vanilla.labels)))
                 rate, now = mutant_reduction_rate(n, len(sizes)), time.perf_counter()
                 cells.append(SweepCell(x, tau, repeat, rate, len(sizes), err, now - start))
                 start = now
+            del graph, cuts
 
     per_repeat: dict[tuple[int, int], list[SweepCell]] = {}
     pooled: dict[int, list[SweepCell]] = {}
@@ -314,7 +328,9 @@ def run_sweep(
         per_repeat.setdefault((cell.per_class_rate, cell.repeat), []).append(cell)
         pooled.setdefault(cell.per_class_rate, []).append(cell)
     rho_per_repeat = {key: _rho(group) for key, group in per_repeat.items()}
-    return SweepResult(cells, rho_per_repeat, {x: _rho(g) for x, g in pooled.items()}, ms_vanilla)
+    rho_pooled = {x: rho_per_repeat[x, 0] if spec.repeats == 1 else _rho(group)
+                  for x, group in pooled.items()}
+    return SweepResult(cells, rho_per_repeat, rho_pooled, ms_vanilla)
 
 
 def _rho(cells: list[SweepCell]) -> float | None:

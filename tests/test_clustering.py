@@ -94,6 +94,15 @@ def with_duplicates(w, pairs):
     return w
 
 
+def trajectory(weights):
+    """The whole merge sequence of condensed ``weights`` as arrays: the step
+    linkages, the survivors and the absorbed positions."""
+    steps = list(_merge_trajectory(weights))
+    linkage = np.array([link for link, _, _ in steps], dtype=np.float64)
+    left, right = np.array([(i, j) for _, i, j in steps], dtype=np.intp).reshape(-1, 2).T
+    return linkage, left, right
+
+
 def rescan_trajectory(weights):
     """Merge steps from a full argmax over the sum-based linkage table at every
     step: the library's arithmetic without its cached row maxima."""
@@ -264,7 +273,7 @@ class TestHacCluster:
             n = int(rng.integers(3, 10))
             tables.append(symmetric(rng.choice(levels[k % 3], (n, n))))
         for w in tables:
-            steps = _merge_trajectory(squareform(w, checks=False))
+            steps = trajectory(squareform(w, checks=False))
             got = list(zip(*(column.tolist() for column in steps)))
             assert got == rescan_trajectory(w)
 
@@ -282,7 +291,7 @@ class TestHacCluster:
             srcs = rng.choice(n, n // 5, replace=False)
             dups = rng.choice(np.setdiff1d(np.arange(n), srcs), n // 5, replace=False)
             w = with_duplicates(w, [(int(a), int(b)) for a, b in zip(srcs, dups)])
-        steps = _merge_trajectory(squareform(w, checks=False))
+        steps = trajectory(squareform(w, checks=False))
         got = list(zip(*(column.tolist() for column in steps)))
         assert got == rescan_trajectory(w)
 
@@ -562,7 +571,7 @@ def loop_cut(graph, tau):
     of tau_cuts: each step joins its right node to its left one until the
     first linkage below tau; clusters in smallest-member order, members
     ascending."""
-    linkage, left, right = _merge_trajectory(graph.weights)
+    linkage, left, right = trajectory(graph.weights)
     parent = list(range(graph.n_nodes))
     for link, i, j in zip(linkage.tolist(), left.tolist(), right.tolist()):
         if link < tau:
@@ -692,7 +701,7 @@ class TestCutPassOracle:
         rng = np.random.default_rng(19)
         for k in range(20):
             w = random_weight_table(int(rng.integers(2, 30)), rng)
-            linkage = _merge_trajectory(squareform(w, checks=False))[0]
+            linkage = trajectory(squareform(w, checks=False))[0]
             taus = [float(t) for t in np.unique(linkage) if 0 < t < 1]
             taus += [float(np.nextafter(t, side)) for side in (0, 1) for t in taus]
             self.assert_cuts_match(graph_from_weights(w), taus, seed=k)
@@ -702,7 +711,7 @@ class TestCutPassOracle:
         # 2 and 3; the last step's mean of 0.1s rounds above the step before
         w = symmetric(np.array([[1, 0.7, 0.1, 0.1], [0, 1, 0.1, 0.1],
                                 [0, 0, 1, 0.1], [0, 0, 0, 1]]))
-        linkage = _merge_trajectory(squareform(w, checks=False))[0]
+        linkage = trajectory(squareform(w, checks=False))[0]
         assert linkage.tolist() == [0.7, 0.1, 0.10000000000000002]
         taus = [0.1, 0.10000000000000002, float(np.nextafter(0.1, 0)), 0.7, 0.5]
         self.assert_cuts_match(graph_from_weights(w), taus)
@@ -722,39 +731,53 @@ class TestCutPassOracle:
 
     @staticmethod
     def counted_builds(monkeypatch):
+        """Per merge build started: its weights' shape and the steps taken from it."""
         import mutspect.clustering as clustering
 
         built = []
         real = clustering._merge_trajectory
 
         def counted(weights):
-            built.append(weights.shape)
-            return real(weights)
+            build = [weights.shape, 0]
+            built.append(build)
+
+            def steps():
+                for step in real(weights):
+                    build[1] += 1
+                    yield step
+            return steps()
 
         monkeypatch.setattr(clustering, "_merge_trajectory", counted)
         return built
 
     def test_one_merge_build_per_graph(self, monkeypatch):
-        # the search, its cut, further cuts and the sweep's cuts all read the
-        # sequence cached on the graph; a second graph builds its own
+        # the search, its cut, further cuts and the sweep's cuts all extend the
+        # one build of their graph in place, never past the steps they read; a
+        # second graph builds its own
         built = self.counted_builds(monkeypatch)
         rng = np.random.default_rng(3)
         graphs = [graph_from_weights(random_weight_table(n, rng)) for n in (12, 7)]
-        for graph in graphs:
+        for build, graph in zip(built, graphs):
             trace = XRound(per_class_rate=1)
             clusters = tau_search(graph, DEFAULT_REDUCTION, trace)
             assert trace.iterations > 1 and clusters is not None
+            # down to the first step below the lowest midpoint, and no further
+            floor = -np.minimum.accumulate(trajectory(graph.weights)[0])
+            reach = int(np.searchsorted(floor, -min(trace.taus), side="right")) + 1
+            assert build[1] == min(reach, graph.n_nodes - 1)
             hac_cluster(graph, 0.3)
             assert len(list(tau_cuts(graph, TAU_SWEEP_GRID))) == len(TAU_SWEEP_GRID)
-        assert built == [(66,), (21,)]
+            assert graph.merge_sequence[0].tobytes() == floor.tobytes()
+            assert build[1] == graph.n_nodes - 1
+        assert built == [[(66,), 11], [(21,), 6]]
 
     def test_replace_gives_a_graph_without_the_cached_sequence(self, monkeypatch):
         built = self.counted_builds(monkeypatch)
         graph = graph_from_weights(random_weight_table(6, np.random.default_rng(4)))
         singletons = hac_cluster(graph, 0.999).clusters
         copy = dataclasses.replace(graph)
-        assert "merge_sequence" in vars(graph) and "merge_sequence" not in vars(copy)
-        assert hac_cluster(copy, 0.999).clusters == singletons and len(built) == 2
+        assert len(built) == 2 and built[0][1] > 0 and built[1][1] == 0
+        assert hac_cluster(copy, 0.999).clusters == singletons and built[1][1] == built[0][1]
         joined = dataclasses.replace(graph, weights=np.ones(15))
         assert hac_cluster(joined, 0.999).clusters == (tuple(range(6)),) and len(built) == 3
 
@@ -763,3 +786,201 @@ class TestCutPassOracle:
             graph_from_weights(np.eye(3), ids=(2, 1, 3))
         with pytest.raises(ValidationError, match="increasing"):
             graph_from_weights(np.eye(2), ids=(4, 4))
+
+
+def full_floor(weights):
+    """The floor of the whole merge sequence of condensed ``weights``."""
+    return -np.minimum.accumulate(trajectory(weights)[0])
+
+
+def lazy_graphs():
+    """Random tables, tie-heavy dyadic tables with twins at 1.0, all-zero and
+    constant tables, and the smallest graphs."""
+    rng = np.random.default_rng(41)
+    tables = [random_weight_table(int(rng.integers(2, 40)), rng) for _ in range(12)]
+    for _ in range(12):
+        n = int(rng.integers(3, 40))
+        w = symmetric(rng.choice(DYADIC_LEVELS, (n, n)))
+        dups = rng.choice(np.arange(1, n), int(rng.integers(1, n)))
+        tables.append(with_duplicates(w, [(int(rng.integers(n)), int(d)) for d in dups]))
+    tables += [symmetric(np.zeros((n, n))) for n in (2, 3, 17)]
+    tables += [np.full((n, n), value) for n, value in ((12, 0.5), (10, 0.9), (2, 0.3))]
+    return [graph_from_weights(w) for w in tables]
+
+
+# the lazy build's prefixes must be the same-length prefixes of the whole
+# build bit for bit, which rests on np.minimum.accumulate over a prefix
+# equalling the prefix of the accumulation over the whole sequence
+@pytest.mark.oldest_supported
+class TestLazyPrefixOracle:
+    """Requests for taus ascending, descending and repeated take the build
+    exactly to the first step below the lowest tau asked for, never further;
+    every prefix is the whole sequence's, and every cut count is the one the
+    whole sequence gives."""
+
+    TAUS = np.linspace(0.02, 0.98, 25)
+
+    def assert_requests(self, graph, taus):
+        floor_all = full_floor(graph.weights)
+        left_all, right_all = trajectory(graph.weights)[1:]
+        lowest = np.inf
+        for tau in taus:
+            lowest = min(lowest, tau)
+            floor, left, right = graph.merge_prefix(tau)
+            reach = min(int(np.searchsorted(floor_all, -lowest, side="right")) + 1,
+                        len(floor_all))
+            assert len(floor) == reach, (graph.n_nodes, tau)
+            assert floor.tobytes() == floor_all[:reach].tobytes()
+            assert left.tolist() == left_all[:reach].tolist()
+            assert right.tolist() == right_all[:reach].tolist()
+            for t in self.TAUS[self.TAUS >= lowest]:
+                assert (np.searchsorted(floor, -t, side="right")
+                        == np.searchsorted(floor_all, -t, side="right")), (graph.n_nodes, t)
+            # the working tables live exactly as long as steps are left to take
+            assert (graph._build.steps.gi_frame is None) == (reach == len(floor_all))
+        floor, left, right = graph.merge_sequence
+        assert floor.tobytes() == floor_all.tobytes() and left.tolist() == left_all.tolist()
+        assert right.tolist() == right_all.tolist()
+        assert graph._build.steps.gi_frame is None
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "repeated"])
+    def test_request_orders(self, order):
+        rng = np.random.default_rng(42)
+        for graph in lazy_graphs():
+            taus = rng.choice(self.TAUS, 6).tolist()
+            if order == "ascending":
+                taus.sort()
+            elif order == "descending":
+                taus.sort(reverse=True)
+            else:
+                taus = [taus[0], taus[0], *taus[1:3], taus[1], taus[0]]
+            self.assert_requests(graph, taus)
+
+    def test_taus_equal_to_step_linkages(self):
+        for graph in lazy_graphs():
+            linkage = trajectory(graph.weights)[0]
+            taus = [float(t) for t in np.unique(linkage)[::-1] if 0 < t < 1]
+            self.assert_requests(graph, [*taus, *(np.nextafter(t, 0) for t in taus)])
+
+    def test_a_last_step_below_tau_frees_the_tables(self):
+        # the one step of a two-node graph is taken and is below tau: nothing
+        # is left to take, so the build's frame is closed at once
+        graph = graph_from_weights(np.full((2, 2), 0.3))
+        assert graph.merge_prefix(0.5)[0].tolist() == [-0.3]
+        assert graph._build.steps.gi_frame is None
+        assert len(hac_cluster(graph, 0.5)) == 2 and len(hac_cluster(graph, 0.3)) == 1
+
+    def test_no_request_takes_no_step(self):
+        graph = graph_from_weights(random_weight_table(9, np.random.default_rng(43)))
+        assert list(tau_cuts(graph, [])) == [] and graph._build.taken == 0
+        empty = SimilarityGraph((), np.empty(0))
+        assert [len(part) for part in empty.merge_sequence] == [0, 0, 0]
+        assert list(hac_cluster(empty, 0.5).clusters) == []
+
+    def test_concurrent_requests_share_one_build(self):
+        # threads asking for taus in different orders extend one build under
+        # its lock; a lost or doubled step would break a prefix
+        import sys
+        import threading
+
+        w = symmetric(np.random.default_rng(44).choice(DYADIC_LEVELS, (80, 80)))
+        floor_all = full_floor(squareform(w, checks=False))
+        failures = []
+
+        def reader(seed):
+            rng = np.random.default_rng(seed)
+            for tau in rng.choice(self.TAUS, 12):
+                try:
+                    floor = graph.merge_prefix(tau)[0]
+                except ValueError as exc:  # a generator entered by two threads at once
+                    failures.append((seed, tau, exc))
+                    return
+                if floor.tobytes() != floor_all[:len(floor)].tobytes():
+                    failures.append((seed, tau))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(5):
+                graph = graph_from_weights(w)
+                threads = [threading.Thread(target=reader, args=(10 * round_ + k,))
+                           for k in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert graph.merge_sequence[0].tobytes() == floor_all.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+
+
+def per_tau_cuts(graph, taus):
+    """Each tau's cut on its own, from the whole sequence: its own root table,
+    pointer jumping, a stable argsort and a bincount."""
+    (floor, left, right), n = graph.merge_sequence, graph.n_nodes
+    for p in np.searchsorted(floor, -np.asarray(taus, dtype=np.float64), side="right").tolist():
+        root = np.arange(n)
+        root[right[:p]] = left[:p]
+        up = root[root]
+        while (up != root).any():
+            root, up = up, up[up]
+        sizes = np.bincount(root, minlength=n)
+        yield np.argsort(root, kind="stable"), sizes[sizes > 0]
+
+
+# one pass over a taus x n table must give each tau's cut exactly as a pass of
+# its own does, which rests on np.take_along_axis and on a stable argsort
+# along axis 1 ordering every row as a 1-D stable argsort would
+@pytest.mark.oldest_supported
+class TestOnePassCutOracle:
+    """tau_cuts' one 2-D pass gives, bit for bit and dtype for dtype, each
+    tau's order and sizes from a cut of its own."""
+
+    @staticmethod
+    def assert_same_cuts(graph, taus):
+        got = list(tau_cuts(graph, taus))
+        want = list(per_tau_cuts(graph, taus))
+        assert len(got) == len(want) == len(taus)
+        for (order, sizes), (order_want, sizes_want) in zip(got, want):
+            assert order.dtype == order_want.dtype and sizes.dtype == sizes_want.dtype
+            assert order.tolist() == order_want.tolist()
+            assert sizes.tolist() == sizes_want.tolist()
+
+    def test_random_and_tie_heavy_graphs(self):
+        rng = np.random.default_rng(45)
+        for graph in lazy_graphs():
+            taus = [*TAU_SWEEP_GRID, *rng.choice(TAU_SWEEP_GRID, 5), *DYADIC_LEVELS]
+            rng.shuffle(taus)
+            self.assert_same_cuts(graph, taus)
+
+    def test_small_graphs_and_empty_tau_lists(self):
+        for n in (0, 1, 2):
+            graph = graph_from_weights(np.full((n, n), 0.5))
+            self.assert_same_cuts(graph, [0.3, 0.5, 0.7, 0.5])
+            self.assert_same_cuts(graph, [])
+        two = graph_from_weights(np.full((2, 2), 0.5))
+        assert [sizes.tolist() for _, sizes in tau_cuts(two, [0.7, 0.5])] == [[1, 1], [2]]
+
+
+def test_a_build_interrupted_mid_step_starts_over(monkeypatch):
+    # an exception inside a step ends the trajectory; the next request must
+    # not read the dead build as complete
+    import mutspect.clustering as clustering
+
+    w = squareform(random_weight_table(12, np.random.default_rng(46)), checks=False)
+    real, calls = clustering._merge_trajectory, []
+
+    def failing(weights):
+        calls.append(len(calls))
+        for k, step in enumerate(real(weights)):
+            if k == 4 and len(calls) == 1:
+                raise KeyboardInterrupt
+            yield step
+
+    monkeypatch.setattr(clustering, "_merge_trajectory", failing)
+    graph = SimilarityGraph(tuple(range(12)), w)
+    with pytest.raises(KeyboardInterrupt):
+        graph.merge_sequence
+    assert graph.merge_sequence[0].tobytes() == full_floor(w).tobytes() and calls == [0, 1]

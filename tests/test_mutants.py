@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -12,9 +13,11 @@ from mutspect.errors import (
     UnsupportedTargetError,
     ValidationError,
 )
-from mutspect.model import batch_outputs, model_hash
+from mutspect.model import DenseLayer, FcnnClassifier, batch_outputs, model_hash
+import mutspect.mutants as mutants_module
 from mutspect.mutants import (
     ALL_KINDS,
+    MutantSet,
     MutatorKind,
     _fisher_yates,
     _target_space,
@@ -329,6 +332,58 @@ class TestSubset:
         ms = generate_mutant_set(random_net, 4, seed=3)
         with pytest.raises(MissingMutantError, match="mutant 9 "):
             ms.subset([1, 9])
+
+    def test_empty_subset_is_refused(self, random_net):
+        ms = generate_mutant_set(random_net, 4, seed=3)
+        with pytest.raises(ValidationError, match="at least one mutant"):
+            ms.subset([])
+
+    def test_part_keeps_the_set_apart(self, random_net):
+        # a part does not re-check its records, but it is a set of its own
+        ms = generate_mutant_set(random_net, 6, seed=3)
+        ms.warnings.append("kept on the whole set")
+        part = ms.part(ms.mutants[1:4])
+        assert part.ids() == [1, 2, 3] and part.warnings == []
+        assert (part.original, part.generation_seed) == (ms.original, ms.generation_seed)
+        part.mutants.pop()
+        assert len(ms) == 6 and ms.warnings == ["kept on the whole set"]
+
+
+class TestDimensionCheck:
+    """A set built from outside input re-checks every record's dimensions;
+    only a part of an already checked set skips it."""
+
+    @staticmethod
+    def wider(record, net):
+        # one more input feature: the mutant no longer fits the original
+        first = net.layers[0]
+        layer = DenseLayer(np.zeros((first.out_dim, first.in_dim + 1)), first.biases,
+                           first.activation)
+        model = FcnnClassifier((layer, *net.layers[1:]))
+        return dataclasses.replace(record, model=model)
+
+    def test_direct_construction(self, random_net):
+        records = generate_mutant_set(random_net, 3, seed=1).mutants
+        records[1] = self.wider(records[1], random_net)
+        with pytest.raises(ValidationError, match="mutant 1 changed model dimensions"):
+            MutantSet(random_net, records, 0)
+
+    @pytest.mark.parametrize("build", ["generate", "manifest"])
+    def test_rebuilt_records(self, random_net, tmp_path, monkeypatch, build):
+        path = tmp_path / "manifest.json"
+        save_manifest(generate_mutant_set(random_net, 3, seed=1), path)
+        real = mutants_module.rebuild_mutant
+
+        def rebuilt(original, entry):
+            record = real(original, entry)
+            return self.wider(record, original) if record.mutant_id == 2 else record
+
+        monkeypatch.setattr(mutants_module, "rebuild_mutant", rebuilt)
+        with pytest.raises(ValidationError, match="mutant 2 changed model dimensions"):
+            if build == "generate":
+                generate_mutant_set(random_net, 3, seed=1)
+            else:
+                load_manifest(path, random_net)
 
 
 class TestManifest:

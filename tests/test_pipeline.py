@@ -1,12 +1,19 @@
 import time
+import weakref
 
 import numpy as np
 import pytest
 
 from mutspect.baselines import rms_test
-from mutspect.clustering import X_GRID, ReductionConstraint, hac_cluster, select_representatives
+from mutspect.clustering import (
+    X_GRID,
+    ReductionConstraint,
+    hac_cluster,
+    mutant_reduction_rate,
+    select_representatives,
+)
 from mutspect.errors import ParameterError, ValidationError
-from mutspect.metrics import measures
+from mutspect.metrics import measures, score_error, spearman_rho
 from mutspect.model import count_forward_passes
 from mutspect.mutants import MutantSet, gaussian_fuzz, neuron_effect_block
 from mutspect.pipeline import Seeds, SweepSpec, run_accelerated, run_sweep, run_vanilla
@@ -250,6 +257,103 @@ def test_sweep_cell_scores_match_direct_propagation(pool_world, failed, request)
                 assert cell.n_clusters == len(clusters)
                 assert cell.score_error == abs(ms_vanilla - ms_cell) / ms_vanilla
     assert next(cells, None) is None
+
+
+@pytest.fixture(scope="module")
+def one_count_world(world):
+    """The world's mutants that kill no label: every cell holds one vanilla count."""
+    ds, model, mutants = world
+    vanilla = vanilla_test(model, mutants, ds)
+    pool = mutants.subset([m for m, count in vanilla.counts().items() if count == 0])
+    return ds, model, pool, vanilla_test(model, pool, ds)
+
+
+def sweep_with_every_draw(model, pool, ds, spec, seeds, vanilla):
+    """Each cell's (x, tau, repeat, rate, clusters, error) from a graph with a row
+    per mutant and a representative drawn in every cell, and whether any of the
+    cell's clusters holds two vanilla counts, so that a pick could change it."""
+    counts, ms_vanilla = vanilla.counts(), mutation_score(vanilla)
+    cells = []
+    for repeat in range(spec.repeats):
+        for x in spec.x_grid:
+            sample = stratified_sample(ds, x, derived_seed(seeds.sampling, repeat))
+            spectra = mutant_spectra(pool, ds, sample)
+            graph = build_similarity_graph(spectra)
+            for k, tau in enumerate(spec.tau_grid):
+                clusters = hac_cluster(graph, tau)
+                reps = select_representatives(
+                    clusters, derived_seed(seeds.representative, repeat, x, k))
+                killed = sum(counts[m] for m in spectra.failed)
+                killed += sum(counts[rep] * len(members) for rep, members in reps.pairs)
+                err = score_error(ms_vanilla, killed / (len(pool) * len(vanilla.labels)))
+                rate = mutant_reduction_rate(graph.n_nodes, len(clusters))
+                mixed = any(len({counts[m] for m in c}) > 1 for c in clusters.clusters)
+                cells.append(((x, tau, repeat, rate, len(clusters), err), mixed))
+    return cells
+
+
+@pytest.mark.parametrize("pool_world", ["exploding_world", "twin_world", "one_count_world"])
+@pytest.mark.parametrize("repeats", [1, 2])
+def test_sweep_draws_only_where_a_pick_can_change_the_score(pool_world, repeats, request,
+                                                            monkeypatch):
+    # cells, rho and draws against a sweep that draws in every cell: a cell
+    # whose clusters each hold one vanilla count makes no draw
+    import mutspect.pipeline as pipeline
+
+    ds, model, pool, vanilla = request.getfixturevalue(pool_world)
+    spec = SweepSpec(x_grid=(1, 3), tau_grid=(0.05, 0.3, 0.6, 0.9, 0.99), repeats=repeats)
+    seeds = Seeds(9, 10)
+    draws = []
+    real = pipeline.draw_picks
+
+    def counted(sizes, seed):
+        draws.append(seed)
+        return real(sizes, seed)
+
+    monkeypatch.setattr(pipeline, "draw_picks", counted)
+    sweep = run_sweep(model, pool, ds, spec, seeds, vanilla=vanilla)
+    want = sweep_with_every_draw(model, pool, ds, spec, seeds, vanilla)
+    got = [(c.per_class_rate, c.tau, c.repeat, c.reduction_rate, c.n_clusters, c.score_error)
+           for c in sweep.cells]
+    assert got == [cell for cell, _ in want]
+    assert len(draws) == sum(mixed for _, mixed in want)
+    assert 0 < len(draws) < len(want) or pool_world == "one_count_world" and not draws
+    groups = {}
+    for (x, tau, repeat, rate, *_), _ in want:
+        groups.setdefault((x, repeat), []).append((tau, rate))
+    assert sweep.rho_per_repeat == {key: spearman_rho(*zip(*g)) for key, g in groups.items()}
+    assert sweep.rho_pooled == {
+        x: spearman_rho(*zip(*[p for (gx, _), g in groups.items() if gx == x for p in g]))
+        for x in spec.x_grid}
+
+
+def test_each_graph_is_dropped_before_the_next_signature_pass(exploding_world, monkeypatch):
+    # no rate's graph, nor its partial merge build, outlives its rate: in the
+    # sweep, and in a search that walks the whole grid
+    import mutspect.pipeline as pipeline
+
+    ds, model, pool, vanilla = exploding_world
+    graphs, alive = [], []
+    real_graph, real_spectra = pipeline.build_similarity_graph, pipeline.mutant_spectra
+
+    def built(spectra):
+        graph = real_graph(spectra)
+        graphs.append(weakref.ref(graph))
+        return graph
+
+    def spectra_of(mutants, dataset, sample, transform):
+        alive.append(sum(ref() is not None for ref in graphs))
+        return real_spectra(mutants, dataset, sample, transform)
+
+    monkeypatch.setattr(pipeline, "build_similarity_graph", built)
+    monkeypatch.setattr(pipeline, "mutant_spectra", spectra_of)
+    spec = SweepSpec(x_grid=(1, 3, 5), tau_grid=(0.05, 0.5), repeats=2)
+    run_sweep(model, pool, ds, spec, Seeds(5, 6), vanilla=vanilla)
+    assert alive == [0] * 6 and len(graphs) == 6
+    graphs.clear()
+    alive.clear()
+    res = run_accelerated(model, pool, ds, constraint=ReductionConstraint(0.99, 0.999))
+    assert not res.found and alive == [0] * len(X_GRID) == [0] * len(graphs)
 
 
 def test_one_graph_per_round_and_per_sweep_rate(exploding_world, monkeypatch):
