@@ -26,6 +26,15 @@ def _point_dtype(dim: int) -> np.dtype:
     return np.dtype([("features", "<f8", (dim,)), ("label", "<u4")])
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as an array; ValidationError unless it is empty or of an
+    integer dtype, since a cast would truncate 1.7, read True and parse '2'."""
+    a = np.asarray(values)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValidationError(f"{what} must be integers, got dtype {a.dtype}")
+    return a
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     features: np.ndarray  # (n, input_dim) float64
@@ -34,7 +43,7 @@ class LabeledDataset:
 
     def __post_init__(self):
         x = np.asarray(self.features, dtype=np.float64)
-        y = np.asarray(self.labels, dtype=np.int64)
+        y = np.asarray(_integers(self.labels, "labels"), dtype=np.int64)
         if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
             raise ValidationError(
                 f"features {x.shape} and labels {y.shape} do not line up"
@@ -72,7 +81,7 @@ class LabeledDataset:
 
     def subset(self, indices) -> "LabeledDataset":
         """Dataset restricted to the given point indices, in the given order."""
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = np.asarray(_integers(indices, "subset indices"), dtype=np.int64)
         return LabeledDataset(self.features[idx], self.labels[idx], self.class_count)
 
 

@@ -42,8 +42,12 @@ class MeasureReport:
 
 
 def _check_same_mutants(accel: VerdictTable, vanilla: VerdictTable) -> None:
+    """ValidationError unless both tables cover one mutant set and the
+    reference holds a tested verdict for each of its mutants."""
     if set(accel.verdicts) != set(vanilla.verdicts):
         raise ValidationError("verdict tables cover different mutant sets")
+    if len(vanilla.counts()) != len(vanilla.verdicts):
+        raise ValidationError("the vanilla table must hold a tested verdict for each mutant")
 
 
 def measures(accel: VerdictTable, vanilla: VerdictTable) -> MeasureReport:

@@ -11,8 +11,9 @@ original's widest activation fits BLOCK_BYTES, runs the original once per
 block as far as some model needs it, keeping its activation only at the
 depths where a model first differs from it, and resumes each model there.  A
 model equal to the original (the original itself included) resumes after the
-last layer and costs nothing more.  Each layer allocates one array (the
-product with the weights) and applies the bias and ReLU to it in place.  The
+last layer and costs nothing more.  Each hidden layer allocates one array
+(the product with the weights) and applies the bias and ReLU to it in place;
+the output layer copies its product class-major and adds its bias there.  The
 engine stops at the output layer's logits and never raises on overflow: rows
 may carry NaN/Inf, and each caller decides what a non-finite row means.
 
@@ -25,11 +26,14 @@ Softmax runs only where its values are read: in batch_outputs (the engine
 over one model, then softmax) and over chunks of signatures in
 ``spectra.mutant_spectra``.  predicted_classes reads the softmax argmax off
 the logits without computing it, apart from the rare rows with a near-tie
-within NEAR_TIE of their maximum.
+within NEAR_TIE of their maximum, and agrees tells where stacked models
+predict given classes without computing theirs.
 
-Softmax and predicted_classes reduce over the class axis of a class-major
-copy of the block: numpy runs one inner loop per row when it reduces a
-row-major block over its classes, and one per class row over the copy,
+The engine's logits are class-major, (q, rows) per model: the output layer's
+product is copied transposed once and takes its bias along class rows, the
+same elementwise sums, and every consumer reduces over the class axis of
+that layout: numpy runs one inner loop per row when it reduces a row-major
+block over its classes, and one per class row over a class-major one,
 which is faster for few classes in long blocks (README, "Semantics worth
 knowing").  Below 8 classes the class sums repeat numpy's row-sum order;
 from 8 on they are numpy's row sums of a row-major copy.  So the outputs
@@ -231,21 +235,27 @@ def class_softmax(t: np.ndarray) -> np.ndarray:
     return top[..., 0, :]
 
 
-def _activate(layer, a: np.ndarray):
-    """Bias and ReLU of ``layer``, applied to the product ``a`` in place; the
-    output layer adds its bias only, leaving logits.
+def _activate(layer, a: np.ndarray) -> np.ndarray:
+    """``layer``'s output from its product ``a`` (rows, out), or a stack of
+    them: a hidden layer adds its bias and takes ReLU in place and returns
+    ``a``; the output layer returns a class-major copy (out, rows) of ``a``
+    with its bias added along class rows, which are its logits.
     """
-    a += layer.biases
     if layer.activation == RELU:
+        a += layer.biases[..., None, :]
         np.maximum(a, 0.0, out=a)
+        return a
+    t = np.ascontiguousarray(a.swapaxes(-1, -2))  # class-major: see the module docstring
+    t += layer.biases[..., None]
+    return t
 
 
 def _resume(layers, a: np.ndarray) -> np.ndarray:
     """``layers`` applied to the activation ``a``, which is not written."""
     with np.errstate(over="ignore", invalid="ignore"):
         for layer in layers:
-            a = a @ layer.weights.swapaxes(-1, -2)
-            _activate(layer, a)
+            a = a @ layer.weights.swapaxes(-1, -2)  # drops the input before the output's copy
+            a = _activate(layer, a)
     return a
 
 
@@ -270,7 +280,7 @@ def _tile_logits(models, depth: int, acts: dict) -> np.ndarray:
     heads = [model.layers[depth] for model in models]
     if len(heads) > 1:  # one layer of stacked weights (models, out, in) and biases
         heads = [SimpleNamespace(weights=np.array([h.weights for h in heads]),
-                                 biases=np.array([h.biases for h in heads])[:, None],
+                                 biases=np.array([h.biases for h in heads]),
                                  activation=heads[0].activation)]
     return _resume((*heads, *models[0].layers[depth + 1:]), acts[depth][None])
 
@@ -280,7 +290,8 @@ def forward_blocks(original: FcnnClassifier, models, points):
 
     Yields one flat stream of ``(rows, members, logits)``: a row block's
     slice of the points, the ascending indices into ``models`` of one tile
-    and their ``(len(members), rows, q)`` logits.  A block's tiles come
+    and their class-major ``(len(members), q, rows)`` logits, bit for bit
+    the row-major ones transposed (see _activate).  A block's tiles come
     together, the first starting with the first model, and each tile is
     computed before it is yielded, so a caller may keep it past the next
     block.  Each model resumes from the original's activation at its first
@@ -316,9 +327,9 @@ def forward_blocks(original: FcnnClassifier, models, points):
 
 
 def _logits(model: FcnnClassifier, points) -> np.ndarray:
-    """Output-layer logits of ``model``, one row per point."""
+    """Class-major output-layer logits of ``model``, one column per point."""
     parts = [logits[0] for _, _, logits in forward_blocks(model, (model,), points)]
-    return np.concatenate(parts) if parts else np.empty((0, model.num_outputs))
+    return np.concatenate(parts, axis=1) if parts else np.empty((model.num_outputs, 0))
 
 
 def batch_outputs(model: FcnnClassifier, points) -> np.ndarray:
@@ -327,7 +338,7 @@ def batch_outputs(model: FcnnClassifier, points) -> np.ndarray:
     Rows whose computation overflowed carry NaN/Inf; callers check
     ``np.isfinite`` themselves (quarantine, a -1 flag or ValidationError).
     """
-    t = _logits(model, points).T.copy()  # class-major: see the module docstring
+    t = _logits(model, points)  # a new array: concatenate copies
     class_softmax(t)
     return np.ascontiguousarray(t.T)
 
@@ -338,9 +349,9 @@ NEAR_TIE = 2.0 ** -40
 
 
 def predicted_classes(logits: np.ndarray) -> np.ndarray:
-    """Predicted class per row of output-layer logits: the argmax of the
-    row's softmax, ties to the lowest index, or -1 where that softmax is
-    non-finite.  ``logits`` is not written.
+    """Predicted class per row of class-major output-layer logits (q, rows):
+    the argmax of the row's softmax, ties to the lowest index, or -1 where
+    that softmax is non-finite.  ``logits`` is not written.
 
     The softmax is not computed.  With m the row maximum and s the class
     sum of exp(z - m), each output is fl(e / s) with e = fl(exp(fl(z - m))):
@@ -360,18 +371,43 @@ def predicted_classes(logits: np.ndarray) -> np.ndarray:
     maximum's output); those rows, rare, get the real softmax, computed as
     ``batch_outputs`` computes it.
     """
-    t = logits.T.copy()  # class-major: see the module docstring
-    top = t.max(axis=0)
-    preds = logits.argmax(axis=1)
+    top = logits.max(axis=0)
+    preds = logits.argmax(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        t -= top  # the softmax's own shift: NaN on rows with a non-finite maximum
+        t = logits - top  # the softmax's own shift: NaN on rows with a non-finite maximum
         near = np.flatnonzero(((t > -NEAR_TIE) & (t < 0)).any(axis=0))
     if near.size:
-        near_t = np.ascontiguousarray(logits[near].T)
+        near_t = logits[:, near]
         class_softmax(near_t)
         preds[near] = near_t.argmax(axis=0)
     preds[~np.isfinite(top)] = -1
     return preds
+
+
+def agrees(logits: np.ndarray, classes: np.ndarray):
+    """Where stacked class-major logits (models, q, rows) predict ``classes``
+    (one class per row, none -1), as predicted_classes reads them, and the
+    rows' maxima (models, rows).  ``logits`` is not written.
+
+    With m a row's maximum and t = fl(z - m), every t is at most 0 when m is
+    finite, and the maximum's is 0.  A row whose only t in (-NEAR_TIE, 0]
+    is its maximum's has a unique maximum and no near-tie, so it predicts
+    that class: class c iff t[c] == 0.  A row with more such entries (an
+    exact tie or a near-tie) is read by predicted_classes.  A row with a
+    non-finite maximum has none (each t is NaN or -inf) and predicts -1,
+    which no class equals.
+    """
+    models, q, n = logits.shape
+    top = logits.max(axis=-2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        near = logits - top[:, None] > -NEAR_TIE
+    same = near.reshape(models, -1).take(classes * n + np.arange(n), axis=1)
+    # the count's dtype holds q, so it cannot wrap however many classes there are
+    many = near.sum(axis=-2, dtype=np.min_scalar_type(q)) > 1
+    if many.any():
+        model, row = np.nonzero(many)
+        same[model, row] = predicted_classes(logits[model, :, row].T) == classes[row]
+    return same, top
 
 
 def predictions_with_flags(model: FcnnClassifier, points) -> np.ndarray:

@@ -8,8 +8,8 @@ exp(-distance), giving edge weights in [0, 1] for a complete graph.
 
 Signatures come from one walk of the forward engine over the sample with
 every mutant, each resuming from the original's activation at its first
-changed layer.  The walk yields finished tiles, and each tile's logits land
-class-major in one (|M|, q, |S|) array; one pass in id order then takes
+changed layer.  The walk yields finished tiles of class-major logits, each
+landing as it is in one (|M|, q, |S|) array; one pass in id order then takes
 chunks of consecutive mutants (TILE_BYTES each), applies softmax over their
 class axis, quarantines the mutants with non-finite outputs, compacts the
 array in place and, under DFT, replaces each kept mutant's outputs with
@@ -164,9 +164,9 @@ def mutant_spectra(
     One walk of the forward engine applies each mutant to each sampled point
     exactly once, resuming it at its first changed layer (a no-op mutant
     reuses the original's logits), so the forward-pass count is |M| * |S|
-    regardless of the number of outputs.  Each block's logits land
-    class-major in one preallocated (|M|, q, |S|) array.  One pass in id
-    order then takes chunks of consecutive mutants, TILE_BYTES of values
+    regardless of the number of outputs.  Each block's class-major logits
+    land as they are in one preallocated (|M|, q, |S|) array.  One pass in
+    id order then takes chunks of consecutive mutants, TILE_BYTES of values
     each (at least one mutant): softmax over their class axis, quarantine of
     those with a non-finite output (they are not raised; see
     ``model.class_softmax``: a row is non-finite iff its maximum logit is),
@@ -180,7 +180,7 @@ def mutant_spectra(
     values = np.empty((len(records), mutants.original.num_outputs, len(sample)))
     walk = forward_blocks(mutants.original, [r.model for r in records], points)
     for rows, members, logits in walk:
-        values[members, :, rows] = logits.transpose(0, 2, 1)
+        values[members, :, rows] = logits
     ids, failed = [], []
     step = max(1, TILE_BYTES // values[0].nbytes)  # a set has at least one mutant
     for lo in range(0, len(records), step):

@@ -19,14 +19,16 @@ once: models are equal when their layers' digests are
 (model.DenseLayer.digest), and a mutant equal to the original or to a lower
 id reads that model's verdict.  The original runs once per block, and each
 mutant resumes from the original's cached activation at its first changed
-layer.  The walk yields one flat stream of tiles of logits, a block's tiles
-together and the first starting with the original, so the original's
-predictions on a block come before any mutant's.  model.predicted_classes
-reads the softmax argmax off the logits without computing the softmax (rows
-with a near-tie within model.NEAR_TIE of their maximum excepted).  Per model
-it accumulates the killed labels, whether any prediction differs from the
-original's, and the count of non-finite rows; every mutant's verdict and
-warning follow from its model's, in id order.
+layer.  The walk yields one flat stream of tiles of class-major logits, a
+block's tiles together and the first starting with the original, whose
+classes c0 model.predicted_classes reads off them.  No mutant's classes are
+computed: model.agrees tells, per tile, where each model predicts c0 (a row
+with a unique maximum and no near-tie by one comparison, the others by
+predicted_classes).  A point kills a model where the original is correct and
+the model disagrees; per model the tester accumulates the killed labels,
+whether it disagrees anywhere and the count of rows with a non-finite
+maximum.  Every mutant's verdict and warning follow from its model's, in id
+order.
 """
 
 from __future__ import annotations
@@ -38,7 +40,13 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .errors import UndefinedScoreError, ValidationError
-from .model import FcnnClassifier, forward_blocks, predicted_classes, predictions_with_flags
+from .model import (
+    FcnnClassifier,
+    agrees,
+    forward_blocks,
+    predicted_classes,
+    predictions_with_flags,
+)
 from .mutants import MutantSet
 from .util import phase_timer
 
@@ -97,19 +105,15 @@ class VerdictTable:
         }
 
 
-def _kills(original_preds, mutant_preds, labels) -> np.ndarray:
-    """The kill rule: a point kills the mutant iff the original predicts its
-    label and the mutant does not (a -1 row mispredicts every label)."""
-    return (original_preds == labels) & (mutant_preds != labels)
-
-
 def killing_labels(
     original: FcnnClassifier, mutant: FcnnClassifier, dataset: LabeledDataset
 ) -> set[int]:
-    """Ground-truth labels of the points that kill the mutant."""
+    """Ground-truth labels of the points that kill the mutant: the original
+    predicts their label and the mutant does not (a -1 row mispredicts every
+    label)."""
     original_preds = predictions_with_flags(original, dataset.features)
     mutant_preds = predictions_with_flags(mutant, dataset.features)
-    kills = _kills(original_preds, mutant_preds, dataset.labels)
+    kills = (original_preds == dataset.labels) & (mutant_preds != dataset.labels)
     return {int(label) for label in np.unique(dataset.labels[kills])}
 
 
@@ -164,15 +168,16 @@ def vanilla_test(
         differs = np.zeros(len(models), dtype=bool)
         non_finite = np.zeros(len(models), dtype=np.int64)
         for rows, members, logits in forward_blocks(original, models, dataset.features):
-            labels, block_labels = dataset.labels[rows], label_index[rows]
-            for k, out in zip(members, logits):
-                preds = predicted_classes(out)
-                original_preds = preds if k == 0 else original_preds
-                killed[k, block_labels[_kills(original_preds, preds, labels)]] = True
-                differs[k] |= (preds != original_preds).any()
-                non_finite[k] += np.count_nonzero(preds == -1)
-        if non_finite[0]:
-            raise ValidationError("original model produced non-finite outputs")
+            if members[0] == 0:  # a block's first tile, led by the original
+                c0 = predicted_classes(logits[0])
+                if (c0 == -1).any():
+                    raise ValidationError("original model produced non-finite outputs")
+                correct, block_labels = c0 == dataset.labels[rows], label_index[rows]
+            same, top = agrees(logits, c0)
+            for k, miss, peak in zip(members, ~same, top):
+                killed[k, block_labels[correct & miss]] = True  # the kill rule
+                differs[k] |= miss.any()
+                non_finite[k] += np.count_nonzero(~np.isfinite(peak))
         verdicts = {}
         for record, k in zip(records, map(row.get, keys)):
             if non_finite[k]:

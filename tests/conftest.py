@@ -162,3 +162,26 @@ def walk_world(seed: int = 0):
         for i, (model, _) in enumerate(made)
     ]
     return original, records, [depth for _, depth in made]
+
+
+def tile_world():
+    """walk_world's original and models, plus two byte-equal copies of one
+    mutant, a model that differs in two layers, one with an extra hidden
+    layer, one with a hidden layer fewer and one that explodes on every row.
+    Returns ``(original, models, indices of the models that must run alone)``."""
+    from mutspect import mutants as mu
+
+    original, records, _ = walk_world()
+    models = [r.model for r in records]
+    first, second, last = original.layers
+    rng = np.random.default_rng(7)
+    twice = [mu.gaussian_fuzz(original, 1, 3, 2.0, seed=7).model for _ in range(2)]
+    both = _replace_layer(_replace_layer(original, 0, first.weights * 1.5, first.biases), 1,
+                          second.weights * 0.5, second.biases)
+    deeper = FcnnClassifier((first, second, DenseLayer(rng.normal(size=(64, 64)),
+                                                       rng.normal(size=64), RELU), last))
+    shallower = FcnnClassifier((first, DenseLayer(rng.normal(size=(5, 64)), rng.normal(size=5),
+                                                  SOFTMAX)))
+    exploding = exploding_mutant(original, 0).model  # non-finite on every row
+    models += [*twice, both, deeper, shallower, exploding]
+    return original, models, list(range(len(models) - 4, len(models)))

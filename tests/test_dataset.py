@@ -69,6 +69,38 @@ def test_subset_preserves_order():
     np.testing.assert_array_equal(sub.labels, ds.labels[[5, 1, 3]])
 
 
+@pytest.mark.parametrize("labels", [
+    [0.5, 1.7],  # a cast would truncate them to 0 and 1
+    np.array([0.0, 1.0]),  # integral values, but floats
+    [True, False],  # a cast would read them as 1 and 0
+    ["1", "2"],  # a cast would parse them as 1 and 2
+    np.array([1, 2], dtype=object),
+], ids=["fractional", "integral-floats", "bool", "str", "object"])
+def test_non_integer_labels_are_validation_errors(labels):
+    with pytest.raises(ValidationError, match="labels must be integers"):
+        LabeledDataset(np.zeros((2, 2)), labels, 3)
+
+
+@pytest.mark.parametrize("indices", [
+    [True, False, True],  # a mask, which a cast would read as points 1, 0, 1
+    [0.9, 2.2],  # a cast would truncate them to points 0 and 2
+    np.array([0.0, 2.0]),
+    ["0", "2"],
+], ids=["bool-mask", "fractional", "integral-floats", "str"])
+def test_non_integer_subset_indices_are_validation_errors(indices):
+    with pytest.raises(ValidationError, match="subset indices must be integers"):
+        make_dataset().subset(indices)
+
+
+def test_integer_labels_and_indices_of_any_width_are_accepted():
+    ds = LabeledDataset(np.zeros((3, 2)), np.array([2, 0, 1], dtype=np.uint8), 3)
+    assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [2, 0, 1]
+    sub = ds.subset(np.array([2, 0], dtype=np.uint32))
+    assert sub.labels.tolist() == [1, 2]
+    with pytest.raises(ValidationError, match="^dataset is empty$"):
+        ds.subset([])
+
+
 def test_validation_errors():
     with pytest.raises(ValidationError):
         LabeledDataset(np.zeros((2, 2)), np.array([0, 5]), 3)  # label out of range

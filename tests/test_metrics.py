@@ -6,7 +6,7 @@ from scipy.stats import spearmanr
 
 from mutspect.errors import ValidationError
 from mutspect.metrics import measures, predictive_metrics, spearman_rho
-from mutspect.testing import TESTED, MutantVerdict, TimingRecord, VerdictTable
+from mutspect.testing import TESTED, UNTESTED, MutantVerdict, TimingRecord, VerdictTable
 
 
 def table(counts_killed, mode="vanilla", labels=(0, 1, 2), seconds=1.0, tested=None):
@@ -49,6 +49,29 @@ class TestMeasures:
         a = table([(1, True)] * 2, mode="spectral")
         with pytest.raises(ValidationError):
             measures(a, v)
+
+
+class TestReferenceTable:
+    """measures and predictive_metrics read the reference as vanilla: every
+    mutant needs its tested verdict there, as run_sweep requires."""
+
+    @staticmethod
+    def partial_reference():
+        """A subset technique's table: mutant 1 untested, as rms_test leaves it."""
+        ref = table([(2, True), (1, True), (0, False)])
+        ref.verdicts[1] = MutantVerdict(1, None, None, UNTESTED)
+        return ref
+
+    @pytest.mark.parametrize("metric", [measures, predictive_metrics])
+    def test_an_untested_reference_verdict_is_refused(self, metric):
+        accel = table([(2, True), (1, True), (0, False)], mode="spectral")
+        with pytest.raises(ValidationError, match="must hold a tested verdict for each mutant"):
+            metric(accel, self.partial_reference())
+
+    def test_a_subset_table_is_still_accepted_as_the_accelerated_one(self):
+        vanilla = table([(2, True), (1, True), (0, False)])
+        rep = predictive_metrics(self.partial_reference(), vanilla)
+        assert rep.mae == 0.0 and rep.tp == 1 and rep.tn == 1
 
 
 class TestPredictiveMetrics:

@@ -30,6 +30,7 @@ from mutspect.model import (
     _first_change,
     _resume,
     _row_blocks,
+    agrees,
     class_softmax,
 )
 
@@ -43,6 +44,7 @@ from conftest import (
     reference_predictions,
     reference_softmax,
     small_stack,
+    tile_world,
     walk_world,
 )
 
@@ -407,9 +409,9 @@ def test_batch_outputs_never_writes_the_points(random_net):
 
 
 # ---------------------------------------------------------------------------
-# The row-blocked walk.  Every model's rows must equal the test-side
-# reference over all points at once, bit for bit, at the default block
-# budget; CI runs these a second time with one BLAS thread.
+# The row-blocked walk.  Every model's class-major logits must equal the
+# transposed test-side reference over all points at once, bit for bit, at
+# the default block budget; CI runs these a second time with one BLAS thread.
 # ---------------------------------------------------------------------------
 
 
@@ -446,12 +448,11 @@ class TestWalkOracle:
         assert covered == _row_blocks(n, rows_per_block)
         assert len(covered) == -(-n // rows_per_block)
         for model, blocks in zip([original, *models], parts):
-            got = np.concatenate(blocks)
-            assert got.tobytes() == reference_logits(model, points).tobytes()
+            got = np.concatenate(blocks, axis=1)  # class-major, one column per point
+            assert got.tobytes() == reference_logits(model, points).T.tobytes()
             # the engine stops at logits; its softmax over them is the full product's
-            t = np.ascontiguousarray(got.T)
-            class_softmax(t)
-            assert np.ascontiguousarray(t.T).tobytes() == reference_outputs(model, points).tobytes()
+            class_softmax(got)
+            assert got.T.tobytes() == reference_outputs(model, points).tobytes()
         exploded = [reference_outputs(m, points) for m in models[-3:-1]]
         assert not all(np.isfinite(out).all() for out in exploded)  # the inputs do explode
 
@@ -470,7 +471,8 @@ class TestWalkOracle:
             for k, out in zip(members, logits):
                 parts[k].append(out)
         for model, blocks in zip(models, parts):
-            assert np.concatenate(blocks).tobytes() == reference_logits(model, points).tobytes()
+            got = np.concatenate(blocks, axis=1)
+            assert got.tobytes() == reference_logits(model, points).T.tobytes()
 
     def test_batch_outputs_matches_the_full_product_across_blocks(self, world):
         original = world[0]
@@ -492,29 +494,6 @@ class TestWalkOracle:
 # 2-D product's BLAS call per model; CI runs these on one BLAS thread and on
 # the lowest supported numpy as well.
 # ---------------------------------------------------------------------------
-
-
-def tile_world():
-    """walk_world's original and models, plus two byte-equal copies of one
-    mutant, a model that differs in two layers, one with an extra hidden
-    layer, one with a hidden layer fewer and one that explodes on every row.
-    Returns ``(original, models, indices of the models that must run alone)``."""
-    from mutspect import mutants as mu
-
-    original, records, _ = walk_world()
-    models = [r.model for r in records]
-    first, second, last = original.layers
-    rng = np.random.default_rng(7)
-    twice = [mu.gaussian_fuzz(original, 1, 3, 2.0, seed=7).model for _ in range(2)]
-    both = _replace_layer(_replace_layer(original, 0, first.weights * 1.5, first.biases), 1,
-                          second.weights * 0.5, second.biases)
-    deeper = FcnnClassifier((first, second, DenseLayer(rng.normal(size=(64, 64)),
-                                                       rng.normal(size=64), RELU), last))
-    shallower = FcnnClassifier((first, DenseLayer(rng.normal(size=(5, 64)), rng.normal(size=5),
-                                                  SOFTMAX)))
-    exploding = exploding_mutant(original, 0).model  # non-finite on every row
-    models += [*twice, both, deeper, shallower, exploding]
-    return original, models, list(range(len(models) - 4, len(models)))
 
 
 @pytest.mark.one_blas_thread
@@ -540,7 +519,7 @@ class TestTileOracle:
         with count_forward_passes() as counter:
             for rows, members, logits in forward_blocks(original, models, points):
                 assert 1 <= len(members) <= per_tile and members == sorted(members)
-                assert logits.shape == (len(members), rows.stop - rows.start, 5)
+                assert logits.shape == (len(members), 5, rows.stop - rows.start)
                 for k, out in zip(members, logits):
                     parts[k].append(out)
                 if not starts or starts[-1] != rows.start:
@@ -552,7 +531,7 @@ class TestTileOracle:
             assert seen[0][0] == 0
             assert sorted(k for members in seen for k in members) == list(range(len(models)))
         assert counter.count == len(models) * len(points)
-        return [np.concatenate(blocks) for blocks in parts], blocks[-1]
+        return [np.concatenate(blocks, axis=1) for blocks in parts], blocks[-1]
 
     @pytest.mark.parametrize("n", [1, 2, 5, 37])
     @pytest.mark.parametrize("tile", ["1", "2", "all"])
@@ -568,7 +547,7 @@ class TestTileOracle:
             assert all([k] in tiles for k in alone)
             assert len(tiles) < len(models) / 2
         for model, logits in zip(models, got):
-            assert logits.tobytes() == reference_logits(model, points).tobytes()
+            assert logits.tobytes() == reference_logits(model, points).T.tobytes()
         assert not np.isfinite(got[-1]).any()  # the exploding model
 
     def test_multi_block_walk_matches_the_reference(self, world):
@@ -576,7 +555,7 @@ class TestTileOracle:
         points = np.random.default_rng(4).normal(size=(3 * _block_rows(64) + 1, 12))
         got, _ = self.walk(original, models, points, 1)
         for model, logits in zip(models, got):
-            assert logits.tobytes() == reference_logits(model, points).tobytes()
+            assert logits.tobytes() == reference_logits(model, points).T.tobytes()
 
     def test_byte_duplicates_share_a_tile(self, world):
         original, models, _ = world
@@ -635,12 +614,17 @@ def test_row_blocks_split_rule(n, rows):
 
 
 # ---------------------------------------------------------------------------
-# Softmax and predictions reduce over a class-major copy of each block.  Below
+# Softmax and predictions reduce over the class axis of class-major logits.  Below
 # 8 classes its class sums must repeat numpy's own row-sum order, and from 8
 # on they are numpy's row sums of a row-major copy, so these pin them against
 # numpy's reductions over the row-major block, bit for bit.  CI runs them on
 # the lowest supported numpy as well.
 # ---------------------------------------------------------------------------
+
+
+def class_major(rows: np.ndarray) -> np.ndarray:
+    """A class-major (q, n) copy of row-major (n, q) logits, as the engine yields them."""
+    return np.ascontiguousarray(rows.T)
 
 
 def nan_blind_bytes(a: np.ndarray) -> bytes:
@@ -719,7 +703,7 @@ class TestClassAxisOracle:
     def test_predicted_classes_match_the_reference(self, q):
         model = self.softmax_layer(q, seed=q)
         points = self.hard_points(seed=q)
-        got = predicted_classes(batch_outputs(model, points))
+        got = predicted_classes(class_major(batch_outputs(model, points)))
         np.testing.assert_array_equal(got, reference_predictions(model, points))
         assert (got[53:58] == -1).all()
         if q >= 2:
@@ -755,11 +739,12 @@ def near(anchor: float, step, sign: int) -> float:
 
 
 @st.composite
-def logit_blocks(draw):
-    """Blocks of q = 1..300 logits per row, each row built around a maximum
-    with near-ties placed before and after it, some with special values."""
-    q = draw(st.integers(1, 300))
-    n = draw(st.integers(1, 6))
+def logit_blocks(draw, q=None, n=None):
+    """Blocks of q = 1..300 logits per row (1..6 rows), unless given, each row
+    built around a maximum with near-ties placed before and after it, some
+    with special values."""
+    q = draw(st.integers(1, 300)) if q is None else q
+    n = draw(st.integers(1, 6)) if n is None else n
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     rows = []
     for _ in range(n):
@@ -785,9 +770,9 @@ class TestPredictionOracle:
     @settings(max_examples=400, deadline=None)
     @given(logits=logit_blocks())
     def test_predicted_classes_match_the_reference_softmax(self, logits):
-        before = logits.tobytes()
-        got = predicted_classes(logits)
-        assert logits.tobytes() == before  # the logits are not written
+        t = class_major(logits)
+        got = predicted_classes(t)
+        assert t.tobytes() == class_major(logits).tobytes()  # the logits are not written
         np.testing.assert_array_equal(got, reference_classes(reference_softmax(logits)))
 
     def test_near_ties_need_the_softmax(self):
@@ -796,7 +781,7 @@ class TestPredictionOracle:
         logits = np.array([[-1e-20, 0.0], [0.0, -1e-20], [-(2.0 ** -39), 0.0]])
         assert logits.argmax(axis=1).tolist() == [1, 0, 1]
         assert reference_classes(reference_softmax(logits)).tolist() == [0, 0, 1]
-        assert predicted_classes(logits).tolist() == [0, 0, 1]
+        assert predicted_classes(class_major(logits)).tolist() == [0, 0, 1]
 
     def test_every_near_step_at_every_anchor(self):
         # each anchor with an entry one step below or above it, before and
@@ -809,15 +794,84 @@ class TestPredictionOracle:
                     other = near(anchor, step, sign)
                     rows += [[other, anchor, low], [anchor, other, low]]
         logits = np.array(rows)
-        np.testing.assert_array_equal(predicted_classes(logits),
+        np.testing.assert_array_equal(predicted_classes(class_major(logits)),
                                       reference_classes(reference_softmax(logits)))
 
     def test_non_finite_rows_are_flagged(self):
         logits = np.array([[np.nan, 0.0], [0.0, np.inf], [-np.inf, -np.inf],
                            [1e308, -1e308], [-np.inf, 0.0], [-0.0, 0.0]])
-        assert predicted_classes(logits).tolist() == [-1, -1, -1, 0, 1, 0]
-        np.testing.assert_array_equal(predicted_classes(logits),
+        assert predicted_classes(class_major(logits)).tolist() == [-1, -1, -1, 0, 1, 0]
+        np.testing.assert_array_equal(predicted_classes(class_major(logits)),
                                       reference_classes(reference_softmax(logits)))
+
+
+@st.composite
+def agreement_tiles(draw):
+    """An original's row-major logits (n, q) with a finite maximum on every
+    row, and 1..4 models' logits (models, n, q) beside it: copies of the
+    original, copies with entries moved a near step off their row's maximum
+    or set to special values, and blocks of their own."""
+    q = draw(st.integers(1, 300))
+    n = draw(st.integers(1, 6))
+    original = draw(logit_blocks(q, n))
+    original[~np.isfinite(original.max(axis=1))] = 0.0  # the tester refuses such an original
+    models = []
+    for kind in draw(st.lists(st.sampled_from(("copy", "moved", "own")), min_size=1, max_size=4)):
+        if kind == "own":
+            models.append(draw(logit_blocks(q, n)))
+            continue
+        model = original.copy()
+        if kind == "moved":
+            cells = st.tuples(st.integers(0, n - 1), st.integers(0, q - 1))
+            for (r, at), step, sign in draw(st.lists(st.tuples(cells, st.sampled_from(STEPS),
+                                                               st.sampled_from((-1, 1))),
+                                                     min_size=1, max_size=4)):
+                model[r, at] = near(original[r].max(), step, sign)
+            for (r, at), value in draw(st.lists(st.tuples(cells, st.sampled_from(SPECIALS)),
+                                                max_size=1)):
+                model[r, at] = value
+        models.append(model)
+    return original, np.array(models)
+
+
+@pytest.mark.one_blas_thread
+@pytest.mark.oldest_supported
+class TestAgreementOracle:
+    """agrees, which the tester reads its kill facts from, against
+    predicted_classes of each stacked model and of the original, row for
+    row; CI runs these on one BLAS thread and on the lowest supported numpy
+    as well, since they rest on the class-major maximum, argmax(axis=0) and
+    the per-row count of entries near the maximum."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=agreement_tiles())
+    def test_agreement_equals_the_predicted_classes(self, data):
+        original, models = data
+        classes = predicted_classes(class_major(original))
+        assert (classes >= 0).all()
+        tile = np.ascontiguousarray(models.swapaxes(1, 2))  # (models, q, n), as the engine yields
+        before = tile.tobytes()
+        same, top = agrees(tile, classes)
+        assert tile.tobytes() == before  # the logits are not written
+        assert same.shape == top.shape == (len(tile), len(classes))
+        for model, agree, peak in zip(tile, same, top):
+            preds = predicted_classes(model)
+            np.testing.assert_array_equal(agree, preds == classes)
+            np.testing.assert_array_equal(np.isfinite(peak), preds != -1)
+            assert nan_blind_bytes(peak) == nan_blind_bytes(model.max(axis=0))
+
+    @pytest.mark.parametrize("q", [2, 127, 128, 129, 255, 256, 257, 300])
+    def test_a_tie_across_every_class_is_never_read_as_unique(self, q):
+        # q entries tie at the maximum: a count of 8 bits, signed or not,
+        # wraps at 128 or 256 classes and would read the row as unique
+        ramp = np.arange(q, dtype=np.float64)
+        original = np.stack([ramp, -ramp], axis=1)  # (q, 2): classes q - 1 and 0
+        classes = predicted_classes(original)
+        assert classes.tolist() == [q - 1, 0]
+        tied = np.zeros((2, q, 2))
+        tied[1, :, 0] = -0.0  # a tie of signed zeros
+        same, _ = agrees(tied, classes)
+        assert same.tolist() == [[False, True]] * 2  # a tie goes to the lowest class
 
 
 @pytest.mark.one_blas_thread
@@ -869,11 +923,12 @@ class TestStackedClassAxisOracle:
 
 
 # ---------------------------------------------------------------------------
-# The layer step adds the bias and takes ReLU in place, as a maximum against
-# the scalar 0.0, on one block and on a tile's stack alike.  These pin it
-# against the allocating scalar maximum byte for byte, signed zeros and NaN
-# payloads included; CI runs them on one BLAS thread and on the lowest
-# supported numpy as well.
+# A hidden layer's step adds the bias and takes ReLU in place, as a maximum
+# against the scalar 0.0, on one block and on a tile's stack alike; the
+# output layer's step copies its product class-major and adds the bias along
+# class rows.  These pin both against the allocating row-major steps byte for
+# byte, signed zeros and NaN payloads included; CI runs them on one BLAS
+# thread and on the lowest supported numpy as well.
 # ---------------------------------------------------------------------------
 
 # quiet NaNs of both signs, bare and with payload bits
@@ -888,7 +943,7 @@ BIAS_EDGES = np.array([-0.0, 0.0, 1e308, -1e308, TINY, -TINY])  # biases are fin
 def products_and_biases(draw):
     """A layer product of 1..2000 rows by 1..300 columns and a bias row, or,
     as ``_tile_logits`` stacks them, ``(tiles, rows, width)`` products of at
-    most 2000 rows in all and ``(tiles, 1, width)`` biases; sprinkled with
+    most 2000 rows in all and ``(tiles, width)`` biases; sprinkled with
     edge values: signed zeros, quiet NaNs of both signs with payloads,
     infinities, +-1e308 (sums that overflow) and the smallest subnormals.
     One entry is a -0.0 bias on a -0.0 product, so its pre-activation is
@@ -902,12 +957,12 @@ def products_and_biases(draw):
     a = rng.normal(size=(*lead, rows, width))
     hit = rng.random(a.shape) < share
     a[hit] = rng.choice(PRODUCT_EDGES, size=hit.sum())
-    b = rng.normal(size=(*lead, 1, width) if lead else width)
+    b = rng.normal(size=(*lead, width))
     hit = rng.random(b.shape) < share
     b[hit] = rng.choice(BIAS_EDGES, size=hit.sum())
     at = (draw(st.integers(0, tiles - 1)),) if lead else ()
     col = draw(st.integers(0, width - 1))
-    a[(*at, draw(st.integers(0, rows - 1)), col)] = b[(*at, ..., col)] = -0.0
+    a[(*at, draw(st.integers(0, rows - 1)), col)] = b[(*at, col)] = -0.0
     return a, b
 
 
@@ -919,8 +974,8 @@ class TestActivationOracle:
     def test_relu_step_matches_the_scalar_maximum(self, data):
         a, b = data
         with np.errstate(over="ignore"):
-            expected = np.maximum(a + b, 0.0)
-            _activate(SimpleNamespace(biases=b, activation=RELU), a)  # as _tile_logits
+            expected = np.maximum(a + b[..., None, :], 0.0)
+            assert _activate(SimpleNamespace(biases=b, activation=RELU), a) is a  # as _tile_logits
         assert a.tobytes() == expected.tobytes()
         assert not np.signbit(a[~np.isnan(a)]).any()  # a -0.0 pre-activation gives +0.0
 
@@ -929,9 +984,10 @@ class TestActivationOracle:
     def test_output_step_adds_the_bias_only(self, data):
         a, b = data
         with np.errstate(over="ignore"):
-            expected = a + b
-            _activate(SimpleNamespace(biases=b, activation=SOFTMAX), a)
-        assert a.tobytes() == expected.tobytes()
+            expected = (a + b[..., None, :]).swapaxes(-1, -2)  # the same sums, class-major
+            got = _activate(SimpleNamespace(biases=b, activation=SOFTMAX), a)
+        assert got.flags.c_contiguous and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(data=products_and_biases(), hidden=st.integers(1, 300), q=st.integers(1, 12),
@@ -947,5 +1003,5 @@ class TestActivationOracle:
         before = x.tobytes()
         with np.errstate(over="ignore", invalid="ignore"):
             expected = np.maximum(x @ w1.T + b1, 0.0) @ w2.T + b2
-        assert _resume(layers, x).tobytes() == expected.tobytes()
+        assert _resume(layers, x).tobytes() == expected.swapaxes(-1, -2).tobytes()
         assert x.tobytes() == before  # the activation resumed from is not written

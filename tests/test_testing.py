@@ -32,7 +32,14 @@ from mutspect.testing import (
 )
 from mutspect.synth import fitted_classifier, gaussian_blobs
 
-from conftest import WALK_SIZES, _replace_layer, exploding_mutant, reference_predictions, walk_world
+from conftest import (
+    WALK_SIZES,
+    _replace_layer,
+    exploding_mutant,
+    reference_predictions,
+    tile_world,
+    walk_world,
+)
 
 SMALL_SWEEP = SweepSpec(x_grid=(1,), tau_grid=(0.5,), repeats=1)
 
@@ -376,6 +383,81 @@ class TestWalkOracle:
         table = vanilla_test(original, mutants, dataset)
         assert table.labels == (0, 1, 2, 4)
         assert table.verdicts == reference_verdicts(original, records, dataset)
+
+
+def per_model_reference(original, records, dataset):
+    """vanilla_test's verdicts and warnings, read the way the tester read
+    them before it took kill facts from model.agrees: over the same walk,
+    with every record's model run (byte-equal ones included), each model's
+    classes from model.predicted_classes and the kill rule against the
+    original's, model by model."""
+    records = sorted(records, key=lambda r: r.mutant_id)
+    models = [original, *(r.model for r in records)]
+    killed = [set() for _ in models]
+    differs = [False] * len(models)
+    bad = [0] * len(models)
+    for rows, members, logits in mm.forward_blocks(original, models, dataset.features):
+        labels = dataset.labels[rows]
+        for k, out in zip(members, logits):
+            preds = mm.predicted_classes(out)
+            original_preds = preds if k == 0 else original_preds
+            killed[k] |= set(labels[(original_preds == labels) & (preds != labels)].tolist())
+            differs[k] |= bool((preds != original_preds).any())
+            bad[k] += int((preds == -1).sum())
+    verdicts = {r.mutant_id: MutantVerdict(r.mutant_id, len(killed[k]), differs[k], TESTED)
+                for k, r in enumerate(records, 1)}
+    warnings = [f"mutant {r.mutant_id} produced non-finite outputs on {bad[k]} points; "
+                "counted as mispredictions" for k, r in enumerate(records, 1) if bad[k]]
+    return verdicts, warnings
+
+
+@pytest.mark.one_blas_thread
+@pytest.mark.oldest_supported
+class TestAgreementOracle:
+    """vanilla_test reads kill facts off each tile's agreement with the
+    original's classes; they must equal the per-model reading, on tile_world's
+    models (exploding, tied, deeper and shallower ones among them), two whose
+    rows all need predicted_classes' own reading, and byte-equal twins, in
+    tiles of one model and in stacked tiles."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        original, models, _ = tile_world()
+        last = len(original.layers) - 1
+        out = original.layers[last]
+        # every class ties on every point, so each row predicts class 0
+        zeros = np.zeros_like(out.weights)
+        flat = _replace_layer(original, last, zeros, np.zeros_like(out.biases))
+        # class 1 sits 2**-45 above class 0, a near-tie on the rows where they lead
+        weights, biases = out.weights.copy(), out.biases.copy()
+        weights[1], biases[1] = weights[0], biases[0] + 2.0 ** -45
+        nudged = _replace_layer(original, last, weights, biases)
+        records = [MutantRecord(i, MutatorKind.GAUSSIAN_FUZZING, 0, 0, None, {}, 0, model)
+                   for i, model in enumerate([*models, flat, nudged])]
+        return original, with_twins(original, records)
+
+    @staticmethod
+    def check(original, pool, n, caplog):
+        points = np.random.default_rng(n).normal(size=(n, original.input_dim))
+        dataset = labelled(original, points)
+        with caplog.at_level(logging.WARNING, logger="mutspect.testing"):
+            table = vanilla_test(original, MutantSet(original, pool[::-1], 0), dataset)
+        verdicts, warnings = per_model_reference(original, pool, dataset)
+        assert table.verdicts == verdicts
+        assert [r.getMessage() for r in caplog.records] == warnings
+        assert len(warnings) >= 3  # the inputs do explode
+
+    @pytest.mark.parametrize("size", WALK_SIZES.values(), ids=WALK_SIZES.keys())
+    def test_verdicts_and_warnings_equal_the_per_model_reading(self, world, size, caplog):
+        original, pool = world
+        self.check(original, pool, size(mm._block_rows(64)), caplog)
+
+    @pytest.mark.parametrize("tile", [1, 3, 200])
+    def test_stacked_tiles_equal_the_per_model_reading(self, world, tile, monkeypatch, caplog):
+        original, pool = world
+        n = 37
+        monkeypatch.setattr(mm, "TILE_BYTES", 512 * n * tile)  # tiles of `tile` at width 64
+        self.check(original, pool, n, caplog)
 
 
 @pytest.mark.one_blas_thread
