@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from numbers import Real
 
 from .clustering import DEFAULT_REDUCTION, ReductionConstraint, check_tau
 from .errors import ParameterError
+from .util import is_integer
 
 MODES = ("vanilla", "spectral", "raw", "rms", "bss", "rss")
 # numpy's Philox and SeedSequence take non-negative integers only
@@ -34,6 +36,14 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:  # an unset optional field
+                continue
+            if f.name in _INT_FIELDS and not is_integer(value):
+                raise ParameterError(f"{f.name} must be an integer, got {value!r}")
+            if f.name in _FLOAT_FIELDS and (isinstance(value, bool) or not isinstance(value, Real)):
+                raise ParameterError(f"{f.name} must be a number, got {value!r}")
         for name in SEED_FIELDS:
             if getattr(self, name) < 0:
                 raise ParameterError(f"{name} must be non-negative, got {getattr(self, name)}")

@@ -11,11 +11,13 @@ original's widest activation fits BLOCK_BYTES, runs the original once per
 block as far as some model needs it, keeping its activation only at the
 depths where a model first differs from it, and resumes each model there.  A
 model equal to the original (the original itself included) resumes after the
-last layer and costs nothing more.  Each hidden layer allocates one array
-(the product with the weights) and applies the bias and ReLU to it in place;
-the output layer copies its product class-major and adds its bias there.  The
-engine stops at the output layer's logits and never raises on overflow: rows
-may carry NaN/Inf, and each caller decides what a non-finite row means.
+last layer and costs nothing more.  Models resume deepest depth first, and
+each of the original's activations goes after the last model resuming from
+it.  Each hidden layer allocates one array (the product with the weights)
+and applies the bias and ReLU to it in place; the output layer copies its
+product class-major and adds its bias there.  The engine stops at the output
+layer's logits and never raises on overflow: rows may carry NaN/Inf, and each
+caller decides what a non-finite row means.
 
 Models sharing their resume depth, that layer's shape and activation, and
 every later layer object run in tiles whose activations fit TILE_BYTES: one
@@ -291,13 +293,16 @@ def forward_blocks(original: FcnnClassifier, models, points):
     Yields one flat stream of ``(rows, members, logits)``: a row block's
     slice of the points, the ascending indices into ``models`` of one tile
     and their class-major ``(len(members), q, rows)`` logits, bit for bit
-    the row-major ones transposed (see _activate).  A block's tiles come
-    together, the first starting with the first model, and each tile is
-    computed before it is yielded, so a caller may keep it past the next
-    block.  Each model resumes from the original's activation at its first
-    changed layer, so a caller that needs the original's logits passes it
-    as a model; models equal to the original yield a read-only broadcast of
-    its array.  Every block counts |models| forward passes per row.
+    the row-major ones transposed (see _activate).  Each model resumes from
+    the original's activation at its first changed layer, so a caller that
+    needs the original's logits passes it as a model; models equal to the
+    original yield a read-only broadcast of its array.  A block's tiles come
+    together, deepest resume depth first and stable within a depth, so
+    models equal to the original lead it.  Once the last tile resuming from
+    a depth is out, the original's activation there is dropped: while a
+    tile from depth d is read, none deeper is alive.  Each tile is computed
+    before it is yielded, so a caller may keep it past the next block.
+    Every block counts |models| forward passes per row.
     """
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != original.input_dim:
@@ -310,20 +315,22 @@ def forward_blocks(original: FcnnClassifier, models, points):
     depths = sorted({0, *starts})
     # blocks depend on the original alone, so its rows are batch_outputs' rows
     width = max(layer.out_dim for layer in original.layers)
-    groups: dict[tuple, list[int]] = {}  # tiles never mix groups
+    groups: dict[int, dict[tuple, list[int]]] = {}  # per resume depth; tiles never mix groups
     for k, (model, d) in enumerate(zip(models, starts)):
         later = model.layers[d:]  # a head, then layers that fix its activation
-        key = (d, later[0].weights.shape if later else None, *map(id, later[1:]))
-        groups.setdefault(key, []).append(k)
+        key = (later[0].weights.shape if later else None, *map(id, later[1:]))
+        groups.setdefault(d, {}).setdefault(key, []).append(k)
     for rows in _row_blocks(x.shape[0], _block_rows(width)):
         _tally(len(models) * (rows.stop - rows.start))
         per_tile = max(1, TILE_BYTES // (8 * width * (rows.stop - rows.start)))
         acts = {0: x[rows]}  # acts[d]: the original's input to layer d
         for lo, hi in zip(depths, depths[1:]):
             acts[hi] = _resume(original.layers[lo:hi], acts[lo])
-        tiles = (g[i : i + per_tile] for g in groups.values() for i in range(0, len(g), per_tile))
-        for tile in tiles:
-            yield rows, tile, _tile_logits([models[k] for k in tile], starts[tile[0]], acts)
+        for d in sorted(groups, reverse=True):  # models equal to the original, one group, lead
+            for g in groups[d].values():
+                for tile in (g[i : i + per_tile] for i in range(0, len(g), per_tile)):
+                    yield rows, tile, _tile_logits([models[k] for k in tile], d, acts)
+            del acts[d]  # no later tile resumes from it
 
 
 def _logits(model: FcnnClassifier, points) -> np.ndarray:

@@ -612,6 +612,35 @@ def test_negative_seed_is_exit_2_before_any_forward_pass(workdir, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, kind", [
+    ("sampling_seed", "1", "an integer"),
+    ("repeats", "3", "an integer"),
+    ("bss_threshold", "3", "an integer"),
+    ("reduction_lo", "0.3", "a number"),
+    ("rms_fraction", "0.5", "a number"),
+    ("repeats", 2.5, "an integer"),
+    ("repeats", True, "an integer"),
+    ("per_class_rate", True, "an integer"),
+    ("bss_threshold", 2.5, "an integer"),
+    ("sampling_seed", 1.5, "an integer"),
+])
+def test_ill_typed_number_is_a_parameter_error(key, value, kind):
+    from mutspect.config import RunConfig
+    from mutspect.errors import ParameterError
+
+    with pytest.raises(ParameterError, match=re.escape(f"{key} must be {kind}, got {value!r}")):
+        RunConfig(**{key: value})
+
+
+def test_numpy_numbers_and_unset_options_are_accepted():
+    import numpy as np
+
+    from mutspect.config import RunConfig
+
+    config = RunConfig(repeats=np.int64(2), rms_fraction=1, reduction_lo=np.float64(0.2))
+    assert (config.repeats, config.per_class_rate, config.tau) == (2, None, None)
+
+
 def test_negative_seed_in_a_config_file_is_exit_2(workdir, tmp_path, capsys):
     from mutspect.config import build_config, parse_config_file
     from mutspect.errors import ParameterError

@@ -511,9 +511,12 @@ class TestTileOracle:
     @staticmethod
     def walk(original, models, points, per_tile):
         """Each model's logits, checking the tiles: at most ``per_tile``
-        models each, members ascending, a block's tiles together, the first
-        model first, every model once per block.  Returns the logits and the
-        last block's tiles."""
+        models each, members ascending, a block's tiles together in
+        non-increasing resume depth, a model equal to the original (if any)
+        first, every model once per block.  Returns the logits and the last
+        block's tiles."""
+        depth = [_first_change(original, model) for model in models]
+        equal = [k for k, d in enumerate(depth) if d == len(original.layers)]
         parts = [[] for _ in models]
         starts, blocks = [], []  # per block, its first row and its tiles' members
         with count_forward_passes() as counter:
@@ -528,7 +531,10 @@ class TestTileOracle:
                 blocks[-1].append(members)
         assert starts == sorted(set(starts))
         for seen in blocks:
-            assert seen[0][0] == 0
+            assert all(len({depth[k] for k in members}) == 1 for members in seen)
+            order = [depth[members[0]] for members in seen]
+            assert order == sorted(order, reverse=True)
+            assert not equal or seen[0][0] == equal[0]
             assert sorted(k for members in seen for k in members) == list(range(len(models)))
         assert counter.count == len(models) * len(points)
         return [np.concatenate(blocks, axis=1) for blocks in parts], blocks[-1]
@@ -595,6 +601,65 @@ class TestTileOracle:
         for n, sizes in ((5, [102] * 4 + [92]), (2000, [1] * 500)):  # x = 1 signatures; a tester block
             walk = forward_blocks(original, twins, np.zeros((n, 12)))
             assert [len(members) for rows, members, _ in walk if rows.start == 0] == sizes
+
+
+# ---------------------------------------------------------------------------
+# Activation release.  A block resumes its models deepest depth first and
+# drops each of the original's activations after the last tile that resumes
+# from it, so a tile from depth d is read with none deeper than d alive.
+# ---------------------------------------------------------------------------
+
+
+class TestActivationRelease:
+    def test_no_deeper_activation_outlives_its_last_tile(self, monkeypatch):
+        import weakref
+
+        import mutspect.model as model_module
+
+        original, models, _ = tile_world()
+        ids = [id(layer) for layer in original.layers]
+        alive = {}  # depth -> the original's activation there, in this block
+
+        def resume(layers, a):
+            out = _resume(layers, a)
+            if a.ndim == 2:  # the original's own chain: tiles stack their models
+                alive[ids.index(id(layers[0])) + len(layers)] = weakref.ref(out)
+            return out
+
+        monkeypatch.setattr(model_module, "_resume", resume)
+        depth = [_first_change(original, model) for model in models]
+        points = np.random.default_rng(5).normal(size=(2 * _block_rows(64), 12))
+        seen = set()
+        for rows, members, logits in forward_blocks(original, models, points):
+            d = depth[members[0]]
+            seen.add(d)
+            assert [k for k, ref in alive.items() if k > d and ref() is not None] == []
+            assert d == 0 or alive[d]() is not None
+        assert seen == set(range(len(original.layers) + 1))
+
+    def test_peak_is_three_activations(self):
+        # a mutant at every depth of a (64, 64, 64) stack over one block of
+        # 1,024 rows: kept all at once, the original's three hidden
+        # activations and a layer-0 resume's two products make five
+        import tracemalloc
+
+        from mutspect import mutants as mu
+
+        original = small_stack(seed=2, input_dim=12, hidden=(64, 64, 64), outputs=5)
+        models = [original, *(mu.gaussian_fuzz(original, d, 1, 1.0, seed=d).model
+                              for d in range(len(original.layers)))]
+        assert sorted(_first_change(original, m) for m in models) == [0, 1, 2, 3, 4]
+        n = _block_rows(64)
+        points = np.random.default_rng(6).normal(size=(n, 12))
+        tracemalloc.start()
+        try:
+            for _ in forward_blocks(original, models, points):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one = n * 64 * 8
+        assert peak < 3.5 * one
 
 
 # the row split that every walk oracle runs on, rerun beside them
