@@ -3,13 +3,16 @@
 A model is a stack of fully-connected layers, ReLU activations on every
 hidden layer and softmax on the last one.  All parameters are float64 and
 arrays are frozen after construction, so every forward pass is a pure
-function of (model, input).  Layers are equal when their digests are (the
-sha256 of their activation, shape and raw parameter bytes, cached on the
-layer), and models when all their layers are.  There is one forward engine,
-forward_blocks: it splits the points into row blocks sized so that the
-original's widest activation fits BLOCK_BYTES, runs the original once per
-block as far as some model needs it, keeping its activation only at the
-depths where a model first differs from it, and resumes each model there.  A
+function of (model, input).  A mutant's changed layer is a PatchedLayer: the
+original's layer and the rows or column it replaces, so a mutant set costs
+O(width) per mutant, and each read of its weights builds them anew.  Layers
+are equal when their digests are (the sha256 of their activation, shape and
+raw parameter bytes, cached on the layer), and models when all their layers
+are.  There is one forward engine, forward_blocks: it splits the points
+into row blocks sized so that the original's widest activation fits
+BLOCK_BYTES, runs the original once per block as far as some model needs
+it, keeping its activation only at the depths where a model first differs
+from it, and resumes each model there.  A
 model equal to the original (the original itself included) resumes after the
 last layer and costs nothing more.  Models resume deepest depth first, and
 each of the original's activations goes after the last model resuming from
@@ -23,6 +26,9 @@ Models sharing their resume depth, that layer's shape and activation, and
 every later layer object run in tiles whose activations fit TILE_BYTES: one
 stacked ``matmul`` per layer, the 2-D product's BLAS call per model.  Tester
 tiles hold one model; short blocks cost a numpy call per layer, not model.
+Only the head of the tile being computed exists as a full array: a tile of
+one builds its head once per block, and a stacked tile writes its heads'
+patches over one broadcast copy of their shared base.
 
 Softmax runs only where its values are read: in batch_outputs (the engine
 over one model, then softmax) and over chunks of signatures in
@@ -110,10 +116,72 @@ class DenseLayer:
 
 
 @dataclass(frozen=True)
-class FcnnClassifier:
-    """Immutable stack of DenseLayers ending in a softmax output layer."""
+class PatchedLayer:
+    """A layer equal to ``base`` apart from a patch, which is all it holds:
+    ``values`` at ``where`` of the weights, either rows ``(rows,)`` or one
+    column ``(slice(None), j)``, and for a row patch optionally
+    ``bias_values`` at those rows of the biases.
 
-    layers: tuple[DenseLayer, ...]
+    It reads as a DenseLayer: ``activation``, ``out_dim`` and ``in_dim`` are
+    the base's, and ``digest`` is DenseLayer's over the patched bytes, so a
+    patch equal to its base has the base's digest.  Each read of ``weights``
+    builds a fresh array, one copy of the base's and one scatter, as does
+    ``biases`` when the patch replaces some (otherwise it is the base's).
+    The patch is checked once, here, so reads do no checks.
+    """
+
+    base: DenseLayer
+    where: tuple
+    values: np.ndarray
+    bias_values: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name, full in (("values", self.base.weights), ("bias_values", self.base.biases)):
+            if getattr(self, name) is None:
+                continue
+            part = readonly(np.asarray(getattr(self, name), dtype=np.float64))
+            if part.shape != full[self.where].shape:
+                raise ValidationError(f"{name} of shape {part.shape} do not fit {self.where}")
+            if not np.isfinite(part).all():
+                raise ValidationError("layer parameters must be finite")
+            object.__setattr__(self, name, part)
+
+    # cached: the walk reads these once per model and call
+    @functools.cached_property
+    def activation(self) -> str:
+        return self.base.activation
+
+    @functools.cached_property
+    def out_dim(self) -> int:
+        return self.base.out_dim
+
+    @functools.cached_property
+    def in_dim(self) -> int:
+        return self.base.in_dim
+
+    @property
+    def weights(self) -> np.ndarray:
+        w = self.base.weights.copy()
+        w[self.where] = self.values
+        return w
+
+    @property
+    def biases(self) -> np.ndarray:
+        if self.bias_values is None:
+            return self.base.biases
+        b = self.base.biases.copy()
+        b[self.where] = self.bias_values
+        return b
+
+    digest = functools.cached_property(DenseLayer.digest.func)
+
+
+@dataclass(frozen=True)
+class FcnnClassifier:
+    """Immutable stack of layers (DenseLayers, or PatchedLayers over them)
+    ending in a softmax output layer."""
+
+    layers: tuple[DenseLayer | PatchedLayer, ...]
 
     def __post_init__(self):
         layers = tuple(self.layers)
@@ -280,11 +348,28 @@ def _tile_logits(models, depth: int, acts: dict) -> np.ndarray:
     if depth == len(models[0].layers):  # equal to the original: nothing to run
         return np.broadcast_to(acts[depth], (len(models), *acts[depth].shape))
     heads = [model.layers[depth] for model in models]
-    if len(heads) > 1:  # one layer of stacked weights (models, out, in) and biases
-        heads = [SimpleNamespace(weights=np.array([h.weights for h in heads]),
-                                 biases=np.array([h.biases for h in heads]),
-                                 activation=heads[0].activation)]
+    if len(heads) > 1:
+        heads = [_stacked(heads)]
     return _resume((*heads, *models[0].layers[depth + 1:]), acts[depth][None])
+
+
+def _stacked(heads) -> SimpleNamespace:
+    """One layer of the heads' stacked weights (models, out, in) and biases
+    (models, out), written over one broadcast copy of the first head's base
+    (the first head, if not a patch): a patch of that base writes its patch,
+    any other head all its parameters."""
+    base = getattr(heads[0], "base", heads[0])
+    w = np.empty((len(heads), *base.weights.shape))
+    b = np.empty((len(heads), base.out_dim))
+    w[...], b[...] = base.weights, base.biases  # np.broadcast_to costs 5 times as much
+    for k, head in enumerate(heads):
+        if getattr(head, "base", None) is base:
+            w[k][head.where] = head.values
+            if head.bias_values is not None:
+                b[k][head.where] = head.bias_values
+        else:
+            w[k], b[k] = head.weights, head.biases
+    return SimpleNamespace(weights=w, biases=b, activation=base.activation)
 
 
 def forward_blocks(original: FcnnClassifier, models, points):
@@ -318,7 +403,7 @@ def forward_blocks(original: FcnnClassifier, models, points):
     groups: dict[int, dict[tuple, list[int]]] = {}  # per resume depth; tiles never mix groups
     for k, (model, d) in enumerate(zip(models, starts)):
         later = model.layers[d:]  # a head, then layers that fix its activation
-        key = (later[0].weights.shape if later else None, *map(id, later[1:]))
+        key = ((later[0].out_dim, later[0].in_dim) if later else None, *map(id, later[1:]))
         groups.setdefault(d, {}).setdefault(key, []).append(k)
     for rows in _row_blocks(x.shape[0], _block_rows(width)):
         _tally(len(models) * (rows.stop - rows.start))

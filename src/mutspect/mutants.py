@@ -10,6 +10,11 @@ pair) of a trained classifier:
 * neuron activation inverse - negate the neuron's outgoing weights (a(z) -> -a(z))
 * neuron switch      - swap two neurons' incoming weights and biases
 
+Each mutant's model shares every layer object but one with the original;
+that one is a model.PatchedLayer over the original's layer holding only
+what the operator replaced: one row (GF, WS), two rows and their biases
+(NS) or one column of the next layer (NEB, NAI).
+
 Randomness is Philox-seeded and the exact draw sequences are documented in
 each docstring so tests can replay them independently.
 """
@@ -18,7 +23,9 @@ from __future__ import annotations
 
 import copy
 import enum
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -29,7 +36,7 @@ from .errors import (
     UnsupportedTargetError,
     ValidationError,
 )
-from .model import DenseLayer, FcnnClassifier, model_hash
+from .model import FcnnClassifier, PatchedLayer, model_hash
 from .util import is_integer, load_json, philox_rng, write_json
 
 DEFAULT_GF_SIGMA = 0.5  # relative to the layer weight std; stand-in default
@@ -107,21 +114,34 @@ class MutantSet:
         return part
 
 
-def _check_target(model: FcnnClassifier, layer: int, neuron: int):
+def _check_target(model: FcnnClassifier, layer: int, *neurons: int):
+    """Refuse a layer, or a neuron of it, that is not an in-range integer."""
+    for value in (layer, *neurons):
+        if not is_integer(value):  # 1.5 would index badly, True would read as 1
+            raise TargetError(f"targets must be integers, got {value!r}")
     if not 0 <= layer < len(model.layers):
         raise TargetError(f"layer {layer} out of range")
-    if not 0 <= neuron < model.layers[layer].out_dim:
-        raise TargetError(f"neuron {neuron} out of range in layer {layer}")
+    for neuron in neurons:
+        if not 0 <= neuron < model.layers[layer].out_dim:
+            raise TargetError(f"neuron {neuron} out of range in layer {layer}")
 
 
-def _rebuild(model: FcnnClassifier, layer_idx: int, weights, biases) -> FcnnClassifier:
+def _patched(model: FcnnClassifier, layer_idx: int, where: tuple, values,
+             bias_values=None) -> FcnnClassifier:
+    """``model`` with layer ``layer_idx`` patched (see model.PatchedLayer)."""
     layers = list(model.layers)
-    layers[layer_idx] = DenseLayer(weights, biases, layers[layer_idx].activation)
+    layers[layer_idx] = PatchedLayer(layers[layer_idx], where, values, bias_values)
     return FcnnClassifier(tuple(layers))
 
 
 def _check_sigma(sigma: float) -> None:
-    if not (np.isfinite(sigma) and sigma >= 0):
+    if isinstance(sigma, bool) or not isinstance(sigma, Real):
+        raise TargetError(f"sigma must be a real number, got {sigma!r}")
+    try:
+        finite = math.isfinite(sigma)
+    except OverflowError:  # an integer beyond float range
+        finite = False
+    if not (finite and sigma >= 0):
         raise TargetError(f"sigma must be finite and nonnegative, got {sigma!r}")
 
 
@@ -144,10 +164,10 @@ def gaussian_fuzz(
     target_layer = model.layers[layer]
     scale = float(sigma * target_layer.weights.std())
     noise = philox_rng(seed).normal(0.0, scale, size=target_layer.in_dim)
-    w = target_layer.weights.copy()
+    row = target_layer.weights[neuron]
     if scale > 0.0:
-        w[neuron] += noise
-    mutated = _rebuild(model, layer, w, target_layer.biases.copy())
+        row = row + noise
+    mutated = _patched(model, layer, (neuron,), row)
     return MutantRecord(
         mutant_id, MutatorKind.GAUSSIAN_FUZZING, layer, neuron, None,
         {"sigma": float(sigma)}, seed, mutated,
@@ -173,9 +193,7 @@ def weight_shuffle(
     _check_target(model, layer, neuron)
     target_layer = model.layers[layer]
     perm = _fisher_yates(target_layer.in_dim, philox_rng(seed))
-    w = target_layer.weights.copy()
-    w[neuron] = w[neuron][perm]
-    mutated = _rebuild(model, layer, w, target_layer.biases.copy())
+    mutated = _patched(model, layer, (neuron,), target_layer.weights[neuron][perm])
     return MutantRecord(
         mutant_id, MutatorKind.WEIGHT_SHUFFLE, layer, neuron, None, {}, seed, mutated
     )
@@ -189,10 +207,8 @@ def _rewrite_outgoing(
     _check_target(model, layer, neuron)
     if layer == len(model.layers) - 1:
         raise UnsupportedTargetError(f"{kind.value}: an output neuron has no outgoing weights")
-    nxt = model.layers[layer + 1]
-    w = nxt.weights.copy()
-    w[:, neuron] = rewrite(w[:, neuron])
-    mutated = _rebuild(model, layer + 1, w, nxt.biases.copy())
+    column = rewrite(model.layers[layer + 1].weights[:, neuron])
+    mutated = _patched(model, layer + 1, (slice(None), neuron), column)
     return MutantRecord(mutant_id, kind, layer, neuron, None, {}, 0, mutated)
 
 
@@ -201,7 +217,7 @@ def neuron_effect_block(
 ) -> MutantRecord:
     """Zero the neuron's outgoing weights (column ``neuron`` of the next layer)."""
     return _rewrite_outgoing(
-        model, layer, neuron, MutatorKind.NEURON_EFFECT_BLOCK, mutant_id, lambda c: 0.0
+        model, layer, neuron, MutatorKind.NEURON_EFFECT_BLOCK, mutant_id, np.zeros_like
     )
 
 
@@ -218,16 +234,12 @@ def neuron_switch(
     model: FcnnClassifier, layer: int, i: int, j: int, mutant_id: int = 0
 ) -> MutantRecord:
     """Swap neurons i and j of a hidden layer: incoming weights and biases only."""
-    _check_target(model, layer, i)
-    _check_target(model, layer, j)
+    _check_target(model, layer, i, j)
     if layer == len(model.layers) - 1:
         raise UnsupportedTargetError("cannot switch output-layer neurons")
     target_layer = model.layers[layer]
-    w = target_layer.weights.copy()
-    b = target_layer.biases.copy()
-    w[[i, j]] = w[[j, i]]
-    b[[i, j]] = b[[j, i]]
-    mutated = _rebuild(model, layer, w, b)
+    mutated = _patched(model, layer, (np.array([i, j]),), target_layer.weights[[j, i]],
+                       target_layer.biases[[j, i]])
     return MutantRecord(
         mutant_id, MutatorKind.NEURON_SWITCH, layer, i, j, {}, 0, mutated
     )

@@ -17,7 +17,8 @@ from .errors import FormatError, ParameterError
 
 def is_integer(value) -> bool:
     """True for a non-bool ``Integral``: a Python or numpy integer, not True or 2.5."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
+    # a plain int first: the Integral check costs about 15 times as much
+    return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
 
 
 def check_seed(seed) -> int:

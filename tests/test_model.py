@@ -12,6 +12,7 @@ from mutspect.model import (
     SOFTMAX,
     DenseLayer,
     FcnnClassifier,
+    PatchedLayer,
     batch_outputs,
     count_forward_passes,
     deserialize_model,
@@ -601,6 +602,64 @@ class TestTileOracle:
         for n, sizes in ((5, [102] * 4 + [92]), (2000, [1] * 500)):  # x = 1 signatures; a tester block
             walk = forward_blocks(original, twins, np.zeros((n, 12)))
             assert [len(members) for rows, members, _ in walk if rows.start == 0] == sizes
+
+
+# ---------------------------------------------------------------------------
+# Patched heads.  Each mutant's changed layer is a PatchedLayer over the
+# original's: a tile of one reads its head as one copy of the base's weights
+# plus one scatter, a stacked tile writes its heads over one broadcast copy of
+# the first head's base.  Either must give the logits of the same walk over
+# DenseLayer copies of those heads, bit for bit; CI runs this on one BLAS
+# thread and on the lowest supported numpy as well.
+# ---------------------------------------------------------------------------
+
+
+def dense_copy(model: FcnnClassifier) -> FcnnClassifier:
+    """``model`` with each patched layer a DenseLayer of the same bytes; the
+    layers it shares with the original stay shared, so it tiles the same."""
+    return FcnnClassifier(tuple(
+        DenseLayer(layer.weights, layer.biases, layer.activation)
+        if isinstance(layer, PatchedLayer) else layer for layer in model.layers))
+
+
+@pytest.mark.one_blas_thread
+@pytest.mark.oldest_supported
+class TestPatchedHeadOracle:
+    @pytest.fixture(scope="class")
+    def world(self):
+        from mutspect.mutants import generate_mutant_set
+        from mutspect.synth import diverse_mutant_set
+
+        original = small_stack(seed=3, input_dim=12, hidden=(16, 16), outputs=5)
+        models = [original]
+        models += [m.model for m in generate_mutant_set(original, 150, seed=5).mutants]
+        models += [m.model for m in diverse_mutant_set(original, 50, 6).mutants]
+        # DenseLayer heads among the patches, one of them leading its tile
+        first, second, last = original.layers
+        models.insert(1, _replace_layer(original, 1, second.weights * 0.5, second.biases))
+        models.append(_replace_layer(original, 0, first.weights, first.biases + 0.25))
+        models.append(_replace_layer(original, 2, last.weights[::-1], last.biases))
+        assert sum(isinstance(layer, PatchedLayer) for m in models for layer in m.layers) == 200
+        return original, models
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 500, 2000])
+    @pytest.mark.parametrize("per_tile", [1, 3, 200])
+    def test_patched_heads_give_the_dense_walk(self, world, monkeypatch, n, per_tile):
+        import mutspect.model as model_module
+
+        original, models = world
+        assert _block_rows(16) >= n  # one block: the budget sets the tile size
+        monkeypatch.setattr(model_module, "TILE_BYTES", 8 * 16 * n * per_tile)
+        points = np.random.default_rng(n).normal(size=(n, original.input_dim))
+        dense = [original, *map(dense_copy, models[1:])]
+        got = list(forward_blocks(original, models, points))
+        want = list(forward_blocks(original, dense, points))
+        # the largest group: 93 patches and one DenseLayer head resume at layer 1
+        assert max(len(members) for _, members, _ in got) == min(per_tile, 94)
+        assert len(got) == len(want)
+        for (rows, members, logits), (rows2, members2, logits2) in zip(got, want):
+            assert (rows, members) == (rows2, members2)
+            assert logits.tobytes() == logits2.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,17 @@ from mutspect.errors import (
     UnsupportedTargetError,
     ValidationError,
 )
-from mutspect.model import DenseLayer, FcnnClassifier, batch_outputs, model_hash
+from mutspect.model import (
+    DenseLayer,
+    FcnnClassifier,
+    PatchedLayer,
+    _first_change,
+    batch_outputs,
+    count_forward_passes,
+    load_model,
+    model_hash,
+    save_model,
+)
 import mutspect.mutants as mutants_module
 from mutspect.mutants import (
     ALL_KINDS,
@@ -471,3 +481,250 @@ class TestManifest:
         other = small_stack(seed=123)
         with pytest.raises(ValidationError, match="different original"):
             load_manifest(path, other)
+
+
+class TestIllTypedArguments:
+    """Operator arguments of the wrong type raise TargetError, never numpy's
+    or Python's own exceptions, and a bool is not read as 0 or 1."""
+
+    @pytest.mark.parametrize("call", [
+        lambda net: generate_mutant_set(net, 5, gf_sigma="0.5"),
+        lambda net: generate_mutant_set(net, 5, gf_sigma=True),
+        lambda net: gaussian_fuzz(net, 0, 0, None, 1),
+        lambda net: gaussian_fuzz(net, 0, 0, "0.5", 1),
+    ])
+    def test_sigma_must_be_a_real_number(self, random_net, call):
+        with pytest.raises(TargetError, match="sigma must be a real number"):
+            call(random_net)
+
+    def test_an_integer_beyond_float_range_is_not_finite(self, random_net):
+        with pytest.raises(TargetError, match="finite and nonnegative"):
+            gaussian_fuzz(random_net, 0, 0, 10**400, 1)
+
+    def test_numpy_and_integer_sigmas_are_numbers(self, random_net):
+        want = model_hash(gaussian_fuzz(random_net, 0, 1, 0.5, 3).model)
+        assert model_hash(gaussian_fuzz(random_net, 0, 1, np.float64(0.5), 3).model) == want
+        assert model_hash(gaussian_fuzz(random_net, 0, 1, np.float32(0.5), 3).model) == want
+        assert model_hash(gaussian_fuzz(random_net, 0, 1, 1, 3).model) == \
+            model_hash(gaussian_fuzz(random_net, 0, 1, 1.0, 3).model)
+
+    @pytest.mark.parametrize("call", [
+        lambda net: gaussian_fuzz(net, 0.0, 0, 0.5, 1),
+        lambda net: weight_shuffle(net, 0, 1.5, 1),
+        lambda net: neuron_effect_block(net, True, 0),
+        lambda net: neuron_activation_inverse(net, 0, False),
+        lambda net: neuron_switch(net, 0, 1, 2.0),
+        lambda net: neuron_switch(net, "0", 1, 2),
+    ])
+    def test_targets_must_be_integers(self, random_net, call):
+        with pytest.raises(TargetError, match="targets must be integers"):
+            call(random_net)
+
+    def test_numpy_integer_targets_are_integers(self, random_net):
+        got = neuron_switch(random_net, np.int64(0), np.int32(1), np.uint8(4))
+        assert model_hash(got.model) == model_hash(neuron_switch(random_net, 0, 1, 4).model)
+
+
+# ---------------------------------------------------------------------------
+# Patches.  Every operator returns its mutant's changed layer as a
+# model.PatchedLayer over the original's.  Each must read, byte for byte, as
+# the full-copy layer the operators built before patches, which these
+# reference operators build.
+# ---------------------------------------------------------------------------
+
+
+def reference_mutant(model, kind, layer, neuron, partner=None, sigma=0.0, seed=0):
+    """The full-copy operator: ``model`` with its changed layer a new
+    DenseLayer, built from copies of the layer's weights and biases."""
+    def rebuild(idx, w, b):
+        layers = list(model.layers)
+        layers[idx] = DenseLayer(w, b, layers[idx].activation)
+        return FcnnClassifier(tuple(layers))
+
+    target = model.layers[layer]
+    if kind is MutatorKind.GAUSSIAN_FUZZING:
+        scale = float(sigma * target.weights.std())
+        noise = philox_rng(seed).normal(0.0, scale, size=target.in_dim)
+        w = target.weights.copy()
+        if scale > 0.0:
+            w[neuron] += noise
+        return rebuild(layer, w, target.biases.copy())
+    if kind is MutatorKind.WEIGHT_SHUFFLE:
+        w = target.weights.copy()
+        w[neuron] = w[neuron][scalar_fisher_yates(target.in_dim, philox_rng(seed))]
+        return rebuild(layer, w, target.biases.copy())
+    if kind is MutatorKind.NEURON_SWITCH:
+        w, b = target.weights.copy(), target.biases.copy()
+        w[[neuron, partner]] = w[[partner, neuron]]
+        b[[neuron, partner]] = b[[partner, neuron]]
+        return rebuild(layer, w, b)
+    nxt = model.layers[layer + 1]
+    w = nxt.weights.copy()
+    if kind is MutatorKind.NEURON_EFFECT_BLOCK:
+        w[:, neuron] = 0.0
+    else:
+        w[:, neuron] = -w[:, neuron]
+    return rebuild(layer + 1, w, nxt.biases.copy())
+
+
+def patch_world():
+    """A (6, 7, 6, 5, 4) stack whose first layer has weight std 0, whose
+    second holds -0.0 entries and a column of zeros (column 2, the outgoing
+    weights of neuron 2 of the first layer), and whose output layer holds
+    -0.0 entries and a -0.0 bias."""
+    net = small_stack(seed=8, input_dim=6, hidden=(7, 6, 5), outputs=4)
+    first, second, third, last = net.layers
+    w1 = second.weights.copy()
+    w1[:, 2] = 0.0
+    w1[0, 0] = w1[5, 3] = w1[4, 6] = -0.0
+    w3, b3 = last.weights.copy(), last.biases.copy()
+    w3[0, 1] = w3[3, 4] = b3[2] = -0.0
+    return FcnnClassifier((
+        DenseLayer(np.full_like(first.weights, 0.37), first.biases, first.activation),
+        DenseLayer(w1, second.biases, second.activation),
+        third,
+        DenseLayer(w3, b3, last.activation),
+    ))
+
+
+def every_patched_mutant(net):
+    """(record, reference model) for every operator at every target of
+    ``net``, NS on every pair, GF at sigmas 0, 0.5 and 3."""
+    for layer, neuron in _target_space(net, MutatorKind.GAUSSIAN_FUZZING):
+        for sigma, seed in ((0.0, 1), (0.5, 2 + neuron), (3.0, 40 + layer)):
+            yield (gaussian_fuzz(net, layer, neuron, sigma, seed),
+                   reference_mutant(net, MutatorKind.GAUSSIAN_FUZZING, layer, neuron,
+                                    sigma=sigma, seed=seed))
+        yield (weight_shuffle(net, layer, neuron, 7 * neuron + layer),
+               reference_mutant(net, MutatorKind.WEIGHT_SHUFFLE, layer, neuron,
+                                seed=7 * neuron + layer))
+    for layer, neuron in _target_space(net, MutatorKind.NEURON_EFFECT_BLOCK):
+        yield (neuron_effect_block(net, layer, neuron),
+               reference_mutant(net, MutatorKind.NEURON_EFFECT_BLOCK, layer, neuron))
+        yield (neuron_activation_inverse(net, layer, neuron),
+               reference_mutant(net, MutatorKind.NEURON_ACTIVATION_INVERSE, layer, neuron))
+    for layer, i, j in _target_space(net, MutatorKind.NEURON_SWITCH):
+        yield (neuron_switch(net, layer, i, j),
+               reference_mutant(net, MutatorKind.NEURON_SWITCH, layer, i, j))
+
+
+def assert_same_bytes(got, want):
+    for mine, theirs in zip(got.layers, want.layers, strict=True):
+        assert mine.weights.tobytes() == theirs.weights.tobytes()
+        assert mine.biases.tobytes() == theirs.biases.tobytes()
+        assert (mine.activation, mine.out_dim, mine.in_dim) == \
+            (theirs.activation, theirs.out_dim, theirs.in_dim)
+    assert got.digests == want.digests
+    assert model_hash(got) == model_hash(want)
+
+
+class TestPatchOracle:
+    def test_every_operator_at_every_target_matches_the_full_copy(self):
+        net = patch_world()
+        pairs = list(every_patched_mutant(net))
+        kinds = {rec.kind for rec, _ in pairs}
+        assert kinds == set(ALL_KINDS) and len(pairs) == 22 * 4 + 18 * 2 + 21 + 15 + 10
+        for rec, want in pairs:
+            changed = [k for k, layer in enumerate(rec.model.layers)
+                       if layer is not net.layers[k]]
+            assert len(changed) == 1 and isinstance(rec.model.layers[changed[0]], PatchedLayer)
+            assert rec.model.layers[changed[0]].base is net.layers[changed[0]]
+            assert_same_bytes(rec.model, want)
+
+    def test_the_edge_cases_are_covered(self):
+        net = patch_world()
+        last = len(net.layers) - 1
+        assert net.layers[0].weights.std() == 0.0 and not net.layers[1].weights[:, 2].any()
+        assert np.signbit(net.layers[1].weights).any() and np.signbit(net.layers[last].biases).any()
+        # output-layer GF and WS, NS on the first and last rows of a layer
+        assert (last, 3) in _target_space(net, MutatorKind.GAUSSIAN_FUZZING)
+        assert (1, 0, 5) in _target_space(net, MutatorKind.NEURON_SWITCH)
+        # NAI of a -0.0 entry writes 0.0, a changed layer
+        nai = neuron_activation_inverse(net, 0, 0).model
+        assert nai.layers[1].weights[0, 0] == 0.0 and not np.signbit(nai.layers[1].weights[0, 0])
+        assert _first_change(net, nai) == 1
+
+    @pytest.mark.parametrize("make", [
+        lambda net: gaussian_fuzz(net, 2, 1, 0.0, seed=3),  # sigma 0
+        lambda net: gaussian_fuzz(net, 0, 4, 2.0, seed=3),  # a layer of std 0
+        lambda net: neuron_effect_block(net, 0, 2),  # a column already zero
+        lambda net: neuron_switch(net, 2, 3, 3),
+    ])
+    def test_a_patch_equal_to_the_original_reads_as_the_original(self, make):
+        from mutspect.dataset import LabeledDataset
+        from mutspect.testing import vanilla_test
+
+        net = patch_world()
+        rec = make(net)
+        assert rec.model.digests == net.digests
+        assert _first_change(net, rec.model) == len(net.layers)
+        rng = np.random.default_rng(0)
+        ds = LabeledDataset(rng.normal(size=(30, net.input_dim)), rng.integers(0, 4, 30), 4)
+        with count_forward_passes() as counter:
+            table = vanilla_test(net, MutantSet(net, [rec], 0), ds)
+        assert counter.count == len(ds.labels)  # the original's pass only
+        assert table.verdicts[rec.mutant_id].killing_count == 0
+
+    def test_negative_zero_patches_keep_their_sign(self):
+        net = patch_world()
+        # WS moving row 5's -0.0 and NS swapping rows 0 and 4, both with one
+        for rec in (weight_shuffle(net, 1, 5, seed=2), neuron_switch(net, 1, 0, 4)):
+            want = reference_mutant(net, rec.kind, rec.layer, rec.neuron, rec.partner,
+                                    seed=rec.seed)
+            assert_same_bytes(rec.model, want)
+        signed = gaussian_fuzz(net, 1, 0, 0.0, seed=1).model  # keeps row 0's -0.0
+        assert np.signbit(signed.layers[1].weights[0, 0])
+
+    def test_each_read_builds_a_fresh_array(self):
+        net = patch_world()
+        layer = gaussian_fuzz(net, 1, 3, 1.0, seed=5).model.layers[1]
+        a, b = layer.weights, layer.weights
+        assert a is not b and not np.shares_memory(a, net.layers[1].weights)
+        a[:] = 1.0
+        assert layer.weights.tobytes() == b.tobytes()
+        assert layer.biases is net.layers[1].biases  # biases not patched: the base's
+        switched = neuron_switch(net, 1, 0, 4).model.layers[1]
+        assert not np.shares_memory(switched.biases, net.layers[1].biases)
+
+    def test_a_patch_is_checked_once_when_built(self):
+        base = patch_world().layers[1]
+        with pytest.raises(ValidationError, match="finite"):
+            PatchedLayer(base, (0,), np.full(base.in_dim, np.inf))
+        with pytest.raises(ValidationError, match="finite"):
+            PatchedLayer(base, (np.array([0, 1]),), base.weights[[1, 0]], [0.0, np.nan])
+        with pytest.raises(ValidationError, match="do not fit"):
+            PatchedLayer(base, (0,), np.zeros(base.in_dim + 1))
+        with pytest.raises(ValidationError, match="do not fit"):
+            PatchedLayer(base, (np.array([0, 1]),), base.weights[[1, 0]], [0.0])
+        with pytest.raises(ValidationError, match="finite"):  # fuzz overflowing to inf
+            gaussian_fuzz(patch_world(), 1, 0, np.finfo(float).max, seed=1)
+
+    def test_stored_patched_mutants_load_as_the_same_bytes(self, tmp_path):
+        net = patch_world()
+        for k, (rec, want) in enumerate(every_patched_mutant(net)):
+            if k % 7:
+                continue
+            path = tmp_path / f"{k}.fcnn"
+            save_model(rec.model, path)
+            loaded = load_model(path)
+            assert_same_bytes(loaded, want)
+            save_model(want, tmp_path / f"{k}.ref")
+            assert path.read_bytes() == (tmp_path / f"{k}.ref").read_bytes()
+
+    def test_a_loaded_manifest_holds_patches_not_layer_copies(self, tmp_path):
+        import tracemalloc
+
+        original = small_stack(seed=2, input_dim=12, hidden=(64, 64, 64), outputs=5)
+        path = tmp_path / "manifest.json"
+        save_manifest(generate_mutant_set(original, 200, seed=4), path)
+        load_manifest(path, original)  # first-call costs out of the traced run
+        tracemalloc.start()
+        try:
+            loaded = load_manifest(path, original)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == 200
+        # a full copy of each changed layer would take 200 x 6-32 KiB; a
+        # patch takes one or two 64-wide rows or columns
+        assert peak < 32 * (64 * 64 * 8)
